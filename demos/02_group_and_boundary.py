@@ -7,11 +7,11 @@ null cone, and that point steers the whole decomposition algorithm.
 """
 
 from picard31 import (ONE, ZERO, U1, U2, check_membership, image_of_infinity,
-                      inversion, lift, translation_matrix)
+                      inversion, rotation_matrix, translation_matrix)
 
 N = translation_matrix((ONE, ZERO), 1)
-A = lift(U1)
-B = lift(U2)
+A = rotation_matrix(U1)
+B = rotation_matrix(U2)
 R = inversion()
 
 

@@ -8,7 +8,8 @@ are what the big decomposition emits for the rotation part.
 
 from collections import Counter
 
-from picard31 import enumerate_group, evaluate_uword, serialize_uword, u_decompose
+from picard31 import (enumerate_group, evaluate, rotation_matrix, serialize,
+                      u_decompose)
 
 group = enumerate_group()
 print("group order:", len(group))
@@ -20,15 +21,13 @@ print()
 lengths = Counter()
 for u in group:
     word = u_decompose(u)
-    assert evaluate_uword(word) == u
+    assert evaluate(word) == rotation_matrix(u)
     lengths[sum(abs(e) for _, e in word)] += 1
 print("word length distribution (letters -> count):")
 for n in sorted(lengths):
     print(f"  {n:2d}: {lengths[n]}")
 print()
 
-sample = sorted(group, key=lambda u: tuple(
-    (e.a, e.b) for row in u.rows for e in row))[:6]
 print("a few elements with their words:")
-for u in sample:
-    print(f"  {serialize_uword(u_decompose(u)) or '1':<18} {u}")
+for u in group[:6]:
+    print(f"  {serialize(u_decompose(u)) or '1':<18} {u}")

@@ -4,43 +4,11 @@ decomposition into generator words, with no floating point anywhere in
 the group theory."""
 
 from .eisenstein import (OMEGA, ONE, UNITS, ZERO, EisensteinFrac,
-                         EisensteinInt, SqrtThreeRational, round_nearest)
-from .errors import (DomainError, InternalError, NotMemberError, ParityError,
-                     Picard31Error, ShapeError, WordParseError)
-from .finite_unitary import (U1, U2, FiniteUnitary, UGen, enumerate_group,
-                             evaluate_uword, lift, serialize_uword,
-                             u_decompose, u_membership, word_table)
-from .hermitian import (BoundaryPoint, GroupMatrix, HeisenbergParam,
-                        HeisenbergTranslation, check_membership,
-                        compose_heisenberg, identity, image_of_infinity,
-                        inversion, langlands_extract, matrix_from_json_text,
-                        matrix_to_json_text, rotation_matrix,
+                         EisensteinInt, round_nearest)
+from .finite_unitary import U1, U2, enumerate_group, u_decompose
+from .hermitian import (check_membership, image_of_infinity, inversion,
+                        matrix_from_json_text, rotation_matrix,
                         translation_matrix, unit_correction)
-from .words import (DecompositionResult, Generator, Word, evaluate,
-                    generator_power, normalize, parse, serialize)
-from .decomposer import (ReductionStep, ReductionTrace, choose_translation,
-                         decompose, decompose_stabilizer, decompose_traced,
-                         decompose_translation, random_element,
-                         random_stabilizer, reduction_step, search_unit_word,
-                         step_bound, translation_data, verify)
-
-__version__ = "1.0.0"
-
-__all__ = [
-    "BoundaryPoint", "DecompositionResult", "DomainError", "EisensteinFrac",
-    "EisensteinInt", "FiniteUnitary", "Generator", "GroupMatrix",
-    "HeisenbergParam", "HeisenbergTranslation", "InternalError",
-    "NotMemberError", "OMEGA", "ONE", "ParityError", "Picard31Error",
-    "ReductionStep", "ReductionTrace", "ShapeError", "SqrtThreeRational",
-    "U1", "U2", "UGen", "UNITS", "Word", "WordParseError", "ZERO",
-    "check_membership", "choose_translation", "compose_heisenberg",
-    "decompose", "decompose_stabilizer", "decompose_traced",
-    "decompose_translation", "enumerate_group", "evaluate", "evaluate_uword",
-    "generator_power", "identity", "image_of_infinity", "inversion",
-    "langlands_extract", "lift", "matrix_from_json_text",
-    "matrix_to_json_text", "normalize", "parse", "random_element",
-    "random_stabilizer", "reduction_step", "rotation_matrix", "round_nearest",
-    "search_unit_word", "serialize", "serialize_uword", "step_bound",
-    "translation_data", "translation_matrix", "u_decompose", "u_membership",
-    "unit_correction", "verify", "word_table",
-]
+from .words import evaluate, parse, serialize
+from .decomposer import (decompose, decompose_traced, step_bound,
+                         translation_data, verify)

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .decomposer import decompose_traced, random_element
 from .errors import NotMemberError, Picard31Error, WordParseError
-from .finite_unitary import enumerate_group, serialize_uword, u_decompose
+from .finite_unitary import enumerate_group, u_decompose
 from .hermitian import matrix_from_json_text, matrix_to_json_text
 from .jsonutil import canonical_dumps, encode_int
 from .words import evaluate, parse, serialize
@@ -86,7 +86,7 @@ def _cmd_decompose(args) -> int:
                   f"norm {step.n_before} -> {step.n_after}")
         stab = trace.stabilizer
         print(f"stabilizer: unit={stab.lam} tau=({stab.tau[0]}, {stab.tau[1]}) "
-              f"k={stab.k} u={serialize_uword(u_decompose(stab.u)) or '1'}")
+              f"k={stab.k} u={serialize(u_decompose(stab.u)) or '1'}")
     return 0
 
 
@@ -167,11 +167,9 @@ def _cmd_fuzz(args) -> int:
 
 
 def _cmd_u2_table(args) -> int:
-    elements = sorted(
-        enumerate_group(),
-        key=lambda u: tuple((e.a, e.b) for row in u.rows for e in row))
+    elements = enumerate_group()
     for u in elements:
-        word = serialize_uword(u_decompose(u))
+        word = serialize(u_decompose(u))
         if args.json:
             print(canonical_dumps({"word": word, "rows": u.to_json()}))
         else:

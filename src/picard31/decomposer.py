@@ -4,9 +4,9 @@ The algorithm repeatedly moves the image of infinity close to the origin by
 a Heisenberg translation and then applies the inversion.  Each round shrinks
 the norm of the bottom-left entry by a factor of at least 31/36, and that
 norm is a nonnegative integer, so after finitely many rounds the element
-fixes infinity and splits into a unit correction, a translation, and a
-rotation.  Unwinding the rounds yields a word over the four generators; the
-unit correction is reported separately.
+fixes infinity and splits (langlands_extract) into a unit correction, a
+translation, and a rotation.  Unwinding the rounds yields a word over the
+four generators; the unit correction is reported separately.
 """
 
 from __future__ import annotations
@@ -16,15 +16,71 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .eisenstein import UNITS, EisensteinInt, EisensteinFrac, round_nearest
-from .errors import InternalError
-from .finite_unitary import UGen, enumerate_group, serialize_uword, u_decompose
-from .hermitian import (GroupMatrix, HeisenbergParam, HeisenbergTranslation,
-                        identity, inversion, langlands_extract, rotation_matrix,
-                        translation_matrix, unit_correction)
-from .words import DecompositionResult, Generator, Word, evaluate, normalize
+from .eisenstein import (UNITS, ZERO, EisensteinInt, EisensteinFrac,
+                         round_nearest)
+from .errors import InternalError, ShapeError
+from .finite_unitary import (FiniteUnitary, enumerate_group, u_decompose,
+                             u_membership)
+from .hermitian import (GroupMatrix, HeisenbergTranslation, identity,
+                        inversion, rotation_matrix, translation_matrix,
+                        unit_correction)
+from .jsonutil import encode_int
+from .words import (DecompositionResult, Generator, Word, evaluate, normalize,
+                    serialize)
 
-_UGEN_TO_GENERATOR = {UGen.U1: Generator.A, UGen.U2: Generator.B}
+
+@dataclass(frozen=True)
+class HeisenbergParam:
+    """Langlands data of a stabilizer-of-infinity element:
+    P = unit_correction(lam) * translation_matrix(tau, k) * rotation_matrix(u)."""
+
+    lam: EisensteinInt
+    tau: tuple[EisensteinInt, EisensteinInt]
+    k: int
+    u: FiniteUnitary
+
+    def matrix(self) -> GroupMatrix:
+        return (unit_correction(self.lam)
+                * translation_matrix(self.tau, self.k)
+                * rotation_matrix(self.u))
+
+
+def langlands_extract(p: GroupMatrix) -> HeisenbergParam:
+    """Factor a stabilizer element as unit correction, translation, rotation.
+
+    The lattice admits no dilation component, so after splitting off
+    lam = g11 the rest is forced: u is the middle block, tau the middle of the
+    last column, and k the w-coefficient of the corner entry.  Every structural
+    step is validated; a failure means the input is not a group element.
+    """
+    r = p.rows
+    if not r[3][0].is_zero():
+        raise ShapeError("matrix does not fix infinity (g41 != 0)")
+    if not (r[1][0].is_zero() and r[2][0].is_zero()):
+        raise ShapeError("stabilizer must have zero g21 and g31")
+    lam = r[0][0]
+    if not lam.is_unit():
+        raise ShapeError(f"corner entry {lam} is not a unit")
+    if r[3][1] != ZERO or r[3][2] != ZERO or r[3][3] != lam:
+        raise ShapeError("last row must be (0, 0, 0, g11)")
+    lam_inv = lam.unit_inverse()
+    u_rows = ((r[1][1], r[1][2]), (r[2][1], r[2][2]))
+    if not u_membership(u_rows):
+        raise ShapeError(f"middle block {u_rows} is not in U(2; Z[w])")
+    u = FiniteUnitary(u_rows)
+    tau1, tau2 = r[1][3], r[2][3]
+    corner = lam_inv * r[0][3]
+    k = corner.b
+    m = tau1.norm() + tau2.norm()
+    if k - 2 * corner.a != m:
+        raise ShapeError(
+            f"corner entry {corner} inconsistent with |tau|^2 = {m}")
+    # First row must be (lam, lam * (-tau* u), lam * corner).
+    mt1 = -(tau1.conj()) * u.rows[0][0] + -(tau2.conj()) * u.rows[1][0]
+    mt2 = -(tau1.conj()) * u.rows[0][1] + -(tau2.conj()) * u.rows[1][1]
+    if lam_inv * r[0][1] != mt1 or lam_inv * r[0][2] != mt2:
+        raise ShapeError("first row inconsistent with -tau* u")
+    return HeisenbergParam(lam=lam, tau=(tau1, tau2), k=k, u=u)
 
 
 @dataclass(frozen=True)
@@ -38,8 +94,6 @@ class ReductionStep:
     n_after: int
 
     def to_json(self) -> dict:
-        from .jsonutil import encode_int
-
         return {"tau": [[encode_int(t.a), encode_int(t.b)] for t in self.tau],
                 "k": self.k,
                 "n_before": encode_int(self.n_before),
@@ -55,8 +109,6 @@ class ReductionTrace:
     stabilizer: HeisenbergParam
 
     def to_json(self) -> dict:
-        from .jsonutil import encode_int
-
         stab = self.stabilizer
         return {
             "steps": [s.to_json() for s in self.steps],
@@ -64,7 +116,7 @@ class ReductionTrace:
                 "unit": [encode_int(stab.lam.a), encode_int(stab.lam.b)],
                 "tau": [[encode_int(t.a), encode_int(t.b)] for t in stab.tau],
                 "k": stab.k,
-                "u_word": serialize_uword(u_decompose(stab.u)),
+                "u_word": serialize(u_decompose(stab.u)),
             },
         }
 
@@ -103,11 +155,6 @@ def translation_data(g: GroupMatrix):
     candidates = [k for k in range(base - 3, base + 4) if (k - m) % 2 == 0]
     k = min(candidates, key=lambda c: (abs(e + c), abs(c), c))
     return HeisenbergTranslation(tau1, tau2, k), i1, e
-
-
-def choose_translation(g: GroupMatrix) -> HeisenbergTranslation:
-    """The Heisenberg translation used to reduce g (g must not fix infinity)."""
-    return translation_data(g)[0]
 
 
 def reduction_step(g: GroupMatrix) -> tuple[GroupMatrix, ReductionStep]:
@@ -200,19 +247,6 @@ def decompose_translation(tau, k: int) -> Word:
     return Word(items)
 
 
-def _uword_to_word(uword) -> Word:
-    return Word(tuple((_UGEN_TO_GENERATOR[g], e) for g, e in uword))
-
-
-def decompose_stabilizer(h: GroupMatrix) -> DecompositionResult:
-    """Decomposition of an element fixing infinity, via its translation and
-    rotation parts."""
-    param = langlands_extract(h)
-    word = Word(decompose_translation(param.tau, param.k).items
-                + _uword_to_word(u_decompose(param.u)).items)
-    return DecompositionResult(unit=param.lam, word=normalize(word))
-
-
 def decompose_traced(g: GroupMatrix) -> tuple[DecompositionResult, ReductionTrace]:
     """Full decomposition with the step-by-step reduction record.
 
@@ -237,7 +271,7 @@ def decompose_traced(g: GroupMatrix) -> tuple[DecompositionResult, ReductionTrac
         items += list(prefix.items)
         items.append((Generator.R, 1))
     items += list(decompose_translation(param.tau, param.k).items)
-    items += list(_uword_to_word(u_decompose(param.u)).items)
+    items += list(u_decompose(param.u).items)
     word = normalize(Word(items))
 
     result = DecompositionResult(unit=lam, word=word)
@@ -270,11 +304,6 @@ def random_element(seed: int, max_len: int = 40) -> Word:
                       for _ in range(length)))
 
 
-def _sorted_rotations():
-    return sorted(enumerate_group(),
-                  key=lambda u: tuple((e.a, e.b) for row in u.rows for e in row))
-
-
 def random_stabilizer(seed: int) -> GroupMatrix:
     """Seeded random stabilizer element unit * translation * rotation with
     small parameters."""
@@ -284,7 +313,7 @@ def random_stabilizer(seed: int) -> GroupMatrix:
     tau2 = EisensteinInt(rng.randint(-5, 5), rng.randint(-5, 5))
     m = tau1.norm() + tau2.norm()
     k = rng.choice([k for k in range(-10, 11) if (k - m) % 2 == 0])
-    u = rng.choice(_sorted_rotations())
+    u = rng.choice(enumerate_group())
     return (unit_correction(lam)
             * translation_matrix((tau1, tau2), k)
             * rotation_matrix(u))

@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
+from .jsonutil import decode_int, encode_int
+
 
 class EisensteinInt:
     """a + b*w with integer a, b, where w^2 + w + 1 = 0."""
@@ -128,10 +130,6 @@ UNITS = (
     EisensteinInt(-1, -1),
     EisensteinInt(1, 1),
 )
-
-
-def is_unit(x: EisensteinInt) -> bool:
-    return x.norm() == 1
 
 
 class SqrtThreeRational:
@@ -252,15 +250,11 @@ class EisensteinFrac:
         return self.num.to_complex() / self.den
 
     def to_json(self) -> dict:
-        from .jsonutil import encode_int
-
         return {"num": [encode_int(self.num.a), encode_int(self.num.b)],
                 "den": encode_int(self.den)}
 
     @classmethod
     def from_json(cls, obj: dict) -> EisensteinFrac:
-        from .jsonutil import decode_int
-
         num = obj["num"]
         return cls(EisensteinInt(decode_int(num[0]), decode_int(num[1])),
                    decode_int(obj["den"]))
@@ -284,10 +278,6 @@ class EisensteinFrac:
         if self.den == 1:
             return str(self.num)
         return f"({self.num})/{self.den}"
-
-
-def re_im(z: EisensteinFrac) -> tuple[Fraction, SqrtThreeRational]:
-    return z.re_im()
 
 
 def round_nearest(z: EisensteinFrac) -> EisensteinInt:

@@ -2,27 +2,18 @@
 
 Every member is diagonal diag(a, b) or antidiagonal antidiag(b; a) with both
 entries sixth roots of unity, giving 2 * 6 * 6 = 72 elements.  The group is
-generated by the coordinate swap U1 and the single-entry rotation U2; a
-breadth-first search over the Cayley graph supplies a shortest word in
-{U1, U2, U2^-1} for each element.
+generated by the coordinate swap U1 and the single-entry rotation U2, whose
+rotation matrices are the generators A and B; a breadth-first search over
+the Cayley graph supplies a shortest word in {A, B, B^-1} for each element.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from enum import Enum
 
 from .eisenstein import ONE, ZERO, OMEGA, EisensteinInt, UNITS
 from .errors import NotMemberError
-
-
-class UGen(Enum):
-    U1 = "U1"
-    U2 = "U2"
-
-
-#: A word over {U1, U2} as (generator, nonzero exponent) items.
-UWord = tuple
+from .words import Generator, Word, normalize
 
 
 class FiniteUnitary:
@@ -111,34 +102,21 @@ U1 = FiniteUnitary(((ZERO, ONE), (ONE, ZERO)))
 U2 = FiniteUnitary(((-OMEGA, ZERO), (ZERO, ONE)))
 
 
-def enumerate_group() -> frozenset:
-    """All 72 elements: two shapes, each unit pair (a, b)."""
-    elements = set()
+def enumerate_group() -> tuple:
+    """All 72 elements, two shapes for each unit pair (a, b), in a fixed
+    order: ascending by the coefficient pairs of the entries, row by row."""
+    elements = []
     for a in UNITS:
         for b in UNITS:
-            elements.add(FiniteUnitary(((a, ZERO), (ZERO, b))))
-            elements.add(FiniteUnitary(((ZERO, b), (a, ZERO))))
-    return frozenset(elements)
-
-
-def _normalize_uword(items) -> UWord:
-    """Merge adjacent runs and reduce exponents: U1 mod 2 into {1}, U2 mod 6 into [-2, 3]."""
-    stack = []
-    for gen, exp in items:
-        if stack and stack[-1][0] is gen:
-            exp += stack.pop()[1]
-        if gen is UGen.U1:
-            exp = exp % 2
-        else:
-            exp = (exp + 2) % 6 - 2
-        if exp != 0:
-            stack.append((gen, exp))
-    return tuple(stack)
+            elements.append(FiniteUnitary(((a, ZERO), (ZERO, b))))
+            elements.append(FiniteUnitary(((ZERO, b), (a, ZERO))))
+    return tuple(sorted(
+        elements, key=lambda u: tuple((e.a, e.b) for row in u.rows for e in row)))
 
 
 def _bfs_table() -> dict:
-    """Shortest word (over U1, U2, U2^-1) for every group element, by BFS from I."""
-    steps = ((UGen.U1, 1), (UGen.U2, 1), (UGen.U2, -1))
+    """Shortest word (over A, B, B^-1) for every group element, by BFS from I."""
+    steps = ((Generator.A, 1), (Generator.B, 1), (Generator.B, -1))
     step_matrices = (U1, U2, U2.inverse())
     table = {identity(): ()}
     queue = deque([identity()])
@@ -150,7 +128,7 @@ def _bfs_table() -> dict:
             if nxt not in table:
                 table[nxt] = word + (step,)
                 queue.append(nxt)
-    return {u: _normalize_uword(w) for u, w in table.items()}
+    return {u: normalize(Word(w)) for u, w in table.items()}
 
 
 _TABLE = None
@@ -163,27 +141,8 @@ def word_table() -> dict:
     return _TABLE
 
 
-def u_decompose(u: FiniteUnitary) -> UWord:
-    """A word over {U1, U2} whose left-to-right product equals u exactly."""
+def u_decompose(u: FiniteUnitary) -> Word:
+    """A word over {A, B} whose evaluation is rotation_matrix(u) exactly."""
     if not isinstance(u, FiniteUnitary):
         raise NotMemberError(f"not in U(2; Z[w]): {u!r}")
     return word_table()[u]
-
-
-def evaluate_uword(word: UWord) -> FiniteUnitary:
-    result = identity()
-    for gen, exp in word:
-        base = U1 if gen is UGen.U1 else U2
-        result = result * base ** exp
-    return result
-
-
-def serialize_uword(word: UWord) -> str:
-    return " ".join(g.value if e == 1 else f"{g.value}^{e}" for g, e in word)
-
-
-def lift(u: FiniteUnitary):
-    """Embed u as the middle 2x2 block of a 4x4 group matrix."""
-    from .hermitian import rotation_matrix
-
-    return rotation_matrix(u)

@@ -4,18 +4,18 @@ The form is <w, z> = z* J w with J carrying 1 at the (1,4) and (4,1) corners
 and the identity in the middle 2x2 block.  Matrices G over Z[w] with
 G* J G = J make up the modular group this package decomposes.  This module
 holds the group element type, the explicit generator matrices (Heisenberg
-translations, rotations, the inversion), the boundary action, and the
-translation/rotation factorization of stabilizer-of-infinity elements.
+translations, rotations, the inversion, unit corrections), the Heisenberg
+composition law, the boundary action, and the matrix JSON format.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .eisenstein import ONE, ZERO, EisensteinInt, EisensteinFrac, is_unit
-from .errors import DomainError, NotMemberError, ParityError, ShapeError
-from .finite_unitary import FiniteUnitary, u_membership
+from .eisenstein import ONE, ZERO, EisensteinInt, EisensteinFrac
+from .errors import DomainError, NotMemberError, ParityError
+from .jsonutil import canonical_dumps, decode_int, encode_int
 
 
 def _rows4(entries) -> tuple:
@@ -127,15 +127,11 @@ class GroupMatrix:
         return f"GroupMatrix([{body}])"
 
     def to_json(self) -> dict:
-        from .jsonutil import encode_int
-
         return {"matrix": [[[encode_int(e.a), encode_int(e.b)] for e in row]
                            for row in self.rows]}
 
     @classmethod
     def from_json(cls, obj: dict) -> GroupMatrix:
-        from .jsonutil import decode_int
-
         if not isinstance(obj, dict) or "matrix" not in obj:
             raise ValueError('expected an object with a "matrix" key')
         entries = obj["matrix"]
@@ -154,16 +150,6 @@ def identity() -> GroupMatrix:
     return GroupMatrix(
         tuple(tuple(ONE if i == k else ZERO for k in range(4)) for i in range(4)),
         check=False)
-
-
-def form_j() -> GroupMatrix:
-    return GroupMatrix(
-        tuple(tuple(EisensteinInt(v) for v in row) for row in _J_ENTRIES),
-        check=False)
-
-
-def fixes_infinity(g: GroupMatrix) -> bool:
-    return g.fixes_infinity()
 
 
 @dataclass(frozen=True)
@@ -251,11 +237,6 @@ class HeisenbergTranslation:
         return f"HeisenbergTranslation({self.tau1!r}, {self.tau2!r}, {self.k})"
 
 
-def compose_heisenberg(p: HeisenbergTranslation,
-                       q: HeisenbergTranslation) -> HeisenbergTranslation:
-    return p.compose(q)
-
-
 def translation_matrix(tau, k: int) -> GroupMatrix:
     """The Heisenberg translation by (tau, k*sqrt(3)) as a 4x4 group matrix.
 
@@ -277,8 +258,11 @@ def translation_matrix(tau, k: int) -> GroupMatrix:
     ), check=False)
 
 
-def rotation_matrix(u: FiniteUnitary) -> GroupMatrix:
-    """Heisenberg rotation: u as the middle 2x2 block, ones at the corners."""
+def rotation_matrix(u) -> GroupMatrix:
+    """Heisenberg rotation: u as the middle 2x2 block, ones at the corners.
+
+    u is a finite_unitary.FiniteUnitary; only its rows are read.
+    """
     (a, b), (c, d) = u.rows
     return GroupMatrix((
         (ONE, ZERO, ZERO, ZERO),
@@ -304,7 +288,7 @@ def unit_correction(lam: EisensteinInt) -> GroupMatrix:
     This is the scalar-like residue a stabilizer element can carry at the
     corners; products of translations and rotations always have 1 there.
     """
-    if not is_unit(lam):
+    if not lam.is_unit():
         raise ValueError(f"{lam!r} is not a unit of Z[w]")
     return GroupMatrix((
         (lam, ZERO, ZERO, ZERO),
@@ -314,70 +298,10 @@ def unit_correction(lam: EisensteinInt) -> GroupMatrix:
     ), check=False)
 
 
-@dataclass(frozen=True)
-class HeisenbergParam:
-    """Langlands data of a stabilizer-of-infinity element:
-    P = unit_correction(lam) * translation_matrix(tau, k) * rotation_matrix(u)."""
-
-    lam: EisensteinInt
-    tau: tuple[EisensteinInt, EisensteinInt]
-    k: int
-    u: FiniteUnitary
-
-    @property
-    def translation(self) -> HeisenbergTranslation:
-        return HeisenbergTranslation(self.tau[0], self.tau[1], self.k)
-
-    def matrix(self) -> GroupMatrix:
-        return (unit_correction(self.lam)
-                * translation_matrix(self.tau, self.k)
-                * rotation_matrix(self.u))
-
-
-def langlands_extract(p: GroupMatrix) -> HeisenbergParam:
-    """Factor a stabilizer element as unit correction, translation, rotation.
-
-    The lattice admits no dilation component, so after splitting off
-    lam = g11 the rest is forced: u is the middle block, tau the middle of the
-    last column, and k the w-coefficient of the corner entry.  Every structural
-    step is validated; a failure means the input is not a group element.
-    """
-    r = p.rows
-    if not r[3][0].is_zero():
-        raise ShapeError("matrix does not fix infinity (g41 != 0)")
-    if not (r[1][0].is_zero() and r[2][0].is_zero()):
-        raise ShapeError("stabilizer must have zero g21 and g31")
-    lam = r[0][0]
-    if not is_unit(lam):
-        raise ShapeError(f"corner entry {lam} is not a unit")
-    if r[3][1] != ZERO or r[3][2] != ZERO or r[3][3] != lam:
-        raise ShapeError("last row must be (0, 0, 0, g11)")
-    lam_inv = lam.unit_inverse()
-    u_rows = ((r[1][1], r[1][2]), (r[2][1], r[2][2]))
-    if not u_membership(u_rows):
-        raise ShapeError(f"middle block {u_rows} is not in U(2; Z[w])")
-    u = FiniteUnitary(u_rows)
-    tau1, tau2 = r[1][3], r[2][3]
-    corner = lam_inv * r[0][3]
-    k = corner.b
-    m = tau1.norm() + tau2.norm()
-    if k - 2 * corner.a != m:
-        raise ShapeError(
-            f"corner entry {corner} inconsistent with |tau|^2 = {m}")
-    # First row must be (lam, lam * (-tau* u), lam * corner).
-    mt1 = -(tau1.conj()) * u.rows[0][0] + -(tau2.conj()) * u.rows[1][0]
-    mt2 = -(tau1.conj()) * u.rows[0][1] + -(tau2.conj()) * u.rows[1][1]
-    if lam_inv * r[0][1] != mt1 or lam_inv * r[0][2] != mt2:
-        raise ShapeError("first row inconsistent with -tau* u")
-    return HeisenbergParam(lam=lam, tau=(tau1, tau2), k=k, u=u)
-
-
 # --- matrix JSON format -----------------------------------------------------
 
 def matrix_to_json_text(g: GroupMatrix) -> str:
     """Canonical one-line JSON rendering; entries above 53-bit magnitude become strings."""
-    from .jsonutil import canonical_dumps
-
     return canonical_dumps(g.to_json())
 
 
@@ -387,12 +311,12 @@ def matrix_from_json_text(text: str) -> GroupMatrix:
     Raises ValueError on malformed input and NotMemberError (with the first
     failing form entry) on a well-formed non-member.
     """
-    import json
-
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ValueError("invalid JSON: nesting too deep") from None
     try:
         return GroupMatrix.from_json(obj)
     except (TypeError, IndexError, KeyError) as exc:

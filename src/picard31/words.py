@@ -15,9 +15,9 @@ from enum import Enum
 
 from .eisenstein import ONE, ZERO, EisensteinInt, OMEGA
 from .errors import WordParseError
-from .hermitian import (GroupMatrix, identity, inversion, rotation_matrix,
-                        translation_matrix)
-from .finite_unitary import FiniteUnitary
+from .hermitian import GroupMatrix
+from .jsonutil import decode_int, encode_int
+
 
 class Generator(Enum):
     N = "N"
@@ -100,24 +100,6 @@ def normalize(word: Word) -> Word:
         if exp != 0:
             stack.append((gen, exp))
     return Word(stack)
-
-
-def generator_power(gen: Generator, e: int) -> GroupMatrix:
-    """Closed form for a single generator power."""
-    if gen is Generator.N:
-        # N^e translates by ((e, 0), e*sqrt(3)): powers stay on the same
-        # one-parameter family.
-        return translation_matrix((EisensteinInt(e), ZERO), e)
-    if gen is Generator.A:
-        if e % 2 == 0:
-            return identity()
-        return rotation_matrix(FiniteUnitary(((ZERO, ONE), (ONE, ZERO))))
-    if gen is Generator.B:
-        lam = _MINUS_OMEGA_POWERS[e % 6]
-        return rotation_matrix(FiniteUnitary(((lam, ZERO), (ZERO, ONE))))
-    if e % 2 == 0:
-        return identity()
-    return inversion()
 
 
 def evaluate(word: Word) -> GroupMatrix:
@@ -211,15 +193,17 @@ class DecompositionResult:
     word: Word
 
     def to_json(self) -> dict:
-        from .jsonutil import encode_int
-
         return {"unit": [encode_int(self.unit.a), encode_int(self.unit.b)],
                 "word": serialize(self.word)}
 
     @classmethod
     def from_json(cls, obj: dict) -> DecompositionResult:
-        from .jsonutil import decode_int
-
-        unit = obj["unit"]
+        if not isinstance(obj, dict) or "unit" not in obj or "word" not in obj:
+            raise ValueError('expected an object with "unit" and "word" keys')
+        unit, word = obj["unit"], obj["word"]
+        if not isinstance(unit, list) or len(unit) != 2:
+            raise ValueError("unit must be a pair [a, b]")
+        if not isinstance(word, str):
+            raise ValueError("word must be a string")
         return cls(unit=EisensteinInt(decode_int(unit[0]), decode_int(unit[1])),
-                   word=parse(obj["word"]))
+                   word=parse(word))

@@ -13,12 +13,11 @@ from fractions import Fraction
 
 from picard31.eisenstein import (OMEGA, ONE, UNITS, ZERO, EisensteinFrac,
                                  EisensteinInt, round_nearest)
-from picard31.finite_unitary import (U1, U2, enumerate_group, evaluate_uword,
-                                     lift, word_table)
+from picard31.finite_unitary import U1, U2, enumerate_group, word_table
 from picard31.hermitian import (HeisenbergTranslation, check_membership,
-                                compose_heisenberg, identity,
-                                image_of_infinity, inversion,
-                                translation_matrix, unit_correction)
+                                identity, image_of_infinity, inversion,
+                                rotation_matrix, translation_matrix,
+                                unit_correction)
 from picard31.decomposer import (decompose_translation, random_element,
                                  reduction_step, step_bound,
                                  translation_data, verify)
@@ -44,8 +43,8 @@ def criterion(capsys, number, label):
 def test_criterion_01_generators(capsys):
     with criterion(capsys, 1, "generator validity and orders"):
         n1 = translation_matrix((ONE, ZERO), 1)
-        a = lift(U1)
-        b = lift(U2)
+        a = rotation_matrix(U1)
+        b = rotation_matrix(U2)
         r = inversion()
         for g in (n1, a, b, r):
             assert check_membership(g.rows)
@@ -68,7 +67,7 @@ def test_criterion_02_rotation_subgroup(capsys):
         assert len(table) == 72
         assert set(table) == set(group)
         for u, word in table.items():
-            assert evaluate_uword(word) == u
+            assert evaluate(word) == rotation_matrix(u)
         assert time.perf_counter() - start < 1.0
 
 
@@ -159,7 +158,7 @@ def test_criterion_08_heisenberg_composition(capsys):
 
         for _ in range(1000):
             x, y = sample(), sample()
-            assert compose_heisenberg(x, y).matrix() == x.matrix() * y.matrix()
+            assert x.compose(y).matrix() == x.matrix() * y.matrix()
 
 
 def test_criterion_09_translation_words(capsys):

@@ -62,6 +62,12 @@ def test_verify_malformed_input(capsys):
     assert err
 
 
+def test_verify_deep_nesting(capsys):
+    code, _, err = run(capsys, ["verify"], stdin="[" * 100000)
+    assert code == 2
+    assert err
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, ["verify", "/nonexistent/path.json"])
     assert code == 2
@@ -197,7 +203,8 @@ def test_u2_table(capsys):
 
 
 def test_u2_table_json(capsys):
-    from picard31.finite_unitary import FiniteUnitary, evaluate_uword, UGen
+    from picard31.finite_unitary import FiniteUnitary
+    from picard31.hermitian import rotation_matrix
 
     code, out, _ = run(capsys, ["u2-table", "--json"])
     assert code == 0
@@ -208,9 +215,5 @@ def test_u2_table_json(capsys):
         obj = json.loads(line)
         u = FiniteUnitary.from_json(obj["rows"])
         seen.add(u)
-        word = []
-        for tok in obj["word"].split():
-            name, _, exp = tok.partition("^")
-            word.append((UGen[name], int(exp) if exp else 1))
-        assert evaluate_uword(tuple(word)) == u
+        assert evaluate(parse(obj["word"])) == rotation_matrix(u)
     assert len(seen) == 72

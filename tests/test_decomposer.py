@@ -4,13 +4,12 @@ import random
 from fractions import Fraction
 
 from picard31.eisenstein import OMEGA, ONE, UNITS, ZERO, EisensteinInt
-from picard31.hermitian import (GroupMatrix, identity, langlands_extract,
-                                translation_matrix, unit_correction)
-from picard31.decomposer import (choose_translation, decompose,
-                                 decompose_stabilizer, decompose_traced,
-                                 decompose_translation, random_element,
-                                 random_stabilizer, reduction_step,
-                                 search_unit_word, step_bound,
+from picard31.hermitian import (GroupMatrix, identity, translation_matrix,
+                                unit_correction)
+from picard31.decomposer import (decompose, decompose_traced,
+                                 decompose_translation, langlands_extract,
+                                 random_element, random_stabilizer,
+                                 reduction_step, search_unit_word, step_bound,
                                  translation_data, verify)
 from picard31.words import Generator, Word, evaluate, parse, serialize
 
@@ -35,7 +34,6 @@ def test_translation_data_invariants():
         assert abs(e + tr.k) <= 1
         # Parity of k agrees with |tau|^2 by construction.
         assert (tr.k - tr.tau1.norm() - tr.tau2.norm()) % 2 == 0
-        assert choose_translation(g) == tr
 
 
 def test_reduction_step_contracts():
@@ -95,12 +93,10 @@ def test_decompose_unit_corrections():
 def test_decompose_stabilizers():
     for s in range(100):
         h = random_stabilizer(s)
-        res = decompose_stabilizer(h)
+        res, trace = decompose_traced(h)
         assert unit_correction(res.unit) * evaluate(res.word) == h
-        # The general path agrees on stabilizers and takes no steps.
-        full, trace = decompose_traced(h)
+        # Stabilizers need no reduction rounds.
         assert trace.steps == ()
-        assert full == res
 
 
 def test_decompose_stabilizer_fixed_case():
@@ -108,7 +104,7 @@ def test_decompose_stabilizer_fixed_case():
     from picard31.hermitian import rotation_matrix
 
     h = translation_matrix((ZERO, ONE), 1) * rotation_matrix(U1)
-    res = decompose_stabilizer(h)
+    res = decompose(h)
     assert res.unit == ONE
     assert serialize(res.word) == "A N"
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from picard31.eisenstein import (OMEGA, ONE, UNITS, ZERO, EisensteinFrac,
-                                 EisensteinInt, SqrtThreeRational, is_unit,
+                                 EisensteinInt, SqrtThreeRational,
                                  round_nearest)
 
 
@@ -62,7 +62,7 @@ def test_units():
     assert len(UNITS) == 6
     assert len(set(UNITS)) == 6
     for u in UNITS:
-        assert is_unit(u)
+        assert u.is_unit()
         assert u * u.unit_inverse() == ONE
         assert u ** -1 == u.unit_inverse()
         assert u ** 6 == ONE
@@ -70,7 +70,7 @@ def test_units():
     for u in UNITS:
         for v in UNITS:
             assert u * v in UNITS
-    assert not is_unit(EisensteinInt(2, 1))
+    assert not EisensteinInt(2, 1).is_unit()
     with pytest.raises(ZeroDivisionError):
         EisensteinInt(2, 1).unit_inverse()
     with pytest.raises(ZeroDivisionError):

@@ -6,10 +6,11 @@ import pytest
 
 from picard31.eisenstein import OMEGA, ONE, ZERO, EisensteinInt
 from picard31.errors import NotMemberError
-from picard31.finite_unitary import (U1, U2, FiniteUnitary, UGen,
-                                     enumerate_group, evaluate_uword, identity,
-                                     serialize_uword, u_decompose,
-                                     u_membership, word_table)
+from picard31.finite_unitary import (U1, U2, FiniteUnitary, enumerate_group,
+                                     identity, u_decompose, u_membership,
+                                     word_table)
+from picard31.hermitian import rotation_matrix
+from picard31.words import Generator, Word, evaluate, serialize
 
 
 def test_generators_are_members():
@@ -52,46 +53,34 @@ def test_word_table_covers_group():
     tbl = word_table()
     assert len(tbl) == 72
     for u, word in tbl.items():
-        assert evaluate_uword(word) == u
-        # Canonical exponents: U1 appears only to the first power, U2 within
+        assert evaluate(word) == rotation_matrix(u)
+        # Canonical exponents: A appears only to the first power, B within
         # the symmetric range, never zero, never two equal letters adjacent.
-        for i, (gen, exp) in enumerate(word):
+        for i, (gen, exp) in enumerate(word.items):
             assert exp != 0
-            if gen is UGen.U1:
+            if gen is Generator.A:
                 assert exp == 1
             else:
                 assert -2 <= exp <= 3
             if i:
-                assert word[i - 1][0] is not gen
+                assert word.items[i - 1][0] is not gen
 
 
 def test_u_decompose_round_trip():
     for u in enumerate_group():
-        assert evaluate_uword(u_decompose(u)) == u
+        assert evaluate(u_decompose(u)) == rotation_matrix(u)
 
 
 def test_u_decompose_fixed_case():
     u = FiniteUnitary(((ONE, ZERO), (ZERO, -OMEGA)))
     word = u_decompose(u)
-    assert serialize_uword(word) == "U1 U2 U1"
-    assert u_decompose(identity()) == ()
+    assert serialize(word) == "A B A"
+    assert u_decompose(identity()) == Word()
 
 
 def test_u_decompose_rejects_non_member():
     with pytest.raises(NotMemberError):
         u_decompose("not a matrix")
-
-
-def test_evaluate_uword_matches_products():
-    rng = random.Random(2)
-    mats = {UGen.U1: U1, UGen.U2: U2}
-    for _ in range(100):
-        word = tuple((rng.choice((UGen.U1, UGen.U2)), rng.choice((-2, -1, 1, 2, 3)))
-                     for _ in range(rng.randint(0, 8)))
-        acc = identity()
-        for gen, exp in word:
-            acc = acc * mats[gen] ** exp
-        assert evaluate_uword(word) == acc
 
 
 def test_json_round_trip():

@@ -13,16 +13,20 @@ from picard31.errors import (DomainError, NotMemberError, ParityError,
 from picard31.finite_unitary import U1, U2, enumerate_group
 from picard31.hermitian import (BoundaryPoint, GroupMatrix,
                                 HeisenbergTranslation, check_membership,
-                                compose_heisenberg, form_j, identity,
-                                image_of_infinity, inversion,
-                                langlands_extract, matrix_from_json_text,
-                                matrix_to_json_text, rotation_matrix,
-                                translation_matrix, unit_correction)
+                                identity, image_of_infinity, inversion,
+                                matrix_from_json_text, matrix_to_json_text,
+                                rotation_matrix, translation_matrix,
+                                unit_correction)
+from picard31.decomposer import langlands_extract
 
 N1 = translation_matrix((ONE, ZERO), 1)
 A = rotation_matrix(U1)
 B = rotation_matrix(U2)
 R = inversion()
+# The form matrix itself, built through the form-checking constructor.
+J = GroupMatrix([[EisensteinInt(v) for v in row]
+                 for row in ((0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0),
+                             (1, 0, 0, 0))])
 
 
 def random_translation(rng, span=5, kspan=10):
@@ -42,7 +46,7 @@ def random_member(rng, length=12):
 
 
 def test_form_matrix():
-    j = form_j()
+    j = J
     assert j * j == identity()
     assert check_membership(j.rows)
 
@@ -94,7 +98,7 @@ def test_inverse():
     for _ in range(50):
         g = random_member(rng)
         assert g * g.inverse() == identity()
-        assert g.inverse() == form_j() * g.conj_transpose() * form_j()
+        assert g.inverse() == J * g.conj_transpose() * J
 
 
 def test_pow():
@@ -109,7 +113,7 @@ def test_compose_heisenberg_matches_matrices():
     for _ in range(300):
         x = random_translation(rng)
         y = random_translation(rng)
-        assert compose_heisenberg(x, y).matrix() == x.matrix() * y.matrix()
+        assert x.compose(y).matrix() == x.matrix() * y.matrix()
         assert x.inverse().matrix() == x.matrix().inverse()
         e = rng.randint(-4, 4)
         assert x.scale(e).matrix() == x.matrix() ** e

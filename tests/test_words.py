@@ -6,10 +6,13 @@ import random
 
 import pytest
 
+from picard31.eisenstein import ONE, ZERO
 from picard31.errors import WordParseError
-from picard31.hermitian import identity
+from picard31.finite_unitary import U1, U2
+from picard31.hermitian import (identity, inversion, rotation_matrix,
+                                translation_matrix)
 from picard31.words import (DecompositionResult, Generator, Word, evaluate,
-                            generator_power, normalize, parse, serialize)
+                            normalize, parse, serialize)
 
 GENS = tuple(Generator)
 EXPS = (-3, -2, -1, 1, 2, 3)
@@ -20,33 +23,48 @@ def random_word(rng, max_len=20):
                       for _ in range(rng.randint(0, max_len))))
 
 
+# The generator matrices, built from hermitian's constructors rather than
+# from evaluate's column operations.
+GENERATOR_MATRICES = {
+    Generator.N: translation_matrix((ONE, ZERO), 1),
+    Generator.A: rotation_matrix(U1),
+    Generator.B: rotation_matrix(U2),
+    Generator.R: inversion(),
+}
+
+
 def generic_evaluate(word):
-    """Reference product over single-generator closed forms."""
+    """Reference product of generator matrix powers."""
     return functools.reduce(operator.mul,
-                            (generator_power(g, e) for g, e in word),
+                            (GENERATOR_MATRICES[g] ** e for g, e in word),
                             identity())
+
+
+def power(gen, e):
+    """evaluate of the one-item word gen^e, left unnormalized."""
+    return evaluate(Word(((gen, e),)))
 
 
 def test_generator_power_matches_repeated_product():
     for gen in GENS:
-        one = generator_power(gen, 1)
+        one = power(gen, 1)
         acc = identity()
         for e in range(9):
-            assert generator_power(gen, e) == acc
-            assert generator_power(gen, -e) == acc.inverse()
+            assert power(gen, e) == acc
+            assert power(gen, -e) == acc.inverse()
             acc = acc * one
 
 
 def test_generator_orders():
     I = identity()
-    assert generator_power(Generator.A, 2) == I
-    assert generator_power(Generator.B, 6) == I
-    assert generator_power(Generator.R, 2) == I
+    assert power(Generator.A, 2) == I
+    assert power(Generator.B, 6) == I
+    assert power(Generator.R, 2) == I
     for j in range(1, 6):
-        assert generator_power(Generator.B, j) != I
+        assert power(Generator.B, j) != I
     for j in range(1, 13):
         # N has infinite order; sample a prefix of the powers.
-        assert generator_power(Generator.N, j) != I
+        assert power(Generator.N, j) != I
 
 
 def test_evaluate_matches_generic_product():
@@ -156,3 +174,15 @@ def test_decomposition_result_json():
     obj = res.to_json()
     assert obj == {"unit": [0, -1], "word": "N^2 R A"}
     assert DecompositionResult.from_json(obj) == res
+
+
+@pytest.mark.parametrize("obj", [
+    {},
+    {"unit": [1], "word": "N"},
+    {"unit": 5, "word": "N"},
+    {"unit": [1, 0], "word": 5},
+    [[1, 0], "N"],
+])
+def test_decomposition_result_json_rejects_wrong_shape(obj):
+    with pytest.raises(ValueError):
+        DecompositionResult.from_json(obj)
