@@ -36,7 +36,7 @@ z = EisensteinFrac(EisensteinInt(7, 3), 6)
 re, im = z.re_im()
 print(f"z = {z}")
 print(f"  real part  {re}")
-print(f"  imag part  {im}")
+print(f"  imag part  ({im})*sqrt(3)")
 print(f"  |z|^2      {z.norm()}")
 print()
 
@@ -44,12 +44,11 @@ print()
 # worst case (the deep hole) sits at squared distance exactly 1/3.
 for num, den in [((1, 0), 2), ((1, 1), 2), ((2, 1), 3), ((-7, 5), 4)]:
     z = EisensteinFrac(EisensteinInt(*num), den)
-    p = round_nearest(z)
-    d = (z - EisensteinFrac.from_eisenstein(p)).norm()
+    p = round_nearest(z.num, z.den)
+    d = (z - EisensteinFrac(p)).norm()
     print(f"round({str(z):>12}) = {str(p):>5}   dist^2 = {d}")
 assert Fraction(1, 3) >= max(
     (EisensteinFrac(EisensteinInt(a, b), 3)
-     - EisensteinFrac.from_eisenstein(
-         round_nearest(EisensteinFrac(EisensteinInt(a, b), 3)))).norm()
+     - EisensteinFrac(round_nearest(EisensteinInt(a, b), 3))).norm()
     for a in range(-6, 7) for b in range(-6, 7))
 print("\ncovering radius check on a 13x13 sample grid: all within 1/3")

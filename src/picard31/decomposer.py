@@ -11,13 +11,11 @@ four generators; the unit correction is reported separately.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .eisenstein import (UNITS, ZERO, EisensteinInt, EisensteinFrac,
-                         round_nearest)
+from .eisenstein import UNITS, ZERO, EisensteinInt, round_nearest
 from .errors import InternalError, ShapeError
 from .finite_unitary import (FiniteUnitary, enumerate_group, u_decompose,
                              u_membership)
@@ -124,36 +122,38 @@ class ReductionTrace:
 def translation_data(g: GroupMatrix):
     """Choose the reduction translation for g and report its quality.
 
-    Returns (translation, i1, e) where i1 = (|q1+tau1|^2 + |q2+tau2|^2) / 2
-    and e is twice the sqrt(3)-coefficient of Im(c1 - q1 conj(tau1)
-    - q2 conj(tau2)); the bottom-left norm changes by the exact factor
-    i1^2 + (3/4)(e + k)^2.  The choice guarantees i1 <= 1/3 and
-    |e + k| <= 1.
+    With g(infinity) = (c1, q1, q2), returns (translation, i1, e) where
+    i1 = (|q1+tau1|^2 + |q2+tau2|^2) / 2 and e is twice the
+    sqrt(3)-coefficient of Im(c1 - q1 conj(tau1) - q2 conj(tau2)); the
+    bottom-left norm changes by the exact factor i1^2 + (3/4)(e + k)^2.
+    The choice guarantees i1 <= 1/3 and |e + k| <= 1.
+
+    All of it is computed in Z[w] over the one integer denominator
+    n = |g41|^2: q_i = p_i / n with p_i = g_(i+1,1) conj(g41), and
+    likewise c1 = g11 conj(g41) / n.
     """
     rows = g.rows
-    g41 = rows[3][0]
-    den = EisensteinFrac(g41)
-    c1 = EisensteinFrac(rows[0][0]) / den
-    q1 = EisensteinFrac(rows[1][0]) / den
-    q2 = EisensteinFrac(rows[2][0]) / den
+    g41c = rows[3][0].conj()
+    n = rows[3][0].norm()
+    p1 = rows[1][0] * g41c
+    p2 = rows[2][0] * g41c
 
-    tau1 = -round_nearest(q1)
-    tau2 = -round_nearest(q2)
-    i1 = (((q1 + EisensteinFrac.from_eisenstein(tau1)).norm()
-           + (q2 + EisensteinFrac.from_eisenstein(tau2)).norm())
-          / 2)
+    tau1 = -round_nearest(p1, n)
+    tau2 = -round_nearest(p2, n)
+    i1 = Fraction((p1 + tau1 * n).norm() + (p2 + tau2 * n).norm(), 2 * n * n)
 
-    z = (c1 - q1 * EisensteinFrac.from_eisenstein(tau1.conj())
-         - q2 * EisensteinFrac.from_eisenstein(tau2.conj()))
-    e = Fraction(z.num.b, z.den)
+    # zb / n is twice the sqrt(3)-coefficient of the imaginary part above.
+    zb = (rows[0][0] * g41c - p1 * tau1.conj() - p2 * tau2.conj()).b
+    e = Fraction(zb, n)
 
     # k must match the parity of |tau|^2 and minimize |e + k|; same-parity
     # integers are 2 apart, so the minimum is at most 1.  Ties prefer the
-    # smaller |k|, then the smaller k.
+    # smaller |k|, then the smaller k.  |zb + k n| = n |e + k| keeps the
+    # comparison in integers.
     m = tau1.norm() + tau2.norm()
-    base = math.floor(-e)
+    base = -zb // n
     candidates = [k for k in range(base - 3, base + 4) if (k - m) % 2 == 0]
-    k = min(candidates, key=lambda c: (abs(e + c), abs(c), c))
+    k = min(candidates, key=lambda c: (abs(zb + c * n), abs(c), c))
     return HeisenbergTranslation(tau1, tau2, k), i1, e
 
 

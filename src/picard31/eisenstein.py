@@ -1,17 +1,17 @@
-"""Exact arithmetic in the Eisenstein integers Z[w] and their fraction field Q(w).
+"""Exact arithmetic in the Eisenstein integers Z[w], with hexagonal rounding.
 
 Here w = (-1 + i*sqrt(3))/2 is a primitive cube root of unity, so w^2 = -1 - w.
 Elements are stored as integer pairs (a, b) meaning a + b*w; all arithmetic is
-exact on arbitrary-precision integers.  Imaginary parts of elements of Q(w) are
-rational multiples of sqrt(3) and are kept symbolic as such.
+exact on arbitrary-precision integers.  Rounding takes a numerator in Z[w]
+over a positive integer denominator, so the reduction never leaves Z[w].
+EisensteinFrac, an element of the fraction field Q(w), only carries the
+affine coordinates of boundary points.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-
-from .jsonutil import decode_int, encode_int
 
 
 class EisensteinInt:
@@ -132,51 +132,6 @@ UNITS = (
 )
 
 
-class SqrtThreeRational:
-    """An exact rational multiple of sqrt(3), stored as its coefficient."""
-
-    __slots__ = ("coeff",)
-
-    def __init__(self, coeff):
-        self.coeff = Fraction(coeff)
-
-    def __add__(self, other: SqrtThreeRational) -> SqrtThreeRational:
-        return SqrtThreeRational(self.coeff + other.coeff)
-
-    def __sub__(self, other: SqrtThreeRational) -> SqrtThreeRational:
-        return SqrtThreeRational(self.coeff - other.coeff)
-
-    def __neg__(self) -> SqrtThreeRational:
-        return SqrtThreeRational(-self.coeff)
-
-    def __mul__(self, scalar) -> SqrtThreeRational:
-        return SqrtThreeRational(self.coeff * scalar)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, SqrtThreeRational):
-            return self.coeff == other.coeff
-        if other == 0:
-            return self.coeff == 0
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("sqrt3", self.coeff))
-
-    def __bool__(self) -> bool:
-        return self.coeff != 0
-
-    def to_float(self) -> float:
-        return float(self.coeff) * _SQRT3_FLOAT
-
-    def __repr__(self) -> str:
-        return f"SqrtThreeRational({self.coeff!r})"
-
-    def __str__(self) -> str:
-        return f"({self.coeff})*sqrt(3)"
-
-
 class EisensteinFrac:
     """An element of Q(w) as num/den with num in Z[w] and den a positive integer.
 
@@ -197,14 +152,6 @@ class EisensteinFrac:
             den //= g
         self.num = num
         self.den = den
-
-    @classmethod
-    def from_int(cls, x: int) -> EisensteinFrac:
-        return cls(EisensteinInt(x, 0), 1)
-
-    @classmethod
-    def from_eisenstein(cls, x: EisensteinInt) -> EisensteinFrac:
-        return cls(x, 1)
 
     def __add__(self, other: EisensteinFrac) -> EisensteinFrac:
         return EisensteinFrac(self.num * other.den + other.num * self.den,
@@ -235,29 +182,14 @@ class EisensteinFrac:
         """Squared modulus |z|^2 as an exact rational."""
         return Fraction(self.num.norm(), self.den * self.den)
 
-    def re_im(self) -> tuple[Fraction, SqrtThreeRational]:
-        """Exact real and imaginary parts: (a + b*w)/d = (2a-b)/(2d) + (b/(2d))*sqrt(3)*i."""
+    def re_im(self) -> tuple[Fraction, Fraction]:
+        """Exact real part and sqrt(3)-coefficient of the imaginary part:
+        (a + b*w)/d = (2a-b)/(2d) + (b/(2d))*sqrt(3)*i."""
         return (Fraction(2 * self.num.a - self.num.b, 2 * self.den),
-                SqrtThreeRational(Fraction(self.num.b, 2 * self.den)))
-
-    def is_integral(self) -> bool:
-        return self.den == 1
+                Fraction(self.num.b, 2 * self.den))
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def to_complex(self) -> complex:
-        return self.num.to_complex() / self.den
-
-    def to_json(self) -> dict:
-        return {"num": [encode_int(self.num.a), encode_int(self.num.b)],
-                "den": encode_int(self.den)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> EisensteinFrac:
-        num = obj["num"]
-        return cls(EisensteinInt(decode_int(num[0]), decode_int(num[1])),
-                   decode_int(obj["den"]))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, EisensteinFrac):
@@ -280,14 +212,17 @@ class EisensteinFrac:
         return f"({self.num})/{self.den}"
 
 
-def round_nearest(z: EisensteinFrac) -> EisensteinInt:
-    """Nearest lattice point of Z[w] to z, minimizing the Euclidean distance.
+def round_nearest(num: EisensteinInt, den: int) -> EisensteinInt:
+    """Nearest lattice point of Z[w] to z = num/den (den >= 1), minimizing
+    the Euclidean distance.
 
     The difference z - u then lies in the hexagonal Dirichlet cell of the
     origin, so |z - u|^2 <= 1/3.  Ties on the cell boundary are broken by the
-    lexicographically smallest coefficient pair (a, b).
+    lexicographically smallest coefficient pair (a, b).  Scaling num and den
+    by a common factor changes neither the result nor the tie-break, so den
+    need not be reduced.
     """
-    a, b, d = z.num.a, z.num.b, z.den
+    a, b, d = num.a, num.b, den
     # The minimizer's coordinates differ from (a/d, b/d) by less than 1 in each
     # slot (the form x^2 - xy + y^2 bounds both |x| and |y| by 2/sqrt(3)*|z|),
     # so the four floor/ceil combinations always contain it.

@@ -141,8 +141,10 @@ class GroupMatrix:
         for row in entries:
             if not isinstance(row, list) or len(row) != 4:
                 raise ValueError("each matrix row must have 4 entries")
+            if not all(isinstance(e, list) and len(e) == 2 for e in row):
+                raise ValueError("each matrix entry must be a pair [a, b]")
             rows.append(tuple(
-                EisensteinInt(decode_int(e[0]), decode_int(e[1])) for e in row))
+                EisensteinInt(decode_int(a), decode_int(b)) for a, b in row))
         return cls(rows)
 
 
@@ -210,8 +212,6 @@ class HeisenbergTranslation:
             self.k + other.k + cross.b,
         )
 
-    __mul__ = compose
-
     def inverse(self) -> HeisenbergTranslation:
         return HeisenbergTranslation(-self.tau1, -self.tau2, -self.k)
 
@@ -221,9 +221,6 @@ class HeisenbergTranslation:
 
     def matrix(self) -> GroupMatrix:
         return translation_matrix(self.tau, self.k)
-
-    def is_identity(self) -> bool:
-        return self.tau1.is_zero() and self.tau2.is_zero() and self.k == 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, HeisenbergTranslation):

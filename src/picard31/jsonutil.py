@@ -8,8 +8,12 @@ accept both forms.
 from __future__ import annotations
 
 import json
+import re
 
 _EXACT_LIMIT = 1 << 53
+# The only string form encode_int emits.  int() alone would also take
+# underscores, surrounding whitespace and non-ASCII digits.
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 def encode_int(v: int):
@@ -26,10 +30,9 @@ def decode_int(v) -> int:
     if isinstance(v, int):
         return v
     if isinstance(v, str):
-        try:
-            return int(v, 10)
-        except ValueError:
-            raise ValueError(f"expected a decimal integer string, got {v!r}") from None
+        if _DECIMAL.fullmatch(v) is None:
+            raise ValueError(f"expected a decimal integer string, got {v!r}")
+        return int(v)
     raise ValueError(f"expected an integer, got {v!r}")
 
 

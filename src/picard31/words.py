@@ -81,9 +81,6 @@ class Word:
         return serialize(self)
 
 
-EMPTY = Word()
-
-
 def normalize(word: Word) -> Word:
     """Merge adjacent equal generators, reduce by orders, drop trivial factors.
 
@@ -135,6 +132,8 @@ def evaluate(word: Word) -> GroupMatrix:
 # --- text format ------------------------------------------------------------
 
 _LETTERS = {g.value: g for g in Generator}
+# ASCII only: str.isdigit also accepts digits such as '²' and '٣'.
+_DIGITS = frozenset("0123456789")
 
 
 def parse(text: str) -> Word:
@@ -158,10 +157,10 @@ def parse(text: str) -> Word:
             start = i
             if i < n and text[i] in "+-":
                 i += 1
-            if i >= n or not text[i].isdigit():
+            if i >= n or text[i] not in _DIGITS:
                 raise WordParseError("expected integer exponent after '^'",
                                      _byte_offset(text, i))
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             exp = int(text[start:i])
         items.append((gen, exp))

@@ -122,13 +122,13 @@ def test_criterion_06_rounding(capsys):
             num = EisensteinInt(rng.randint(-3000, 3000),
                                 rng.randint(-3000, 3000))
             z = EisensteinFrac(num, den)
-            got = round_nearest(z)
-            dist = (z - EisensteinFrac.from_eisenstein(got)).norm()
+            got = round_nearest(z.num, z.den)
+            dist = (z - EisensteinFrac(got)).norm()
             # Brute-force window oracle around the coordinatewise floor.
             p0 = z.num.a // z.den
             q0 = z.num.b // z.den
             best = min(
-                (z - EisensteinFrac.from_eisenstein(EisensteinInt(p, q))).norm()
+                (z - EisensteinFrac(EisensteinInt(p, q))).norm()
                 for p in range(p0 - 2, p0 + 3)
                 for q in range(q0 - 2, q0 + 3))
             assert dist == best

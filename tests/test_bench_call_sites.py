@@ -1,0 +1,25 @@
+"""The traced benchmark run wraps package functions by name; each must exist."""
+
+import importlib.util
+from pathlib import Path
+
+import picard31
+import picard31.words
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_call_sites_resolve():
+    tracing = load_tracing()
+    assert tracing.CALL_SITES
+    for module_name, attr, _ in tracing.CALL_SITES:
+        module = getattr(picard31, module_name)
+        assert callable(getattr(module, attr)), (module_name, attr)
+    assert callable(picard31.words.DecompositionResult.from_json)

@@ -1,11 +1,13 @@
 """The reduction algorithm: translation choice, contraction, assembly."""
 
+import math
 import random
 from fractions import Fraction
 
-from picard31.eisenstein import OMEGA, ONE, UNITS, ZERO, EisensteinInt
-from picard31.hermitian import (GroupMatrix, identity, translation_matrix,
-                                unit_correction)
+from picard31.eisenstein import (OMEGA, ONE, UNITS, ZERO, EisensteinFrac,
+                                 EisensteinInt, round_nearest)
+from picard31.hermitian import (GroupMatrix, HeisenbergTranslation, identity,
+                                translation_matrix, unit_correction)
 from picard31.decomposer import (decompose, decompose_traced,
                                  decompose_translation, langlands_extract,
                                  random_element, random_stabilizer,
@@ -34,6 +36,53 @@ def test_translation_data_invariants():
         assert abs(e + tr.k) <= 1
         # Parity of k agrees with |tau|^2 by construction.
         assert (tr.k - tr.tau1.norm() - tr.tau2.norm()) % 2 == 0
+
+
+def reference_translation_data(g):
+    """Independent reference for translation_data in the fraction field
+    Q(w): the coordinates of g(infinity) are divided out, each reduced by a
+    gcd, and k is chosen by comparing rationals."""
+    rows = g.rows
+    den = EisensteinFrac(rows[3][0])
+    c1 = EisensteinFrac(rows[0][0]) / den
+    q1 = EisensteinFrac(rows[1][0]) / den
+    q2 = EisensteinFrac(rows[2][0]) / den
+
+    tau1 = -round_nearest(q1.num, q1.den)
+    tau2 = -round_nearest(q2.num, q2.den)
+    i1 = ((q1 + EisensteinFrac(tau1)).norm()
+          + (q2 + EisensteinFrac(tau2)).norm()) / 2
+
+    z = (c1 - q1 * EisensteinFrac(tau1.conj())
+         - q2 * EisensteinFrac(tau2.conj()))
+    e = Fraction(z.num.b, z.den)
+
+    m = tau1.norm() + tau2.norm()
+    base = math.floor(-e)
+    candidates = [k for k in range(base - 3, base + 4) if (k - m) % 2 == 0]
+    k = min(candidates, key=lambda c: (abs(e + c), abs(c), c))
+    return HeisenbergTranslation(tau1, tau2, k), i1, e
+
+
+def exact_word(seed, length):
+    """Seeded word of exactly `length` items, drawn like random_element."""
+    rng = random.Random(seed)
+    return Word(tuple((rng.choice(tuple(Generator)),
+                       rng.choice((-3, -2, -1, 1, 2, 3)))
+                      for _ in range(length)))
+
+
+def test_translation_data_matches_reference():
+    words = [random_element(900 + s, 200) for s in range(300)]
+    words += [exact_word(1900 + s, 1500) for s in range(4)]
+    states = 0
+    for w in words:
+        g = evaluate(w)
+        while not g.fixes_infinity():
+            assert translation_data(g) == reference_translation_data(g)
+            g, _ = reduction_step(g)
+            states += 1
+    assert states > 2000
 
 
 def test_reduction_step_contracts():

@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from picard31.eisenstein import (OMEGA, ONE, UNITS, ZERO, EisensteinFrac,
-                                 EisensteinInt, SqrtThreeRational,
-                                 round_nearest)
+                                 EisensteinInt, round_nearest)
 
 
 def rand_int(rng, span=50):
@@ -127,37 +126,10 @@ def test_frac_re_im():
     for _ in range(200):
         x = EisensteinFrac(rand_int(rng, 12), rng.randint(1, 9))
         re, im = x.re_im()
-        approx = complex(float(re), im.to_float())
-        assert abs(approx - x.to_complex()) < 1e-9
+        approx = complex(float(re), float(im) * 3 ** 0.5)
+        assert abs(approx - x.num.to_complex() / x.den) < 1e-9
     re, im = EisensteinFrac(EisensteinInt(1, 2), 2).re_im()
-    assert re == Fraction(0) and im == SqrtThreeRational(Fraction(1, 2))
-
-
-def test_frac_is_integral():
-    assert EisensteinFrac(EisensteinInt(4, -2), 2).is_integral()
-    assert not EisensteinFrac(EisensteinInt(1, 0), 2).is_integral()
-
-
-def test_frac_json_round_trip():
-    rng = random.Random(7)
-    for _ in range(100):
-        x = EisensteinFrac(rand_int(rng, 1000), rng.randint(1, 999))
-        assert EisensteinFrac.from_json(x.to_json()) == x
-    big = EisensteinFrac(EisensteinInt(10 ** 30, -(10 ** 25)), 7)
-    obj = big.to_json()
-    assert isinstance(obj["num"][0], str)
-    assert EisensteinFrac.from_json(obj) == big
-
-
-def test_sqrt3_rational():
-    a = SqrtThreeRational(Fraction(1, 2))
-    b = SqrtThreeRational(Fraction(1, 3))
-    assert a + b == SqrtThreeRational(Fraction(5, 6))
-    assert a - b == SqrtThreeRational(Fraction(1, 6))
-    assert -a == SqrtThreeRational(Fraction(-1, 2))
-    assert a * 4 == SqrtThreeRational(Fraction(2))
-    assert abs(a.to_float() - 0.5 * 3 ** 0.5) < 1e-12
-    assert bool(a) and not bool(SqrtThreeRational(Fraction(0)))
+    assert re == Fraction(0) and im == Fraction(1, 2)
 
 
 def brute_nearest(z):
@@ -170,7 +142,7 @@ def brute_nearest(z):
     for p in range(p0 - 2, p0 + 3):
         for q in range(q0 - 2, q0 + 3):
             cand = EisensteinInt(p, q)
-            d = (z - EisensteinFrac.from_eisenstein(cand)).norm()
+            d = (z - EisensteinFrac(cand)).norm()
             if best_dist is None or d < best_dist:
                 best, best_dist = cand, d
     return best, best_dist
@@ -178,10 +150,10 @@ def brute_nearest(z):
 
 def test_round_nearest_fixed_cases():
     # Center of the edge between 0 and 1: tie, lex-smallest wins.
-    assert round_nearest(EisensteinFrac(ONE, 2)) == ZERO
+    assert round_nearest(ONE, 2) == ZERO
     # Center of the long diagonal 0 .. 1+w: again a tie resolved to 0.
-    assert round_nearest(EisensteinFrac(EisensteinInt(1, 1), 2)) == ZERO
-    assert round_nearest(EisensteinFrac(EisensteinInt(-7, 3))) == EisensteinInt(-7, 3)
+    assert round_nearest(EisensteinInt(1, 1), 2) == ZERO
+    assert round_nearest(EisensteinInt(-7, 3), 1) == EisensteinInt(-7, 3)
 
 
 def test_round_nearest_against_brute_force():
@@ -189,8 +161,8 @@ def test_round_nearest_against_brute_force():
     third = Fraction(1, 3)
     for _ in range(500):
         z = EisensteinFrac(rand_int(rng, 60), rng.randint(1, 40))
-        got = round_nearest(z)
-        dist = (z - EisensteinFrac.from_eisenstein(got)).norm()
+        got = round_nearest(z.num, z.den)
+        dist = (z - EisensteinFrac(got)).norm()
         want, want_dist = brute_nearest(z)
         assert dist == want_dist
         assert got == want
@@ -202,4 +174,4 @@ def test_round_nearest_integral_points():
     rng = random.Random(9)
     for _ in range(100):
         x = rand_int(rng, 30)
-        assert round_nearest(EisensteinFrac.from_eisenstein(x)) == x
+        assert round_nearest(x, 1) == x

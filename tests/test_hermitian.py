@@ -1,6 +1,7 @@
 """Group matrices, generator constructors, Heisenberg data, and the
 stabilizer factorization."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -214,6 +215,14 @@ def test_json_rejects_malformed():
         matrix_from_json_text('{"matrix": [[1, 2], [3, 4]]}')
     with pytest.raises(ValueError):
         matrix_from_json_text('[1, 2, 3]')
+    # An entry is a pair [a, b], so "10" must not pass as 1 + 0w, nor
+    # [1, 0, 99] as [1, 0].  Integer strings are plain ASCII decimals, the
+    # only form encode_int emits; int() would take all three shown here.
+    for entry in ("10", [1, 0, 99], ["1_0", 0], [" 7 ", 0], ["٣", 0]):
+        rows = [[e.to_pair() for e in row] for row in identity().rows]
+        rows[0][0] = entry
+        with pytest.raises(ValueError):
+            matrix_from_json_text(json.dumps({"matrix": rows}))
 
 
 def test_json_rejects_non_member():

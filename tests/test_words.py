@@ -153,6 +153,11 @@ def test_parse_errors_carry_byte_offsets():
         parse("x")
     assert info.value.offset == 0
     assert "byte" in str(info.value)
+    # Only ASCII digits count: '²' and '٣' pass str.isdigit.
+    for text in ("N^²", "N^٣"):
+        with pytest.raises(WordParseError) as info:
+            parse(text)
+        assert info.value.offset == 2
 
 
 def test_word_multiplication():
