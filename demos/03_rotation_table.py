@@ -1,9 +1,10 @@
 """The finite rotation subgroup: 72 unitary 2x2 matrices over Z[w].
 
 Every entry of such a matrix is a unit or zero, which forces each element
-to be diagonal or antidiagonal; breadth-first search over the two
-generators assigns every element a shortest product word, and those words
-are what the big decomposition emits for the rotation part.
+to be diagonal or antidiagonal, with unit entries that are powers of
+mu = -w.  So each element has a shortest word in closed form,
+diag(mu^i, mu^j) = A B^j A B^i and ((0, mu^i), (mu^j, 0)) = B^i A B^j, and
+those words are what the big decomposition emits for the rotation part.
 """
 
 from collections import Counter

@@ -7,6 +7,10 @@ norm is a nonnegative integer, so after finitely many rounds the element
 fixes infinity and splits (langlands_extract) into a unit correction, a
 translation, and a rotation.  Unwinding the rounds yields a word over the
 four generators; the unit correction is reported separately.
+
+Every unit correction is a generator word too (tests pin words for w and
+-1, which generate the units), but folding it into the word would add 15
+or more letters to about a quarter of short-word decompositions.
 """
 
 from __future__ import annotations
@@ -16,12 +20,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .eisenstein import UNITS, ZERO, EisensteinInt, round_nearest
-from .errors import InternalError, ShapeError
-from .finite_unitary import (FiniteUnitary, enumerate_group, u_decompose,
-                             u_membership)
-from .hermitian import (GroupMatrix, HeisenbergTranslation, identity,
-                        inversion, rotation_matrix, translation_matrix,
-                        unit_correction)
+from .errors import InternalError, NotMemberError, ShapeError
+from .finite_unitary import FiniteUnitary, enumerate_group, u_decompose
+from .hermitian import (GroupMatrix, HeisenbergTranslation, rotation_matrix,
+                        translation_matrix, unit_correction)
 from .jsonutil import encode_int
 from .words import (DecompositionResult, Generator, Word, evaluate, normalize,
                     serialize)
@@ -63,9 +65,11 @@ def langlands_extract(p: GroupMatrix) -> HeisenbergParam:
         raise ShapeError("last row must be (0, 0, 0, g11)")
     lam_inv = lam.unit_inverse()
     u_rows = ((r[1][1], r[1][2]), (r[2][1], r[2][2]))
-    if not u_membership(u_rows):
-        raise ShapeError(f"middle block {u_rows} is not in U(2; Z[w])")
-    u = FiniteUnitary(u_rows)
+    try:
+        u = FiniteUnitary(u_rows)
+    except NotMemberError:
+        raise ShapeError(
+            f"middle block {u_rows} is not in U(2; Z[w])") from None
     tau1, tau2 = r[1][3], r[2][3]
     corner = lam_inv * r[0][3]
     k = corner.b
@@ -317,40 +321,3 @@ def random_stabilizer(seed: int) -> GroupMatrix:
     return (unit_correction(lam)
             * translation_matrix((tau1, tau2), k)
             * rotation_matrix(u))
-
-
-def search_unit_word(lam: EisensteinInt, max_depth: int = 6) -> Word | None:
-    """Breadth-first probe for a generator word equal to unit_correction(lam).
-
-    Exploratory, no completeness promise: whether every unit correction is
-    itself a generator word is left open here, so None only means no word
-    within the depth bound.
-    """
-    target = unit_correction(lam)
-    start = identity()
-    if start == target:
-        return Word()
-    moves = (
-        (Generator.N, 1, evaluate(Word(((Generator.N, 1),)))),
-        (Generator.N, -1, evaluate(Word(((Generator.N, -1),)))),
-        (Generator.A, 1, evaluate(Word(((Generator.A, 1),)))),
-        (Generator.B, 1, evaluate(Word(((Generator.B, 1),)))),
-        (Generator.B, -1, evaluate(Word(((Generator.B, -1),)))),
-        (Generator.R, 1, inversion()),
-    )
-    frontier = {start: ()}
-    seen = {start}
-    for _ in range(max_depth):
-        nxt = {}
-        for mat, items in frontier.items():
-            for gen, exp, step in moves:
-                cand = mat * step
-                if cand in seen:
-                    continue
-                word_items = items + ((gen, exp),)
-                if cand == target:
-                    return normalize(Word(word_items))
-                seen.add(cand)
-                nxt[cand] = word_items
-        frontier = nxt
-    return None

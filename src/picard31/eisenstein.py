@@ -23,11 +23,6 @@ class EisensteinInt:
         self.a = a
         self.b = b
 
-    @classmethod
-    def from_pair(cls, pair) -> EisensteinInt:
-        a, b = pair
-        return cls(int(a), int(b))
-
     def to_pair(self) -> list:
         return [self.a, self.b]
 

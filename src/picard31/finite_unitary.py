@@ -2,17 +2,22 @@
 
 Every member is diagonal diag(a, b) or antidiagonal antidiag(b; a) with both
 entries sixth roots of unity, giving 2 * 6 * 6 = 72 elements.  The group is
-generated by the coordinate swap U1 and the single-entry rotation U2, whose
-rotation matrices are the generators A and B; a breadth-first search over
-the Cayley graph supplies a shortest word in {A, B, B^-1} for each element.
+generated by the coordinate swap U1 and the single-entry rotation
+U2 = diag(mu, 1), mu = -w, whose rotation matrices are the generators A and
+B.  Every unit is a power of mu, so each element has a word in closed form:
+
+    diag(mu^i, mu^j)        = A B^j A B^i
+    ((0, mu^i), (mu^j, 0))  = B^i A B^j
+
+Normalized, these are shortest words over {A, B, B^-1}; the table of all 72
+is built once, at import.
 """
 
 from __future__ import annotations
 
-from collections import deque
-
 from .eisenstein import ONE, ZERO, OMEGA, EisensteinInt, UNITS
 from .errors import NotMemberError
+from .jsonutil import decode_int
 from .words import Generator, Word, normalize
 
 
@@ -28,28 +33,6 @@ class FiniteUnitary:
         if not _is_member(rows):
             raise NotMemberError(f"not in U(2; Z[w]): {rows}")
         self.rows = rows
-
-    def __mul__(self, other: FiniteUnitary) -> FiniteUnitary:
-        a, b = self.rows
-        c, d = other.rows
-        return FiniteUnitary((
-            (a[0] * c[0] + a[1] * d[0], a[0] * c[1] + a[1] * d[1]),
-            (b[0] * c[0] + b[1] * d[0], b[0] * c[1] + b[1] * d[1]),
-        ))
-
-    def __pow__(self, e: int) -> FiniteUnitary:
-        if e < 0:
-            return self.conj_transpose() ** (-e)
-        result = identity()
-        for _ in range(e):
-            result = result * self
-        return result
-
-    def conj_transpose(self) -> FiniteUnitary:
-        (a, b), (c, d) = self.rows
-        return FiniteUnitary(((a.conj(), c.conj()), (b.conj(), d.conj())))
-
-    inverse = conj_transpose
 
     def is_diagonal(self) -> bool:
         return self.rows[0][1].is_zero() and self.rows[1][0].is_zero()
@@ -74,7 +57,8 @@ class FiniteUnitary:
 
     @classmethod
     def from_json(cls, rows) -> FiniteUnitary:
-        return cls(tuple(tuple(EisensteinInt.from_pair(e) for e in row) for row in rows))
+        return cls(tuple(tuple(EisensteinInt(decode_int(a), decode_int(b))
+                               for a, b in row) for row in rows))
 
 
 def _is_member(rows) -> bool:
@@ -84,14 +68,6 @@ def _is_member(rows) -> bool:
     if a.is_zero() and d.is_zero():
         return b.is_unit() and c.is_unit()
     return False
-
-
-def u_membership(rows) -> bool:
-    """True iff the 2x2 Eisenstein array is diagonal or antidiagonal with unit entries."""
-    rows = tuple(tuple(row) for row in rows)
-    if len(rows) != 2 or any(len(r) != 2 for r in rows):
-        return False
-    return _is_member(rows)
 
 
 def identity() -> FiniteUnitary:
@@ -114,35 +90,31 @@ def enumerate_group() -> tuple:
         elements, key=lambda u: tuple((e.a, e.b) for row in u.rows for e in row)))
 
 
-def _bfs_table() -> dict:
-    """Shortest word (over A, B, B^-1) for every group element, by BFS from I."""
-    steps = ((Generator.A, 1), (Generator.B, 1), (Generator.B, -1))
-    step_matrices = (U1, U2, U2.inverse())
-    table = {identity(): ()}
-    queue = deque([identity()])
-    while queue:
-        current = queue.popleft()
-        word = table[current]
-        for step, mat in zip(steps, step_matrices):
-            nxt = current * mat
-            if nxt not in table:
-                table[nxt] = word + (step,)
-                queue.append(nxt)
-    return {u: normalize(Word(w)) for u, w in table.items()}
+# d for each unit mu^d, mu = -w.
+_MU_EXPONENT = {(-OMEGA) ** d: d for d in range(6)}
 
 
-_TABLE = None
+def _rotation_word(u: FiniteUnitary) -> Word:
+    """The closed-form word of the module docstring, normalized."""
+    (a, b), (c, d) = u.rows
+    A, B = Generator.A, Generator.B
+    if u.is_diagonal():
+        items = ((A, 1), (B, _MU_EXPONENT[d]), (A, 1), (B, _MU_EXPONENT[a]))
+    else:
+        items = ((B, _MU_EXPONENT[b]), (A, 1), (B, _MU_EXPONENT[c]))
+    return normalize(Word(items))
+
+
+_WORDS = {u: _rotation_word(u) for u in enumerate_group()}
 
 
 def word_table() -> dict:
-    global _TABLE
-    if _TABLE is None:
-        _TABLE = _bfs_table()
-    return _TABLE
+    """A shortest word over {A, B, B^-1} for each of the 72 elements."""
+    return _WORDS
 
 
 def u_decompose(u: FiniteUnitary) -> Word:
     """A word over {A, B} whose evaluation is rotation_matrix(u) exactly."""
     if not isinstance(u, FiniteUnitary):
         raise NotMemberError(f"not in U(2; Z[w]): {u!r}")
-    return word_table()[u]
+    return _WORDS[u]

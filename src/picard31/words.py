@@ -26,9 +26,6 @@ class Generator(Enum):
     R = "R"
 
 
-# Exponent order per generator; None means infinite.
-_ORDER = {Generator.N: None, Generator.A: 2, Generator.B: 6, Generator.R: 2}
-
 # (-w)^d for d in 0..5.
 _MINUS_OMEGA_POWERS = tuple((-OMEGA) ** d for d in range(6))
 
@@ -43,12 +40,13 @@ def _canonical_exponent(gen: Generator, e: int) -> int:
 
 
 class Word:
-    """Immutable sequence of (generator, exponent) items."""
+    """Immutable sequence of (Generator, int) items, stored as given; parse
+    is what validates outside text."""
 
     __slots__ = ("items",)
 
     def __init__(self, items=()):
-        self.items = tuple((Generator(g), int(e)) for g, e in items)
+        self.items = tuple(items)
 
     def __iter__(self):
         return iter(self.items)

@@ -131,6 +131,15 @@ def test_evaluate_bad_word(capsys):
     assert "byte" in err
 
 
+def test_evaluate_beyond_int_str_limit(capsys):
+    # The corner entry of N^e has about twice the digits of e, past Python's
+    # 4,300-digit int/str conversion limit: a one-line error, not a traceback.
+    code, out, err = run(capsys, ["evaluate"], stdin="N^" + "9" * 3000)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+
+
 def test_random_deterministic(capsys):
     code, out1, _ = run(capsys, ["random", "--seed", "12", "--json"])
     assert code == 0

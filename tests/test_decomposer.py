@@ -11,7 +11,7 @@ from picard31.hermitian import (GroupMatrix, HeisenbergTranslation, identity,
 from picard31.decomposer import (decompose, decompose_traced,
                                  decompose_translation, langlands_extract,
                                  random_element, random_stabilizer,
-                                 reduction_step, search_unit_word, step_bound,
+                                 reduction_step, step_bound,
                                  translation_data, verify)
 from picard31.words import Generator, Word, evaluate, parse, serialize
 
@@ -204,13 +204,18 @@ def test_random_stabilizer_deterministic():
     langlands_extract(h)
 
 
-def test_search_unit_word_identity():
-    assert search_unit_word(ONE, max_depth=2) == Word()
-
-
-def test_search_unit_word_probe():
-    # No completeness promise: only check that anything found is correct.
-    for lam in (EisensteinInt(-1), OMEGA):
-        w = search_unit_word(lam, max_depth=4)
-        if w is not None:
-            assert evaluate(w) == unit_correction(lam)
+def test_unit_corrections_are_words():
+    # lam -> unit_correction(lam) is multiplicative, so words for w and -1
+    # give words for all six units.
+    w_omega = parse("N R B^-2 N R B^-2 A B^3 A N R")
+    w_minus = parse("R N A N^-1 B^-2 R B^-1 A B^3 N A N^-1 R A N^-1 A N")
+    assert evaluate(w_omega) == unit_correction(OMEGA)
+    assert evaluate(w_minus) == unit_correction(EisensteinInt(-1))
+    reached = {}
+    for i in range(3):
+        for j in range(2):
+            lam = OMEGA ** i * EisensteinInt(-1) ** j
+            word = Word(w_omega.items * i + w_minus.items * j)
+            assert evaluate(word) == unit_correction(lam)
+            reached[lam] = word
+    assert set(reached) == set(UNITS)

@@ -1,52 +1,72 @@
 """The finite unitary rotation group and its word table."""
 
-import random
+from collections import deque
 
 import pytest
 
 from picard31.eisenstein import OMEGA, ONE, ZERO, EisensteinInt
 from picard31.errors import NotMemberError
 from picard31.finite_unitary import (U1, U2, FiniteUnitary, enumerate_group,
-                                     identity, u_decompose, u_membership,
-                                     word_table)
-from picard31.hermitian import rotation_matrix
+                                     identity, u_decompose, word_table)
+from picard31.hermitian import identity as identity4, rotation_matrix
 from picard31.words import Generator, Word, evaluate, serialize
 
 
 def test_generators_are_members():
-    assert u_membership(U1.rows)
-    assert u_membership(U2.rows)
-    assert U1 * U1 == identity()
-    assert U2 ** 6 == identity()
-    for j in range(1, 6):
-        assert U2 ** j != identity()
+    FiniteUnitary(U1.rows)
+    FiniteUnitary(U2.rows)
 
 
 def test_membership_rejects():
-    assert not u_membership(((ONE, ONE), (ZERO, ONE)))
-    assert not u_membership(((EisensteinInt(2), ZERO), (ZERO, ONE)))
-    assert not u_membership(((ZERO, ZERO), (ZERO, ZERO)))
-    with pytest.raises(NotMemberError):
-        FiniteUnitary(((ONE, ONE), (ZERO, ONE)))
+    for rows in (((ONE, ONE), (ZERO, ONE)),
+                 ((EisensteinInt(2), ZERO), (ZERO, ONE)),
+                 ((ZERO, ZERO), (ZERO, ZERO)),
+                 ((ONE, ZERO),),
+                 ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO))):
+        with pytest.raises(NotMemberError):
+            FiniteUnitary(rows)
 
 
 def test_group_order():
     grp = enumerate_group()
     assert len(grp) == 72
-    # Closed under product and inverse.
-    rng = random.Random(1)
-    elements = sorted(grp, key=lambda u: tuple((e.a, e.b)
-                                               for row in u.rows for e in row))
-    for _ in range(200):
-        x, y = rng.choice(elements), rng.choice(elements)
-        assert x * y in grp
-        assert x.conj_transpose() in grp
+    # The rotation matrices are closed under product and inverse.
+    mats = {rotation_matrix(u) for u in grp}
+    assert len(mats) == 72
+    for x in mats:
+        assert x.inverse() in mats
+        for y in mats:
+            assert x * y in mats
 
 
 def test_conj_transpose_is_inverse():
     for u in enumerate_group():
-        assert u * u.conj_transpose() == identity()
-        assert u.inverse() == u.conj_transpose()
+        m = rotation_matrix(u)
+        assert m * m.conj_transpose() == identity4()
+
+
+def bfs_distances():
+    """Independent oracle for "shortest": breadth-first search from I over
+    the rotation matrices of U1, U2 and U2^-1, one letter per step."""
+    b = rotation_matrix(U2)
+    steps = (rotation_matrix(U1), b, b.inverse())
+    dist = {identity4(): 0}
+    queue = deque(dist)
+    while queue:
+        current = queue.popleft()
+        for step in steps:
+            nxt = current * step
+            if nxt not in dist:
+                dist[nxt] = dist[current] + 1
+                queue.append(nxt)
+    return dist
+
+
+def test_u_decompose_is_shortest():
+    dist = bfs_distances()
+    assert len(dist) == 72
+    for u in enumerate_group():
+        assert u_decompose(u).syllable_length() == dist[rotation_matrix(u)]
 
 
 def test_word_table_covers_group():
@@ -86,3 +106,14 @@ def test_u_decompose_rejects_non_member():
 def test_json_round_trip():
     for u in enumerate_group():
         assert FiniteUnitary.from_json(u.to_json()) == u
+    assert FiniteUnitary.from_json([[[1, "0"], [0, 0]], [[0, 0], ["-1", 0]]]) \
+        == FiniteUnitary(((ONE, ZERO), (ZERO, -ONE)))
+
+
+def test_json_rejects_lax_integers():
+    # Entries decode like the matrix format: no underscores, spaces, floats
+    # or booleans, even where int() would give a unit.
+    for bad in ("1_0", 2.7, "0_1", " 1", 1.0, True):
+        rows = [[[1, 0], [0, 0]], [[0, 0], [bad, 0]]]
+        with pytest.raises(ValueError):
+            FiniteUnitary.from_json(rows)

@@ -162,6 +162,14 @@ def test_langlands_rejects_non_stabilizer():
         langlands_extract(R)
     with pytest.raises(ShapeError):
         langlands_extract(R * N1 * R)
+    # Stabilizer shape, but the middle block is not unitary.
+    for block in (((ONE, ONE), (ZERO, ONE)), ((EisensteinInt(2), ZERO), (ZERO, ONE))):
+        (a, b), (c, d) = block
+        p = GroupMatrix(((ONE, ZERO, ZERO, ZERO), (ZERO, a, b, ZERO),
+                         (ZERO, c, d, ZERO), (ZERO, ZERO, ZERO, ONE)),
+                        check=False)
+        with pytest.raises(ShapeError, match="middle block"):
+            langlands_extract(p)
 
 
 def test_image_of_infinity():
