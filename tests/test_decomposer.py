@@ -204,6 +204,29 @@ def test_random_stabilizer_deterministic():
     langlands_extract(h)
 
 
+# The two tests below keep the names of the tests of the former
+# breadth-first unit-word search; they now check words found without it.
+def test_search_unit_word_identity():
+    # The trivial unit needs no letters: unit_correction(1) is the empty word.
+    assert unit_correction(ONE) == identity() == evaluate(Word())
+    res = decompose(unit_correction(ONE))
+    assert res.unit == ONE and res.word == Word()
+
+
+def test_search_unit_word_probe():
+    # How the words in test_unit_corrections_are_words were found: when
+    # decompose(evaluate(w)) reports a unit lam != 1, w * word^-1 is a word
+    # for unit_correction(lam).
+    found = 0
+    for seed in range(60):
+        w = random_element(seed, 20)
+        res = decompose(evaluate(w))
+        if res.unit != ONE:
+            found += 1
+            assert evaluate(w * res.word.inverse()) == unit_correction(res.unit)
+    assert found > 0
+
+
 def test_unit_corrections_are_words():
     # lam -> unit_correction(lam) is multiplicative, so words for w and -1
     # give words for all six units.
