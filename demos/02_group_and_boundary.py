@@ -36,8 +36,11 @@ print()
 g = R * N ** 3 * R * B * N
 print("sample element g = R N^3 R B N")
 print("g fixes infinity?", g.fixes_infinity())
-pt = image_of_infinity(g)
-print("g(infinity) =", (str(pt.c1), str(pt.c2), str(pt.c3)))
-re1, _ = pt.c1.re_im()
-print("cone check: 2 Re(c1) =", 2 * re1, " and -|c2|^2 - |c3|^2 =",
-      -(pt.c2.norm() + pt.c3.norm()))
+# g(infinity) comes back as Z[w] numerators over one integer n = |g41|^2,
+# not reduced.
+c1, c2, c3, n = image_of_infinity(g)
+print("g(infinity) =", tuple(f"({c})/{n}" for c in (c1, c2, c3)))
+# The cone 2 Re(c1/n) = -|c2/n|^2 - |c3/n|^2, multiplied out by n^2.
+print("cone check: (2a - b) n =", (2 * c1.a - c1.b) * n,
+      " and -N(c2) - N(c3) =", -(c2.norm() + c3.norm()),
+      f"  (c1 = a + b w, n = {n})")

@@ -3,8 +3,8 @@ signature-(3,1) Hermitian form: membership testing and constructive
 decomposition into generator words, with no floating point anywhere in
 the group theory."""
 
-from .eisenstein import (OMEGA, ONE, UNITS, ZERO, EisensteinFrac,
-                         EisensteinInt, round_nearest)
+from .eisenstein import (OMEGA, ONE, UNITS, ZERO, EisensteinInt,
+                         round_nearest)
 from .finite_unitary import U1, U2, enumerate_group, u_decompose
 from .hermitian import (check_membership, image_of_infinity, inversion,
                         matrix_from_json_text, rotation_matrix,

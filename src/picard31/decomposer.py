@@ -22,9 +22,9 @@ from fractions import Fraction
 from .eisenstein import UNITS, ZERO, EisensteinInt, round_nearest
 from .errors import InternalError, NotMemberError, ShapeError
 from .finite_unitary import FiniteUnitary, enumerate_group, u_decompose
-from .hermitian import (GroupMatrix, HeisenbergTranslation, rotation_matrix,
-                        translation_matrix, unit_correction)
-from .jsonutil import encode_int
+from .hermitian import (GroupMatrix, HeisenbergTranslation, image_of_infinity,
+                        rotation_matrix, translation_matrix, unit_correction)
+from .jsonutil import encode_int, encode_pair
 from .words import (DecompositionResult, Generator, Word, evaluate, normalize,
                     serialize)
 
@@ -96,7 +96,7 @@ class ReductionStep:
     n_after: int
 
     def to_json(self) -> dict:
-        return {"tau": [[encode_int(t.a), encode_int(t.b)] for t in self.tau],
+        return {"tau": [encode_pair(t) for t in self.tau],
                 "k": self.k,
                 "n_before": encode_int(self.n_before),
                 "n_after": encode_int(self.n_after)}
@@ -115,8 +115,8 @@ class ReductionTrace:
         return {
             "steps": [s.to_json() for s in self.steps],
             "stabilizer": {
-                "unit": [encode_int(stab.lam.a), encode_int(stab.lam.b)],
-                "tau": [[encode_int(t.a), encode_int(t.b)] for t in stab.tau],
+                "unit": encode_pair(stab.lam),
+                "tau": [encode_pair(t) for t in stab.tau],
                 "k": stab.k,
                 "u_word": serialize(u_decompose(stab.u)),
             },
@@ -126,28 +126,24 @@ class ReductionTrace:
 def translation_data(g: GroupMatrix):
     """Choose the reduction translation for g and report its quality.
 
-    With g(infinity) = (c1, q1, q2), returns (translation, i1, e) where
+    With g(infinity) = (z, q1, q2), returns (translation, i1, e) where
     i1 = (|q1+tau1|^2 + |q2+tau2|^2) / 2 and e is twice the
-    sqrt(3)-coefficient of Im(c1 - q1 conj(tau1) - q2 conj(tau2)); the
+    sqrt(3)-coefficient of Im(z - q1 conj(tau1) - q2 conj(tau2)); the
     bottom-left norm changes by the exact factor i1^2 + (3/4)(e + k)^2.
     The choice guarantees i1 <= 1/3 and |e + k| <= 1.
 
     All of it is computed in Z[w] over the one integer denominator
-    n = |g41|^2: q_i = p_i / n with p_i = g_(i+1,1) conj(g41), and
-    likewise c1 = g11 conj(g41) / n.
+    n = |g41|^2 that image_of_infinity returns: z = c1/n and q_i = p_i/n.
+    Raises DomainError when g fixes infinity, as image_of_infinity does.
     """
-    rows = g.rows
-    g41c = rows[3][0].conj()
-    n = rows[3][0].norm()
-    p1 = rows[1][0] * g41c
-    p2 = rows[2][0] * g41c
+    c1, p1, p2, n = image_of_infinity(g)
 
     tau1 = -round_nearest(p1, n)
     tau2 = -round_nearest(p2, n)
     i1 = Fraction((p1 + tau1 * n).norm() + (p2 + tau2 * n).norm(), 2 * n * n)
 
     # zb / n is twice the sqrt(3)-coefficient of the imaginary part above.
-    zb = (rows[0][0] * g41c - p1 * tau1.conj() - p2 * tau2.conj()).b
+    zb = (c1 - p1 * tau1.conj() - p2 * tau2.conj()).b
     e = Fraction(zb, n)
 
     # k must match the parity of |tau|^2 and minimize |e + k|; same-parity

@@ -2,16 +2,13 @@
 
 Here w = (-1 + i*sqrt(3))/2 is a primitive cube root of unity, so w^2 = -1 - w.
 Elements are stored as integer pairs (a, b) meaning a + b*w; all arithmetic is
-exact on arbitrary-precision integers.  Rounding takes a numerator in Z[w]
-over a positive integer denominator, so the reduction never leaves Z[w].
-EisensteinFrac, an element of the fraction field Q(w), only carries the
-affine coordinates of boundary points.
+exact on arbitrary-precision integers.  There is no fraction-field type: a
+point of Q(w) is written as a numerator in Z[w] over a positive integer
+denominator, which is the form rounding takes, so the reduction and the
+boundary action never leave Z[w].
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-from math import gcd
 
 
 class EisensteinInt:
@@ -22,9 +19,6 @@ class EisensteinInt:
     def __init__(self, a: int, b: int = 0):
         self.a = a
         self.b = b
-
-    def to_pair(self) -> list:
-        return [self.a, self.b]
 
     def __add__(self, other: EisensteinInt) -> EisensteinInt:
         return EisensteinInt(self.a + other.a, self.b + other.b)
@@ -126,85 +120,8 @@ UNITS = (
     EisensteinInt(1, 1),
 )
 
-
-class EisensteinFrac:
-    """An element of Q(w) as num/den with num in Z[w] and den a positive integer.
-
-    Kept in canonical form at all times: gcd(num.a, num.b, den) = 1 and den >= 1,
-    so structural equality coincides with equality of values.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: EisensteinInt, den: int = 1):
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        if den < 0:
-            num, den = -num, -den
-        g = gcd(gcd(abs(num.a), abs(num.b)), den)
-        if g > 1:
-            num = EisensteinInt(num.a // g, num.b // g)
-            den //= g
-        self.num = num
-        self.den = den
-
-    def __add__(self, other: EisensteinFrac) -> EisensteinFrac:
-        return EisensteinFrac(self.num * other.den + other.num * self.den,
-                              self.den * other.den)
-
-    def __sub__(self, other: EisensteinFrac) -> EisensteinFrac:
-        return EisensteinFrac(self.num * other.den - other.num * self.den,
-                              self.den * other.den)
-
-    def __neg__(self) -> EisensteinFrac:
-        return EisensteinFrac(-self.num, self.den)
-
-    def __mul__(self, other: EisensteinFrac) -> EisensteinFrac:
-        return EisensteinFrac(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: EisensteinFrac) -> EisensteinFrac:
-        n = other.num.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(w)")
-        # 1/(q/d) = d*conj(q)/norm(q)
-        return EisensteinFrac(self.num * other.num.conj() * other.den,
-                              self.den * n)
-
-    def conj(self) -> EisensteinFrac:
-        return EisensteinFrac(self.num.conj(), self.den)
-
-    def norm(self) -> Fraction:
-        """Squared modulus |z|^2 as an exact rational."""
-        return Fraction(self.num.norm(), self.den * self.den)
-
-    def re_im(self) -> tuple[Fraction, Fraction]:
-        """Exact real part and sqrt(3)-coefficient of the imaginary part:
-        (a + b*w)/d = (2a-b)/(2d) + (b/(2d))*sqrt(3)*i."""
-        return (Fraction(2 * self.num.a - self.num.b, 2 * self.den),
-                Fraction(self.num.b, 2 * self.den))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, EisensteinFrac):
-            return self.num == other.num and self.den == other.den
-        if isinstance(other, EisensteinInt):
-            return self.den == 1 and self.num == other
-        if isinstance(other, int):
-            return self.den == 1 and self.num == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __repr__(self) -> str:
-        return f"EisensteinFrac({self.num!r}, {self.den})"
-
-    def __str__(self) -> str:
-        if self.den == 1:
-            return str(self.num)
-        return f"({self.num})/{self.den}"
+#: (-w)^d for d in 0..5: the units as powers of mu = -w, a generator of them.
+MU_POWERS = tuple((-OMEGA) ** d for d in range(6))
 
 
 def round_nearest(num: EisensteinInt, den: int) -> EisensteinInt:

@@ -15,9 +15,9 @@ is built once, at import.
 
 from __future__ import annotations
 
-from .eisenstein import ONE, ZERO, OMEGA, EisensteinInt, UNITS
+from .eisenstein import MU_POWERS, ONE, ZERO, OMEGA, UNITS
 from .errors import NotMemberError
-from .jsonutil import decode_int
+from .jsonutil import decode_pair, encode_pair
 from .words import Generator, Word, normalize
 
 
@@ -53,12 +53,13 @@ class FiniteUnitary:
         return f"[[{a}, {b}], [{c}, {d}]]"
 
     def to_json(self) -> list:
-        return [[e.to_pair() for e in row] for row in self.rows]
+        return [[encode_pair(e) for e in row] for row in self.rows]
 
     @classmethod
     def from_json(cls, rows) -> FiniteUnitary:
-        return cls(tuple(tuple(EisensteinInt(decode_int(a), decode_int(b))
-                               for a, b in row) for row in rows))
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise ValueError("expected a list of rows of [a, b] pairs")
+        return cls(tuple(tuple(decode_pair(e) for e in row) for row in rows))
 
 
 def _is_member(rows) -> bool:
@@ -91,7 +92,7 @@ def enumerate_group() -> tuple:
 
 
 # d for each unit mu^d, mu = -w.
-_MU_EXPONENT = {(-OMEGA) ** d: d for d in range(6)}
+_MU_EXPONENT = {mu: d for d, mu in enumerate(MU_POWERS)}
 
 
 def _rotation_word(u: FiniteUnitary) -> Word:

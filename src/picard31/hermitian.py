@@ -5,17 +5,17 @@ and the identity in the middle 2x2 block.  Matrices G over Z[w] with
 G* J G = J make up the modular group this package decomposes.  This module
 holds the group element type, the explicit generator matrices (Heisenberg
 translations, rotations, the inversion, unit corrections), the Heisenberg
-composition law, the boundary action, and the matrix JSON format.
+composition law, the boundary action (g(infinity) in Z[w] over the
+integer |g41|^2), and the matrix JSON format.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
-from .eisenstein import ONE, ZERO, EisensteinInt, EisensteinFrac
+from .eisenstein import ONE, ZERO, EisensteinInt
 from .errors import DomainError, NotMemberError, ParityError
-from .jsonutil import canonical_dumps, decode_int, encode_int
+from .jsonutil import canonical_dumps, decode_pair, encode_pair
 
 
 def _rows4(entries) -> tuple:
@@ -127,8 +127,7 @@ class GroupMatrix:
         return f"GroupMatrix([{body}])"
 
     def to_json(self) -> dict:
-        return {"matrix": [[[encode_int(e.a), encode_int(e.b)] for e in row]
-                           for row in self.rows]}
+        return {"matrix": [[encode_pair(e) for e in row] for row in self.rows]}
 
     @classmethod
     def from_json(cls, obj: dict) -> GroupMatrix:
@@ -141,10 +140,7 @@ class GroupMatrix:
         for row in entries:
             if not isinstance(row, list) or len(row) != 4:
                 raise ValueError("each matrix row must have 4 entries")
-            if not all(isinstance(e, list) and len(e) == 2 for e in row):
-                raise ValueError("each matrix entry must be a pair [a, b]")
-            rows.append(tuple(
-                EisensteinInt(decode_int(a), decode_int(b)) for a, b in row))
+            rows.append(tuple(decode_pair(e) for e in row))
         return cls(rows)
 
 
@@ -154,32 +150,21 @@ def identity() -> GroupMatrix:
         check=False)
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """Affine coordinates of a finite boundary point, constrained to the null cone:
-    2 Re(c1) = -|c2|^2 - |c3|^2."""
+def image_of_infinity(g: GroupMatrix) -> tuple:
+    """Where g sends the point at infinity, as Z[w] numerators over one
+    integer denominator: (c1, c2, c3, n) with c_i = g_i1 conj(g41) and
+    n = |g41|^2 >= 1, so that g(infinity) = (c1/n, c2/n, c3/n).
 
-    c1: EisensteinFrac
-    c2: EisensteinFrac
-    c3: EisensteinFrac
-
-    def __post_init__(self):
-        re1, _ = self.c1.re_im()
-        if 2 * re1 != -(self.c2.norm() + self.c3.norm()):
-            raise DomainError(f"point ({self.c1}, {self.c2}, {self.c3}) is not on the boundary cone")
-
-
-def image_of_infinity(g: GroupMatrix) -> BoundaryPoint:
-    """Where g sends the point at infinity: (g11/g41, g21/g41, g31/g41)."""
+    For a group member the point lies on the boundary cone
+    2 Re(c1/n) = -|c2/n|^2 - |c3/n|^2, that is (2 a1 - b1) n = -N(c2) - N(c3)
+    with c1 = a1 + b1 w.
+    """
     g41 = g.rows[3][0]
     if g41.is_zero():
         raise DomainError("matrix fixes infinity; its image has no affine coordinates")
-    den = EisensteinFrac(g41)
-    return BoundaryPoint(
-        EisensteinFrac(g.rows[0][0]) / den,
-        EisensteinFrac(g.rows[1][0]) / den,
-        EisensteinFrac(g.rows[2][0]) / den,
-    )
+    g41c = g41.conj()
+    return (g.rows[0][0] * g41c, g.rows[1][0] * g41c, g.rows[2][0] * g41c,
+            g41.norm())
 
 
 class HeisenbergTranslation:

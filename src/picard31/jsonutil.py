@@ -1,14 +1,16 @@
 """JSON helpers shared by the matrix and decomposition formats.
 
-Integers can exceed what double-precision JSON readers keep exact, so any
-value of magnitude 2^53 or larger is emitted as a decimal string; readers
-accept both forms.
+An Eisenstein integer a + b*w is the pair [a, b].  Integers can exceed
+what double-precision JSON readers keep exact, so any value of magnitude
+2^53 or larger is emitted as a decimal string; readers accept both forms.
 """
 
 from __future__ import annotations
 
 import json
 import re
+
+from .eisenstein import EisensteinInt
 
 _EXACT_LIMIT = 1 << 53
 # The only string form encode_int emits.  int() alone would also take
@@ -34,6 +36,18 @@ def decode_int(v) -> int:
             raise ValueError(f"expected a decimal integer string, got {v!r}")
         return int(v)
     raise ValueError(f"expected an integer, got {v!r}")
+
+
+def encode_pair(x: EisensteinInt) -> list:
+    """An Eisenstein integer a + b*w as the pair [a, b]."""
+    return [encode_int(x.a), encode_int(x.b)]
+
+
+def decode_pair(v) -> EisensteinInt:
+    """Inverse of encode_pair; anything but a two-item list is rejected."""
+    if not isinstance(v, list) or len(v) != 2:
+        raise ValueError("expected an Eisenstein integer pair [a, b]")
+    return EisensteinInt(decode_int(v[0]), decode_int(v[1]))
 
 
 def canonical_dumps(obj) -> str:

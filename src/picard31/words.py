@@ -13,10 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .eisenstein import ONE, ZERO, EisensteinInt, OMEGA
+from .eisenstein import MU_POWERS, ONE, ZERO, EisensteinInt
 from .errors import WordParseError
 from .hermitian import GroupMatrix
-from .jsonutil import decode_int, encode_int
+from .jsonutil import decode_pair, encode_pair
 
 
 class Generator(Enum):
@@ -24,10 +24,6 @@ class Generator(Enum):
     A = "A"
     B = "B"
     R = "R"
-
-
-# (-w)^d for d in 0..5.
-_MINUS_OMEGA_POWERS = tuple((-OMEGA) ** d for d in range(6))
 
 
 def _canonical_exponent(gen: Generator, e: int) -> int:
@@ -116,7 +112,7 @@ def evaluate(word: Word) -> GroupMatrix:
             if exp % 2:
                 cols[1], cols[2] = cols[2], cols[1]
         elif gen is Generator.B:
-            lam = _MINUS_OMEGA_POWERS[exp % 6]
+            lam = MU_POWERS[exp % 6]
             cols[1] = [lam * v for v in cols[1]]
         else:
             if exp % 2:
@@ -190,7 +186,7 @@ class DecompositionResult:
     word: Word
 
     def to_json(self) -> dict:
-        return {"unit": [encode_int(self.unit.a), encode_int(self.unit.b)],
+        return {"unit": encode_pair(self.unit),
                 "word": serialize(self.word)}
 
     @classmethod
@@ -198,9 +194,6 @@ class DecompositionResult:
         if not isinstance(obj, dict) or "unit" not in obj or "word" not in obj:
             raise ValueError('expected an object with "unit" and "word" keys')
         unit, word = obj["unit"], obj["word"]
-        if not isinstance(unit, list) or len(unit) != 2:
-            raise ValueError("unit must be a pair [a, b]")
         if not isinstance(word, str):
             raise ValueError("word must be a string")
-        return cls(unit=EisensteinInt(decode_int(unit[0]), decode_int(unit[1])),
-                   word=parse(word))
+        return cls(unit=decode_pair(unit), word=parse(word))

@@ -11,8 +11,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 
-from picard31.eisenstein import (OMEGA, ONE, UNITS, ZERO, EisensteinFrac,
-                                 EisensteinInt, round_nearest)
+from picard31.eisenstein import (OMEGA, ONE, UNITS, ZERO, EisensteinInt,
+                                 round_nearest)
 from picard31.finite_unitary import U1, U2, enumerate_group, word_table
 from picard31.hermitian import (HeisenbergTranslation, check_membership,
                                 identity, image_of_infinity, inversion,
@@ -121,18 +121,19 @@ def test_criterion_06_rounding(capsys):
             den = rng.randint(1, 1000)
             num = EisensteinInt(rng.randint(-3000, 3000),
                                 rng.randint(-3000, 3000))
-            z = EisensteinFrac(num, den)
-            got = round_nearest(z.num, z.den)
-            dist = (z - EisensteinFrac(got)).norm()
+            got = round_nearest(num, den)
+            # den^2 |z - u|^2 for z = num/den, exactly, in integers.
+            dist = (num - got * den).norm()
             # Brute-force window oracle around the coordinatewise floor.
-            p0 = z.num.a // z.den
-            q0 = z.num.b // z.den
+            p0 = num.a // den
+            q0 = num.b // den
             best = min(
-                (z - EisensteinFrac(EisensteinInt(p, q))).norm()
+                (num - EisensteinInt(p, q) * den).norm()
                 for p in range(p0 - 2, p0 + 3)
                 for q in range(q0 - 2, q0 + 3))
             assert dist == best
-            assert dist <= THIRD
+            # Covering radius: |z - u|^2 <= 1/3.
+            assert 3 * dist <= den * den
         assert time.perf_counter() - start < 60.0
 
 
@@ -185,7 +186,7 @@ def test_criterion_10_boundary_cone(capsys):
             seed += 1
             if g.fixes_infinity():
                 continue
-            pt = image_of_infinity(g)
-            re1, _ = pt.c1.re_im()
-            assert 2 * re1 == -(pt.c2.norm() + pt.c3.norm())
+            c1, c2, c3, n = image_of_infinity(g)
+            # 2 Re(c1/n) = -|c2/n|^2 - |c3/n|^2, multiplied out by n^2.
+            assert (2 * c1.a - c1.b) * n == -(c2.norm() + c3.norm())
             count += 1

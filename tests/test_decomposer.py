@@ -4,8 +4,12 @@ import math
 import random
 from fractions import Fraction
 
-from picard31.eisenstein import (OMEGA, ONE, UNITS, ZERO, EisensteinFrac,
-                                 EisensteinInt, round_nearest)
+import pytest
+
+from fraction_pairs import add, as_num_den, conj, div, mul, norm, qw, sub
+from picard31.eisenstein import (OMEGA, ONE, UNITS, ZERO, EisensteinInt,
+                                 round_nearest)
+from picard31.errors import DomainError
 from picard31.hermitian import (GroupMatrix, HeisenbergTranslation, identity,
                                 translation_matrix, unit_correction)
 from picard31.decomposer import (decompose, decompose_traced,
@@ -36,26 +40,28 @@ def test_translation_data_invariants():
         assert abs(e + tr.k) <= 1
         # Parity of k agrees with |tau|^2 by construction.
         assert (tr.k - tr.tau1.norm() - tr.tau2.norm()) % 2 == 0
+    # A stabilizer has no finite g(infinity), hence no translation to choose.
+    with pytest.raises(DomainError):
+        translation_data(identity())
 
 
 def reference_translation_data(g):
     """Independent reference for translation_data in the fraction field
-    Q(w): the coordinates of g(infinity) are divided out, each reduced by a
-    gcd, and k is chosen by comparing rationals."""
+    Q(w): the coordinates of g(infinity) are divided out as pairs of
+    fractions, each reduced on its own, and k is chosen by comparing
+    rationals."""
     rows = g.rows
-    den = EisensteinFrac(rows[3][0])
-    c1 = EisensteinFrac(rows[0][0]) / den
-    q1 = EisensteinFrac(rows[1][0]) / den
-    q2 = EisensteinFrac(rows[2][0]) / den
+    g41 = qw(rows[3][0])
+    c1 = div(qw(rows[0][0]), g41)
+    q1 = div(qw(rows[1][0]), g41)
+    q2 = div(qw(rows[2][0]), g41)
 
-    tau1 = -round_nearest(q1.num, q1.den)
-    tau2 = -round_nearest(q2.num, q2.den)
-    i1 = ((q1 + EisensteinFrac(tau1)).norm()
-          + (q2 + EisensteinFrac(tau2)).norm()) / 2
+    tau1 = -round_nearest(*as_num_den(q1))
+    tau2 = -round_nearest(*as_num_den(q2))
+    i1 = (norm(add(q1, qw(tau1))) + norm(add(q2, qw(tau2)))) / 2
 
-    z = (c1 - q1 * EisensteinFrac(tau1.conj())
-         - q2 * EisensteinFrac(tau2.conj()))
-    e = Fraction(z.num.b, z.den)
+    z = sub(sub(c1, mul(q1, conj(qw(tau1)))), mul(q2, conj(qw(tau2))))
+    e = z[1]
 
     m = tau1.norm() + tau2.norm()
     base = math.floor(-e)

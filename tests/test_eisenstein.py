@@ -4,9 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from picard31.eisenstein import (OMEGA, ONE, UNITS, ZERO, EisensteinFrac,
-                                 EisensteinInt, round_nearest)
+from fraction_pairs import div, qw
+from picard31.decomposer import random_element
+from picard31.eisenstein import (OMEGA, ONE, UNITS, ZERO, EisensteinInt,
+                                 round_nearest)
+from picard31.hermitian import image_of_infinity
+from picard31.words import evaluate
 
 
 def rand_int(rng, span=50):
@@ -98,51 +103,66 @@ def test_int_equality():
     assert ZERO == 0 and not bool(ZERO) and bool(ONE)
 
 
+# The three tests below keep the names of the tests of the former
+# fraction-field type; they now check the integer forms that replaced it.
 def test_frac_canonicalization():
-    z = EisensteinFrac(EisensteinInt(2, 4), -6)
-    assert z.den > 0
-    assert z == EisensteinFrac(EisensteinInt(-1, -2), 3)
-    assert EisensteinFrac(EisensteinInt(6, 3), 3) == EisensteinFrac(EisensteinInt(2, 1))
+    # round_nearest(num, den) depends on num/den only, so it needs no gcd
+    # reduction: scaling both by c changes neither the point nor the
+    # tie-break, also at the tie points 1/2, (1+w)/2 and (1+2w)/3.
+    rng = random.Random(7)
+    cases = [(ONE, 2), (EisensteinInt(1, 1), 2), (EisensteinInt(1, 2), 3)]
+    cases += [(rand_int(rng, 40), rng.randint(1, 12)) for _ in range(200)]
+    for num, den in cases:
+        want = round_nearest(num, den)
+        for c in range(1, 7):
+            assert round_nearest(num * c, den * c) == want
     with pytest.raises(ZeroDivisionError):
-        EisensteinFrac(ONE, 0)
+        round_nearest(ONE, 0)
 
 
 def test_frac_field_ops():
-    rng = random.Random(5)
-    for _ in range(200):
-        x = EisensteinFrac(rand_int(rng, 12), rng.randint(1, 9))
-        y = EisensteinFrac(rand_int(rng, 12), rng.randint(1, 9))
-        assert x + y - y == x
-        assert x * y == y * x
-        if not y.is_zero():
-            assert (x / y) * y == x
-        assert (x * y).conj() == x.conj() * y.conj()
-        assert x.norm() == (x * x.conj()).re_im()[0]
-        assert x.norm() >= 0
+    # image_of_infinity's integer form (c1, c2, c3, n) is g_i1 / g41, checked
+    # against division in the fraction field.
+    seed = 5000
+    count = 0
+    while count < 200:
+        g = evaluate(random_element(seed, 25))
+        seed += 1
+        if g.fixes_infinity():
+            continue
+        *cs, n = image_of_infinity(g)
+        assert n >= 1
+        g41 = qw(g.rows[3][0])
+        for i, c in enumerate(cs):
+            want = div(qw(g.rows[i][0]), g41)
+            assert (Fraction(c.a, n), Fraction(c.b, n)) == want
+        count += 1
 
 
 def test_frac_re_im():
+    # Re(c/n) = (2a - b)/(2n) for c = a + b w, the form the cone check uses.
     rng = random.Random(6)
     for _ in range(200):
-        x = EisensteinFrac(rand_int(rng, 12), rng.randint(1, 9))
-        re, im = x.re_im()
-        approx = complex(float(re), float(im) * 3 ** 0.5)
-        assert abs(approx - x.num.to_complex() / x.den) < 1e-9
-    re, im = EisensteinFrac(EisensteinInt(1, 2), 2).re_im()
-    assert re == Fraction(0) and im == Fraction(1, 2)
+        c, n = rand_int(rng, 12), rng.randint(1, 9)
+        re = Fraction(2 * c.a - c.b, 2 * n)
+        assert abs(float(re) - (c.to_complex() / n).real) < 1e-9
+    c = EisensteinInt(1, 2)  # 1 + 2w = i sqrt(3)
+    assert Fraction(2 * c.a - c.b, 2 * 2) == 0
+    assert abs(c.to_complex() / 2 - 0.5j * 3 ** 0.5) < 1e-9
 
 
-def brute_nearest(z):
-    """Nearest lattice point by scanning a window around the coordinates,
-    lex-smallest on ties."""
-    p0 = z.num.a // z.den
-    q0 = z.num.b // z.den
+def brute_nearest(num, den):
+    """Nearest lattice point to num/den by scanning a window around the
+    coordinates, lex-smallest on ties, with the integer distance
+    N(num - cand * den) = den^2 |num/den - cand|^2."""
+    p0 = num.a // den
+    q0 = num.b // den
     best = None
     best_dist = None
     for p in range(p0 - 2, p0 + 3):
         for q in range(q0 - 2, q0 + 3):
             cand = EisensteinInt(p, q)
-            d = (z - EisensteinFrac(cand)).norm()
+            d = (num - cand * den).norm()
             if best_dist is None or d < best_dist:
                 best, best_dist = cand, d
     return best, best_dist
@@ -158,16 +178,15 @@ def test_round_nearest_fixed_cases():
 
 def test_round_nearest_against_brute_force():
     rng = random.Random(8)
-    third = Fraction(1, 3)
     for _ in range(500):
-        z = EisensteinFrac(rand_int(rng, 60), rng.randint(1, 40))
-        got = round_nearest(z.num, z.den)
-        dist = (z - EisensteinFrac(got)).norm()
-        want, want_dist = brute_nearest(z)
+        num, den = rand_int(rng, 60), rng.randint(1, 40)
+        got = round_nearest(num, den)
+        dist = (num - got * den).norm()
+        want, want_dist = brute_nearest(num, den)
         assert dist == want_dist
         assert got == want
-        # Covering radius of the hexagonal lattice.
-        assert dist <= third
+        # Covering radius of the hexagonal lattice: |z - u|^2 <= 1/3.
+        assert 3 * dist <= den * den
 
 
 def test_round_nearest_integral_points():
@@ -175,3 +194,42 @@ def test_round_nearest_integral_points():
     for _ in range(100):
         x = rand_int(rng, 30)
         assert round_nearest(x, 1) == x
+
+
+def _coeffs(span):
+    return st.integers(-span, span)
+
+
+# Generic points num/den, and exact tie points: the midpoint (2u + v)/2 of
+# two neighbours u, u + v (a cell-edge midpoint, two nearest points), and
+# the deep holes (3u + 2 + w)/3 and (3u + 1 + 2w)/3 (three nearest points),
+# each scaled by c to an unreduced fraction.
+_GENERIC = st.tuples(st.builds(EisensteinInt, _coeffs(10 ** 6), _coeffs(10 ** 6)),
+                     st.integers(1, 10 ** 4), st.just(1))
+_EDGE = st.builds(
+    lambda u, v, c: ((u * 2 + v) * c, 2 * c, 2),
+    st.builds(EisensteinInt, _coeffs(10 ** 6), _coeffs(10 ** 6)),
+    st.sampled_from(UNITS), st.integers(1, 50))
+_HOLE = st.builds(
+    lambda u, h, c: ((u * 3 + h) * c, 3 * c, 3),
+    st.builds(EisensteinInt, _coeffs(10 ** 6), _coeffs(10 ** 6)),
+    st.sampled_from((EisensteinInt(2, 1), EisensteinInt(1, 2))),
+    st.integers(1, 50))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.one_of(_GENERIC, _EDGE, _HOLE))
+def test_round_nearest_minimizes_property(case):
+    num, den, ties = case
+    got = round_nearest(num, den)
+    p0, q0 = num.a // den, num.b // den
+    window = [EisensteinInt(p, q) for p in range(p0 - 2, p0 + 3)
+              for q in range(q0 - 2, q0 + 3)]
+    dists = {u: (num - u * den).norm() for u in window}
+    best = min(dists.values())
+    minimizers = [u for u in window if dists[u] == best]
+    assert dists[got] == best
+    # Lex-smallest coefficient pair among the minimizers; the window is
+    # built in lex order.
+    assert got == minimizers[0]
+    assert len(minimizers) >= ties

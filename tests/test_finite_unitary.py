@@ -117,3 +117,8 @@ def test_json_rejects_lax_integers():
         rows = [[[1, 0], [0, 0]], [[0, 0], [bad, 0]]]
         with pytest.raises(ValueError):
             FiniteUnitary.from_json(rows)
+    # Nor anything but rows of [a, b] pairs.
+    for bad in (5, [[5, 5], [5, 5]], [[[1, 0], [0, 0]], 7],
+                [[[1, 0, 0], [0, 0]], [[0, 0], [1, 0]]]):
+        with pytest.raises(ValueError):
+            FiniteUnitary.from_json(bad)

@@ -7,18 +7,17 @@ from fractions import Fraction
 
 import pytest
 
-from picard31.eisenstein import (OMEGA, ONE, UNITS, ZERO, EisensteinInt,
-                                 EisensteinFrac)
+from picard31.eisenstein import OMEGA, ONE, UNITS, ZERO, EisensteinInt
 from picard31.errors import (DomainError, NotMemberError, ParityError,
                              ShapeError)
 from picard31.finite_unitary import U1, U2, enumerate_group
-from picard31.hermitian import (BoundaryPoint, GroupMatrix,
-                                HeisenbergTranslation, check_membership,
-                                identity, image_of_infinity, inversion,
-                                matrix_from_json_text, matrix_to_json_text,
-                                rotation_matrix, translation_matrix,
-                                unit_correction)
+from picard31.hermitian import (GroupMatrix, HeisenbergTranslation,
+                                check_membership, identity, image_of_infinity,
+                                inversion, matrix_from_json_text,
+                                matrix_to_json_text, rotation_matrix,
+                                translation_matrix, unit_correction)
 from picard31.decomposer import langlands_extract
+from picard31.jsonutil import encode_pair
 
 N1 = translation_matrix((ONE, ZERO), 1)
 A = rotation_matrix(U1)
@@ -172,15 +171,24 @@ def test_langlands_rejects_non_stabilizer():
             langlands_extract(p)
 
 
+def on_cone(point):
+    """2 Re(c1/n) = -|c2/n|^2 - |c3/n|^2, multiplied out by n^2."""
+    c1, c2, c3, n = point
+    return (2 * c1.a - c1.b) * n == -(c2.norm() + c3.norm())
+
+
 def test_image_of_infinity():
     with pytest.raises(DomainError):
         image_of_infinity(N1)
-    pt = image_of_infinity(R * N1)
-    assert pt.c1.is_zero() and pt.c2.is_zero() and pt.c3.is_zero()
-    pt = image_of_infinity(N1.inverse() * R)
-    assert pt.c1 == EisensteinFrac(EisensteinInt(-1, -1))
-    assert pt.c2 == EisensteinFrac(-ONE)
-    assert pt.c3.is_zero()
+    assert image_of_infinity(R * N1) == (ZERO, ZERO, ZERO, 1)
+    # N^-1 R sends infinity to (w^2, -1, 0).
+    assert image_of_infinity(N1.inverse() * R) == (
+        EisensteinInt(-1, -1), -ONE, ZERO, 1)
+    # c_i = g_i1 conj(g41) over n = |g41|^2, not reduced: here g41 = -2w,
+    # and g(infinity) = (-2/4, 4/4, 0) = (-1/2, 1, 0).
+    g = R * N1 * R * B * N1 * R * N1
+    assert g.rows[3][0] == EisensteinInt(0, -2)
+    assert image_of_infinity(g) == (EisensteinInt(-2), EisensteinInt(4), ZERO, 4)
 
 
 def test_image_on_cone():
@@ -190,16 +198,19 @@ def test_image_on_cone():
         g = random_member(rng)
         if g.fixes_infinity():
             continue
-        pt = image_of_infinity(g)
-        re1, _ = pt.c1.re_im()
-        assert 2 * re1 == -(pt.c2.norm() + pt.c3.norm())
+        assert on_cone(image_of_infinity(g))
         count += 1
 
 
 def test_boundary_point_rejects_off_cone():
-    with pytest.raises(DomainError):
-        BoundaryPoint(EisensteinFrac(ONE), EisensteinFrac(ZERO),
-                      EisensteinFrac(ZERO))
+    # The cone check is not vacuous: a non-member (the inversion with
+    # g11 = 1) sends infinity to a point off the cone.
+    rows = [list(row) for row in R.rows]
+    rows[0][0] = ONE
+    g = GroupMatrix(rows, check=False)
+    assert not check_membership(g.rows)
+    assert image_of_infinity(g) == (ONE, ZERO, ZERO, 1)
+    assert not on_cone(image_of_infinity(g))
 
 
 def test_json_round_trip():
@@ -227,14 +238,14 @@ def test_json_rejects_malformed():
     # [1, 0, 99] as [1, 0].  Integer strings are plain ASCII decimals, the
     # only form encode_int emits; int() would take all three shown here.
     for entry in ("10", [1, 0, 99], ["1_0", 0], [" 7 ", 0], ["٣", 0]):
-        rows = [[e.to_pair() for e in row] for row in identity().rows]
+        rows = [[encode_pair(e) for e in row] for row in identity().rows]
         rows[0][0] = entry
         with pytest.raises(ValueError):
             matrix_from_json_text(json.dumps({"matrix": rows}))
 
 
 def test_json_rejects_non_member():
-    rows = [[e.to_pair() for e in row] for row in identity().rows]
+    rows = [[encode_pair(e) for e in row] for row in identity().rows]
     rows[0][0] = [2, 0]
     with pytest.raises(NotMemberError) as info:
         matrix_from_json_text('{"matrix": ' + str(rows) + '}')
