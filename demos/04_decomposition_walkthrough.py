@@ -30,8 +30,9 @@ for i, step in enumerate(trace.steps, start=1):
     print(f"  round {i}: tau=({step.tau[0]}, {step.tau[1]}) k={step.k:>3} "
           f" norm {step.n_before} -> {step.n_after}  (x{ratio:.3f})")
 stab = trace.stabilizer
-print(f"terminal stabilizer: unit={stab.lam} tau=({stab.tau[0]}, {stab.tau[1]}) "
-      f"k={stab.k}")
+print(f"terminal stabilizer: unit={stab.lam} "
+      f"tau=({stab.translation.tau1}, {stab.translation.tau2}) "
+      f"k={stab.translation.k}")
 print()
 
 print("unit:", result.unit)

@@ -14,16 +14,14 @@ import argparse
 import os
 import random as _random
 import sys
-from fractions import Fraction
 
 from .decomposer import decompose_traced, random_element
 from .errors import NotMemberError, Picard31Error, WordParseError
 from .finite_unitary import enumerate_group, u_decompose
 from .hermitian import matrix_from_json_text, matrix_to_json_text
-from .jsonutil import canonical_dumps, encode_int
+from .jsonutil import canonical_dumps, decode_int, encode_int
 from .words import evaluate, parse, serialize
 
-_CONTRACTION = Fraction(31, 36)
 _HIST_BINS = 8
 _DUMP_PATH = "picard31-counterexample.json"
 
@@ -41,10 +39,24 @@ def _resolve_seed(args) -> int:
     env = os.environ.get("PICARD_SEED")
     if env is not None:
         try:
-            return int(env, 10)
+            return decode_int(env)
         except ValueError:
             raise ValueError(f"PICARD_SEED must be an integer, got {env!r}") from None
     return _random.SystemRandom().randrange(2 ** 32)
+
+
+def _int_flag(least=None):
+    """argparse type: an ASCII decimal, as in JSON integers, not below least."""
+    def parse(text: str) -> int:
+        try:
+            n = decode_int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a decimal integer, got {text!r}") from None
+        if least is not None and n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        return n
+    return parse
 
 
 def _print_matrix_text(g) -> None:
@@ -85,8 +97,9 @@ def _cmd_decompose(args) -> int:
             print(f"step {i}: tau=({step.tau[0]}, {step.tau[1]}) k={step.k} "
                   f"norm {step.n_before} -> {step.n_after}")
         stab = trace.stabilizer
-        print(f"stabilizer: unit={stab.lam} tau=({stab.tau[0]}, {stab.tau[1]}) "
-              f"k={stab.k} u={serialize(u_decompose(stab.u)) or '1'}")
+        tr = stab.translation
+        print(f"stabilizer: unit={stab.lam} tau=({tr.tau1}, {tr.tau2}) "
+              f"k={tr.k} u={serialize(u_decompose(stab.u)) or '1'}")
     return 0
 
 
@@ -140,9 +153,10 @@ def _cmd_fuzz(args) -> int:
         max_word_len = max(max_word_len, result.word.syllable_length())
         for step in trace.steps:
             max_norm = max(max_norm, step.n_before)
-            ratio = Fraction(step.n_after, step.n_before)
-            hist[min(_HIST_BINS - 1, int(ratio / _CONTRACTION * _HIST_BINS))] += 1
-    edges = [float(_CONTRACTION) * b / _HIST_BINS for b in range(_HIST_BINS + 1)]
+            # floor(n_after / n_before / (31/36) * _HIST_BINS), exactly in integers.
+            b = 36 * _HIST_BINS * step.n_after // (31 * step.n_before)
+            hist[min(_HIST_BINS - 1, b)] += 1
+    edges = [31 / 36 * b / _HIST_BINS for b in range(_HIST_BINS + 1)]
     if args.json:
         print(canonical_dumps({
             "seed": seed,
@@ -210,20 +224,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("random", help="emit a seeded random group element")
     add_common(p, with_input=False)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_int_flag(), default=None,
                    help="RNG seed (default: PICARD_SEED or system entropy)")
-    p.add_argument("--max-len", type=int, default=40,
+    p.add_argument("--max-len", type=_int_flag(1), default=40,
                    help="maximum word length (default 40)")
     p.set_defaults(func=_cmd_random)
 
     p = sub.add_parser("fuzz",
                        help="decompose many random elements and report stats")
     add_common(p, with_input=False)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_int_flag(), default=None,
                    help="base RNG seed (default: PICARD_SEED or system entropy)")
-    p.add_argument("--iterations", type=int, default=100,
+    p.add_argument("--iterations", type=_int_flag(1), default=100,
                    help="number of random elements (default 100)")
-    p.add_argument("--max-len", type=int, default=40,
+    p.add_argument("--max-len", type=_int_flag(1), default=40,
                    help="maximum word length per element (default 40)")
     p.set_defaults(func=_cmd_fuzz)
 

@@ -22,8 +22,8 @@ from fractions import Fraction
 from .eisenstein import UNITS, ZERO, EisensteinInt, round_nearest
 from .errors import InternalError, NotMemberError, ShapeError
 from .finite_unitary import FiniteUnitary, enumerate_group, u_decompose
-from .hermitian import (GroupMatrix, HeisenbergTranslation, image_of_infinity,
-                        rotation_matrix, translation_matrix, unit_correction)
+from .hermitian import (GroupMatrix, HeisenbergTranslation, heisenberg_corner,
+                        image_of_infinity, rotation_matrix, unit_correction)
 from .jsonutil import encode_int, encode_pair
 from .words import (DecompositionResult, Generator, Word, evaluate, normalize,
                     serialize)
@@ -32,16 +32,15 @@ from .words import (DecompositionResult, Generator, Word, evaluate, normalize,
 @dataclass(frozen=True)
 class HeisenbergParam:
     """Langlands data of a stabilizer-of-infinity element:
-    P = unit_correction(lam) * translation_matrix(tau, k) * rotation_matrix(u)."""
+    P = unit_correction(lam) * translation.matrix() * rotation_matrix(u)."""
 
     lam: EisensteinInt
-    tau: tuple[EisensteinInt, EisensteinInt]
-    k: int
+    translation: HeisenbergTranslation
     u: FiniteUnitary
 
     def matrix(self) -> GroupMatrix:
         return (unit_correction(self.lam)
-                * translation_matrix(self.tau, self.k)
+                * self.translation.matrix()
                 * rotation_matrix(self.u))
 
 
@@ -72,9 +71,9 @@ def langlands_extract(p: GroupMatrix) -> HeisenbergParam:
             f"middle block {u_rows} is not in U(2; Z[w])") from None
     tau1, tau2 = r[1][3], r[2][3]
     corner = lam_inv * r[0][3]
-    k = corner.b
     m = tau1.norm() + tau2.norm()
-    if k - 2 * corner.a != m:
+    # corner = ((k - m)/2, k) with k = corner.b; this implies the parity rule.
+    if corner.b - 2 * corner.a != m:
         raise ShapeError(
             f"corner entry {corner} inconsistent with |tau|^2 = {m}")
     # First row must be (lam, lam * (-tau* u), lam * corner).
@@ -82,7 +81,7 @@ def langlands_extract(p: GroupMatrix) -> HeisenbergParam:
     mt2 = -(tau1.conj()) * u.rows[0][1] + -(tau2.conj()) * u.rows[1][1]
     if lam_inv * r[0][1] != mt1 or lam_inv * r[0][2] != mt2:
         raise ShapeError("first row inconsistent with -tau* u")
-    return HeisenbergParam(lam=lam, tau=(tau1, tau2), k=k, u=u)
+    return HeisenbergParam(lam, HeisenbergTranslation(tau1, tau2, corner.b), u)
 
 
 @dataclass(frozen=True)
@@ -116,8 +115,8 @@ class ReductionTrace:
             "steps": [s.to_json() for s in self.steps],
             "stabilizer": {
                 "unit": encode_pair(stab.lam),
-                "tau": [encode_pair(t) for t in stab.tau],
-                "k": stab.k,
+                "tau": [encode_pair(t) for t in stab.translation.tau],
+                "k": stab.translation.k,
                 "u_word": serialize(u_decompose(stab.u)),
             },
         }
@@ -166,8 +165,7 @@ def reduction_step(g: GroupMatrix) -> tuple[GroupMatrix, ReductionStep]:
     """
     tr, i1, e = translation_data(g)
     tau1, tau2, k = tr.tau1, tr.tau2, tr.k
-    m = tau1.norm() + tau2.norm()
-    corner = EisensteinInt((k - m) // 2, k)
+    corner = heisenberg_corner(tau1.norm() + tau2.norm(), k)
     ct1 = tau1.conj()
     ct2 = tau2.conj()
 
@@ -270,7 +268,8 @@ def decompose_traced(g: GroupMatrix) -> tuple[DecompositionResult, ReductionTrac
         prefix = decompose_translation((-(lam * t1), -(lam * t2)), -step.k)
         items += list(prefix.items)
         items.append((Generator.R, 1))
-    items += list(decompose_translation(param.tau, param.k).items)
+    items += list(decompose_translation(param.translation.tau,
+                                        param.translation.k).items)
     items += list(u_decompose(param.u).items)
     word = normalize(Word(items))
 
@@ -315,5 +314,5 @@ def random_stabilizer(seed: int) -> GroupMatrix:
     k = rng.choice([k for k in range(-10, 11) if (k - m) % 2 == 0])
     u = rng.choice(enumerate_group())
     return (unit_correction(lam)
-            * translation_matrix((tau1, tau2), k)
+            * HeisenbergTranslation(tau1, tau2, k).matrix()
             * rotation_matrix(u))

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .eisenstein import MU_POWERS, ONE, ZERO, OMEGA, UNITS
 from .errors import NotMemberError
-from .jsonutil import decode_pair, encode_pair
+from .jsonutil import encode_pair
 from .words import Generator, Word, normalize
 
 
@@ -53,13 +53,8 @@ class FiniteUnitary:
         return f"[[{a}, {b}], [{c}, {d}]]"
 
     def to_json(self) -> list:
+        """Rows of [a, b] pairs, as u2-table --json writes them (write-only)."""
         return [[encode_pair(e) for e in row] for row in self.rows]
-
-    @classmethod
-    def from_json(cls, rows) -> FiniteUnitary:
-        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-            raise ValueError("expected a list of rows of [a, b] pairs")
-        return cls(tuple(tuple(decode_pair(e) for e in row) for row in rows))
 
 
 def _is_member(rows) -> bool:

@@ -3,15 +3,16 @@
 The form is <w, z> = z* J w with J carrying 1 at the (1,4) and (4,1) corners
 and the identity in the middle 2x2 block.  Matrices G over Z[w] with
 G* J G = J make up the modular group this package decomposes.  This module
-holds the group element type, the explicit generator matrices (Heisenberg
-translations, rotations, the inversion, unit corrections), the Heisenberg
-composition law, the boundary action (g(infinity) in Z[w] over the
+holds the group element type, the explicit generator matrices, the one
+Heisenberg translation record (tau, k) with its parity rule, corner entry
+and composition law, the boundary action (g(infinity) in Z[w] over the
 integer |g41|^2), and the matrix JSON format.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 
 from .eisenstein import ONE, ZERO, EisensteinInt
 from .errors import DomainError, NotMemberError, ParityError
@@ -167,20 +168,27 @@ def image_of_infinity(g: GroupMatrix) -> tuple:
             g41.norm())
 
 
+def heisenberg_corner(m: int, k: int) -> EisensteinInt:
+    """The corner entry e = (-m + i k sqrt(3))/2 of the translation (tau, k)
+    with m = |tau1|^2 + |tau2|^2.  Using i*sqrt(3) = 1 + 2w, e is
+    ((k - m)/2) + k w, an Eisenstein integer exactly when k = m (mod 2)."""
+    return EisensteinInt((k - m) // 2, k)
+
+
+@dataclass(frozen=True)
 class HeisenbergTranslation:
     """Heisenberg translation data (tau, k): horizontal part tau in Z[w]^2 and
     vertical coordinate t = k*sqrt(3), subject to k = |tau1|^2 + |tau2|^2 (mod 2)."""
 
-    __slots__ = ("tau1", "tau2", "k")
+    tau1: EisensteinInt
+    tau2: EisensteinInt
+    k: int
 
-    def __init__(self, tau1: EisensteinInt, tau2: EisensteinInt, k: int):
-        m = tau1.norm() + tau2.norm()
-        if (k - m) % 2 != 0:
+    def __post_init__(self):
+        m = self.tau1.norm() + self.tau2.norm()
+        if (self.k - m) % 2 != 0:
             raise ParityError(
-                f"k={k} and |tau|^2={m} must have the same parity")
-        self.tau1 = tau1
-        self.tau2 = tau2
-        self.k = k
+                f"k={self.k} and |tau|^2={m} must have the same parity")
 
     @property
     def tau(self) -> tuple[EisensteinInt, EisensteinInt]:
@@ -200,44 +208,21 @@ class HeisenbergTranslation:
     def inverse(self) -> HeisenbergTranslation:
         return HeisenbergTranslation(-self.tau1, -self.tau2, -self.k)
 
-    def scale(self, e: int) -> HeisenbergTranslation:
-        """The e-th power; the cross term vanishes against itself."""
-        return HeisenbergTranslation(self.tau1 * e, self.tau2 * e, self.k * e)
-
     def matrix(self) -> GroupMatrix:
-        return translation_matrix(self.tau, self.k)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, HeisenbergTranslation):
-            return (self.tau1, self.tau2, self.k) == (other.tau1, other.tau2, other.k)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.tau1, self.tau2, self.k))
-
-    def __repr__(self) -> str:
-        return f"HeisenbergTranslation({self.tau1!r}, {self.tau2!r}, {self.k})"
+        """Upper triangular, with e = heisenberg_corner(|tau|^2, k) at (1, 4)."""
+        corner = heisenberg_corner(self.tau1.norm() + self.tau2.norm(), self.k)
+        return GroupMatrix((
+            (ONE, -self.tau1.conj(), -self.tau2.conj(), corner),
+            (ZERO, ONE, ZERO, self.tau1),
+            (ZERO, ZERO, ONE, self.tau2),
+            (ZERO, ZERO, ZERO, ONE),
+        ), check=False)
 
 
 def translation_matrix(tau, k: int) -> GroupMatrix:
-    """The Heisenberg translation by (tau, k*sqrt(3)) as a 4x4 group matrix.
-
-    Upper triangular with first row (1, -conj(tau1), -conj(tau2), e) and last
-    column (e, tau1, tau2, 1), where e = (-|tau|^2 + i k sqrt(3))/2.  Using
-    i*sqrt(3) = 1 + 2w, the corner e is the Eisenstein integer ((k-m)/2, k)
-    with m = |tau1|^2 + |tau2|^2; integrality is exactly the parity condition.
-    """
-    tau1, tau2 = tau
-    m = tau1.norm() + tau2.norm()
-    if (k - m) % 2 != 0:
-        raise ParityError(f"k={k} and |tau|^2={m} must have the same parity")
-    corner = EisensteinInt((k - m) // 2, k)
-    return GroupMatrix((
-        (ONE, -tau1.conj(), -tau2.conj(), corner),
-        (ZERO, ONE, ZERO, tau1),
-        (ZERO, ZERO, ONE, tau2),
-        (ZERO, ZERO, ZERO, ONE),
-    ), check=False)
+    """The Heisenberg translation by (tau, k*sqrt(3)) as a 4x4 group matrix;
+    raises ParityError unless k = |tau|^2 (mod 2)."""
+    return HeisenbergTranslation(*tau, k).matrix()
 
 
 def rotation_matrix(u) -> GroupMatrix:

@@ -15,7 +15,7 @@ from enum import Enum
 
 from .eisenstein import MU_POWERS, ONE, ZERO, EisensteinInt
 from .errors import WordParseError
-from .hermitian import GroupMatrix
+from .hermitian import GroupMatrix, heisenberg_corner
 from .jsonutil import decode_pair, encode_pair
 
 
@@ -105,7 +105,7 @@ def evaluate(word: Word) -> GroupMatrix:
     for gen, exp in word.items:
         if gen is Generator.N:
             c1, c2, c3, c4 = cols
-            corner = EisensteinInt((exp - exp * exp) // 2, exp)
+            corner = heisenberg_corner(exp * exp, exp)
             cols[3] = [corner * c1[i] + exp * c2[i] + c4[i] for i in range(4)]
             cols[1] = [c2[i] - exp * c1[i] for i in range(4)]
         elif gen is Generator.A:
@@ -196,4 +196,7 @@ class DecompositionResult:
         unit, word = obj["unit"], obj["word"]
         if not isinstance(word, str):
             raise ValueError("word must be a string")
-        return cls(unit=decode_pair(unit), word=parse(word))
+        unit = decode_pair(unit)
+        if not unit.is_unit():
+            raise ValueError(f"unit {unit} is not a unit of Z[w]")
+        return cls(unit=unit, word=parse(word))

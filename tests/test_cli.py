@@ -162,10 +162,28 @@ def test_random_env_seed(capsys, monkeypatch):
 
 
 def test_random_bad_env_seed(capsys, monkeypatch):
-    monkeypatch.setenv("PICARD_SEED", "yes")
-    code, _, err = run(capsys, ["random", "--json"])
-    assert code == 2
-    assert "PICARD_SEED" in err
+    for bad in ("yes", " 1_0"):
+        monkeypatch.setenv("PICARD_SEED", bad)
+        code, _, err = run(capsys, ["random", "--json"])
+        assert code == 2
+        assert "PICARD_SEED" in err
+
+
+def test_bad_count_and_seed_flags(capsys):
+    # Counts must be at least 1 and seeds ASCII decimals; argparse exits 2
+    # with a message that names the flag.
+    for argv, flag in ((["fuzz", "--iterations", "-3", "--json"], "--iterations"),
+                       (["fuzz", "--iterations", "0"], "--iterations"),
+                       (["fuzz", "--max-len", "0"], "--max-len"),
+                       (["random", "--max-len", "0"], "--max-len"),
+                       (["random", "--seed", "1_0"], "--seed"),
+                       (["fuzz", "--seed", " 7"], "--seed")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"argument {flag}:" in err
 
 
 def test_random_entropy_seed(capsys, monkeypatch):
@@ -214,6 +232,7 @@ def test_u2_table(capsys):
 def test_u2_table_json(capsys):
     from picard31.finite_unitary import FiniteUnitary
     from picard31.hermitian import rotation_matrix
+    from picard31.jsonutil import decode_pair
 
     code, out, _ = run(capsys, ["u2-table", "--json"])
     assert code == 0
@@ -222,7 +241,8 @@ def test_u2_table_json(capsys):
     seen = set()
     for line in lines:
         obj = json.loads(line)
-        u = FiniteUnitary.from_json(obj["rows"])
+        u = FiniteUnitary(tuple(tuple(decode_pair(e) for e in row)
+                                for row in obj["rows"]))
         seen.add(u)
         assert evaluate(parse(obj["word"])) == rotation_matrix(u)
     assert len(seen) == 72

