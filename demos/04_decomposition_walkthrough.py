@@ -7,6 +7,8 @@ least 31/36 per round, so the loop always terminates; what remains fixes
 infinity and splits into unit * translation * rotation.
 """
 
+from fractions import Fraction
+
 from picard31 import (decompose_traced, evaluate, parse, serialize,
                       step_bound, translation_data, unit_correction, verify)
 
@@ -17,10 +19,13 @@ print("bottom-left norm n0 =", n0)
 print("guaranteed step bound:", step_bound(n0) + 1)
 print()
 
-# Peek at the first round's choice before running the whole thing.
-tr, i1, e = translation_data(g)
+# Peek at the first round's choice before running the whole thing.  The
+# quality figures are integers over n = |g41|^2: i1 = s / (2 n^2) and
+# |e + k| = |zb + k n| / n.
+tr, s, zb, n = translation_data(g)
 print("first round picks tau =", (str(tr.tau1), str(tr.tau2)), " k =", tr.k)
-print(f"  quality: i1 = {i1} (<= 1/3),  |e + k| = {abs(e + tr.k)} (<= 1)")
+print(f"  quality: i1 = {Fraction(s, 2 * n * n)} (<= 1/3),  "
+      f"|e + k| = {Fraction(abs(zb + tr.k * n), n)} (<= 1)")
 print()
 
 result, trace = decompose_traced(g)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .eisenstein import UNITS, ZERO, EisensteinInt, round_nearest
 from .errors import InternalError, NotMemberError, ShapeError
@@ -125,45 +124,44 @@ class ReductionTrace:
 def translation_data(g: GroupMatrix):
     """Choose the reduction translation for g and report its quality.
 
-    With g(infinity) = (z, q1, q2), returns (translation, i1, e) where
-    i1 = (|q1+tau1|^2 + |q2+tau2|^2) / 2 and e is twice the
-    sqrt(3)-coefficient of Im(z - q1 conj(tau1) - q2 conj(tau2)); the
-    bottom-left norm changes by the exact factor i1^2 + (3/4)(e + k)^2.
-    The choice guarantees i1 <= 1/3 and |e + k| <= 1.
-
-    All of it is computed in Z[w] over the one integer denominator
-    n = |g41|^2 that image_of_infinity returns: z = c1/n and q_i = p_i/n.
+    Everything is in Z[w] over the one integer n = |g41|^2 that
+    image_of_infinity returns: g(infinity) = (c1/n, p1/n, p2/n).  Returns
+    (translation, s, zb, n) with s = N(p1 + n tau1) + N(p2 + n tau2) and
+    zb the w-coefficient of c1 - p1 conj(tau1) - p2 conj(tau2).  In the
+    paper's terms i1 = s / (2 n^2) is half the squared distance of
+    (q1, q2) to -tau, and e = zb / n is twice the sqrt(3)-coefficient of
+    Im(z - q1 conj(tau1) - q2 conj(tau2)); the bottom-left norm changes by
+    the exact factor i1^2 + (3/4)(e + k)^2, that is
+    4 n^3 n' = s^2 + 3 n^2 (zb + k n)^2.  The choice guarantees
+    3 s <= 2 n^2 (i1 <= 1/3) and |zb + k n| <= n (|e + k| <= 1).
     Raises DomainError when g fixes infinity, as image_of_infinity does.
     """
     c1, p1, p2, n = image_of_infinity(g)
 
     tau1 = -round_nearest(p1, n)
     tau2 = -round_nearest(p2, n)
-    i1 = Fraction((p1 + tau1 * n).norm() + (p2 + tau2 * n).norm(), 2 * n * n)
-
-    # zb / n is twice the sqrt(3)-coefficient of the imaginary part above.
+    s = (p1 + tau1 * n).norm() + (p2 + tau2 * n).norm()
     zb = (c1 - p1 * tau1.conj() - p2 * tau2.conj()).b
-    e = Fraction(zb, n)
 
-    # k must match the parity of |tau|^2 and minimize |e + k|; same-parity
-    # integers are 2 apart, so the minimum is at most 1.  Ties prefer the
-    # smaller |k|, then the smaller k.  |zb + k n| = n |e + k| keeps the
-    # comparison in integers.
+    # k must match the parity of |tau|^2 and minimize |zb + k n|; same-parity
+    # integers are 2 apart, so the minimum is at most n.  Ties prefer the
+    # smaller |k|, then the smaller k.
     m = tau1.norm() + tau2.norm()
     base = -zb // n
     candidates = [k for k in range(base - 3, base + 4) if (k - m) % 2 == 0]
     k = min(candidates, key=lambda c: (abs(zb + c * n), abs(c), c))
-    return HeisenbergTranslation(tau1, tau2, k), i1, e
+    return HeisenbergTranslation(tau1, tau2, k), s, zb, n
 
 
 def reduction_step(g: GroupMatrix) -> tuple[GroupMatrix, ReductionStep]:
     """One round: g' = R * N_(tau,k) * g with the chosen translation.
 
     Computed by direct row operations; a generic product would redo the
-    structure of R and N.  The contraction 36 n' <= 31 n and the exact
-    predicted ratio are both asserted.
+    structure of R and N.  Both the contraction 36 n' <= 31 n and the exact
+    ratio 4 n^3 n' = s^2 + 3 n^2 (zb + k n)^2 of translation_data are
+    asserted in integers.
     """
-    tr, i1, e = translation_data(g)
+    tr, s, zb, n = translation_data(g)
     tau1, tau2, k = tr.tau1, tr.tau2, tr.k
     corner = heisenberg_corner(tau1.norm() + tau2.norm(), k)
     ct1 = tau1.conj()
@@ -179,17 +177,14 @@ def reduction_step(g: GroupMatrix) -> tuple[GroupMatrix, ReductionStep]:
     )
     out = GroupMatrix(new_rows, check=False)
 
-    n_before = g.rows[3][0].norm()
     n_after = out.rows[3][0].norm()
-    if 36 * n_after > 31 * n_before:
-        raise InternalError(
-            f"reduction failed to contract: {n_before} -> {n_after}")
-    ratio = i1 * i1 + Fraction(3, 4) * (e + k) ** 2
-    if Fraction(n_after) != n_before * ratio:
-        raise InternalError(
-            f"norm {n_after} does not match predicted ratio {ratio}")
+    if 36 * n_after > 31 * n:
+        raise InternalError(f"reduction failed to contract: {n} -> {n_after}")
+    if 4 * n ** 3 * n_after != s * s + 3 * n * n * (zb + k * n) ** 2:
+        raise InternalError(f"norm {n} -> {n_after} does not match the "
+                            f"predicted ratio (s={s}, zb={zb}, k={k})")
     return out, ReductionStep(tau=(tau1, tau2), k=k,
-                              n_before=n_before, n_after=n_after)
+                              n_before=n, n_after=n_after)
 
 
 def step_bound(n0: int) -> int:
@@ -216,12 +211,14 @@ def decompose_translation(tau, k: int) -> Word:
       (0, 1)  : A N A        (0, w)  : A B^-2 N B^2 A
     and the vertical direction from the commutator of N with B N B^-1,
     which climbs by 2 sqrt(3) per unit.  The four horizontal factors
-    compose to the right tau; their accumulated vertical offset is
-    corrected through the commutator power.
+    compose to the right tau; their accumulated vertical offset k_word is
+    corrected through the commutator power.  Raises ParityError unless
+    k = |tau|^2 (mod 2).  The residual k - k_word is then even, because
+    a^2 - ab + b^2 = a + b - ab (mod 2).
     """
-    tau1, tau2 = tau
-    a1, b1 = tau1.a, tau1.b
-    a2, b2 = tau2.a, tau2.b
+    tr = HeisenbergTranslation(*tau, k)
+    a1, b1 = tr.tau1.a, tr.tau1.b
+    a2, b2 = tr.tau2.a, tr.tau2.b
     items = []
     if a1:
         items.append((Generator.N, a1))
@@ -233,11 +230,7 @@ def decompose_translation(tau, k: int) -> Word:
         items += [(Generator.A, 1), (Generator.B, -2), (Generator.N, b2),
                   (Generator.B, 2), (Generator.A, 1)]
     k_word = a1 + b1 - a1 * b1 + a2 + b2 - a2 * b2
-    s = k - k_word
-    if s % 2 != 0:
-        raise InternalError(
-            f"vertical residual {s} for tau={tau}, k={k} is odd")
-    t1 = s // 2
+    t1 = (k - k_word) // 2
     if t1:
         items += [(Generator.N, t1), (Generator.B, 1), (Generator.N, 1),
                   (Generator.B, -1), (Generator.N, -t1), (Generator.B, 1),

@@ -2,7 +2,7 @@
 
 Here w = (-1 + i*sqrt(3))/2 is a primitive cube root of unity, so w^2 = -1 - w.
 Elements are stored as integer pairs (a, b) meaning a + b*w; all arithmetic is
-exact on arbitrary-precision integers.  There is no fraction-field type: a
+exact on arbitrary-precision integers.  There is no rational number type: a
 point of Q(w) is written as a numerator in Z[w] over a positive integer
 denominator, which is the form rounding takes, so the reduction and the
 boundary action never leave Z[w].

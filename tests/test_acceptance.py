@@ -9,7 +9,6 @@ stated wall-clock budgets.
 import random
 import time
 from contextlib import contextmanager
-from fractions import Fraction
 
 from picard31.eisenstein import (OMEGA, ONE, UNITS, ZERO, EisensteinInt,
                                  round_nearest)
@@ -22,8 +21,6 @@ from picard31.decomposer import (decompose_translation, random_element,
                                  reduction_step, step_bound,
                                  translation_data, verify)
 from picard31.words import Generator, evaluate, parse
-
-THIRD = Fraction(1, 3)
 
 
 @contextmanager
@@ -84,9 +81,10 @@ def test_criterion_03_reduction_invariants(capsys):
             while not g.fixes_infinity():
                 if n0 is None:
                     n0 = g.rows[3][0].norm()
-                tr, i1, e = translation_data(g)
-                assert i1 <= THIRD
-                assert abs(e + tr.k) <= 1
+                # i1 = s / (2 n^2) <= 1/3 and |e + k| = |zb + k n| / n <= 1.
+                tr, s, zb, n = translation_data(g)
+                assert 3 * s <= 2 * n * n
+                assert abs(zb + tr.k * n) <= n
                 g, step = reduction_step(g)
                 assert 36 * step.n_after <= 31 * step.n_before
                 count += 1

@@ -213,6 +213,34 @@ def test_fuzz(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
+def test_fuzz_failure_writes_counterexample(tmp_path, capsys, monkeypatch):
+    from picard31.decomposer import decompose_traced, random_element
+    from picard31.errors import InternalError
+    from picard31.words import serialize
+
+    calls = []
+
+    def failing_on_third(g):
+        calls.append(g)
+        if len(calls) == 3:
+            raise InternalError("injected failure")
+        return decompose_traced(g)
+
+    monkeypatch.setattr("picard31.cli.decompose_traced", failing_on_third)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, ["fuzz", "--seed", "30", "--iterations", "5",
+                                  "--json"])
+    assert code == 1
+    assert out == ""
+    assert "iteration 2 (seed 32) failed: injected failure" in err
+    dump = json.loads((tmp_path / "picard31-counterexample.json").read_text())
+    word = random_element(32, 40)
+    assert dump == {"seed": 30, "iteration": 2, "word": serialize(word),
+                    "error": "injected failure",
+                    **evaluate(word).to_json()}
+    assert matrix_from_json_text(json.dumps(dump)) == calls[2]
+
+
 def test_fuzz_text(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, ["fuzz", "--seed", "20", "--iterations", "5"])

@@ -9,7 +9,7 @@ import pytest
 from fraction_pairs import add, as_num_den, conj, div, mul, norm, qw, sub
 from picard31.eisenstein import (OMEGA, ONE, UNITS, ZERO, EisensteinInt,
                                  round_nearest)
-from picard31.errors import DomainError
+from picard31.errors import DomainError, InternalError, ParityError
 from picard31.hermitian import (GroupMatrix, HeisenbergTranslation, identity,
                                 translation_matrix, unit_correction)
 from picard31.decomposer import (decompose, decompose_traced,
@@ -18,8 +18,6 @@ from picard31.decomposer import (decompose, decompose_traced,
                                  reduction_step, step_bound,
                                  translation_data, verify)
 from picard31.words import Generator, Word, evaluate, parse, serialize
-
-THIRD = Fraction(1, 3)
 
 
 def non_stabilizers(seed, count, max_len=20):
@@ -35,9 +33,11 @@ def non_stabilizers(seed, count, max_len=20):
 
 def test_translation_data_invariants():
     for g in non_stabilizers(100, 200):
-        tr, i1, e = translation_data(g)
-        assert i1 <= THIRD
-        assert abs(e + tr.k) <= 1
+        # i1 = s / (2 n^2) <= 1/3 and |e + k| = |zb + k n| / n <= 1.
+        tr, s, zb, n = translation_data(g)
+        assert all(type(x) is int for x in (s, zb, n))
+        assert 3 * s <= 2 * n * n
+        assert abs(zb + tr.k * n) <= n
         # Parity of k agrees with |tau|^2 by construction.
         assert (tr.k - tr.tau1.norm() - tr.tau2.norm()) % 2 == 0
     # A stabilizer has no finite g(infinity), hence no translation to choose.
@@ -85,10 +85,32 @@ def test_translation_data_matches_reference():
     for w in words:
         g = evaluate(w)
         while not g.fixes_infinity():
-            assert translation_data(g) == reference_translation_data(g)
-            g, _ = reduction_step(g)
+            tr, s, zb, n = translation_data(g)
+            ref = reference_translation_data(g)
+            assert (tr, Fraction(s, 2 * n * n), Fraction(zb, n)) == ref
+            assert n == g.rows[3][0].norm()
+            # The paper's rational form of the contraction, on the
+            # reference's i1 and e: n' = n (i1^2 + (3/4)(e + k)^2).
+            _, i1, e = ref
+            g, step = reduction_step(g)
+            assert step.n_after == n * (i1 * i1
+                                        + Fraction(3, 4) * (e + tr.k) ** 2)
             states += 1
     assert states > 2000
+
+
+@pytest.mark.parametrize("bump", [(1, 0), (0, 1)], ids=["s", "zb"])
+def test_reduction_ratio_check_is_live(monkeypatch, bump):
+    # A translation_data that misreports s or zb must trip reduction_step's
+    # integer ratio check; the contraction check alone would not notice.
+    def skewed(g):
+        tr, s, zb, n = translation_data(g)
+        return tr, s + bump[0], zb + bump[1], n
+
+    monkeypatch.setattr("picard31.decomposer.translation_data", skewed)
+    for g in non_stabilizers(700, 20):
+        with pytest.raises(InternalError, match="predicted ratio"):
+            reduction_step(g)
 
 
 def test_reduction_step_contracts():
@@ -177,6 +199,9 @@ def test_decompose_translation_exact():
         # bilinear correction term; recompute it independently.
         c = (t1.a + t1.b - t1.a * t1.b + t2.a + t2.b - t2.a * t2.b)
         assert (k - c) % 2 == 0
+    # A k of the wrong parity is a bad input, not an internal failure.
+    with pytest.raises(ParityError):
+        decompose_translation((ONE, ZERO), 0)
 
 
 def test_decompose_translation_uses_only_nab():
