@@ -88,7 +88,8 @@ class EisensteinInt:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        # Equal to the int a when b == 0, so it must hash like a.
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b))
 
     def __bool__(self) -> bool:
         return not self.is_zero()

@@ -6,7 +6,8 @@ G* J G = J make up the modular group this package decomposes.  This module
 holds the group element type, the explicit generator matrices, the one
 Heisenberg translation record (tau, k) with its parity rule, corner entry
 and composition law, the boundary action (g(infinity) in Z[w] over the
-integer |g41|^2), and the matrix JSON format.
+integer |g41|^2), and the matrix JSON format.  stabilizer_matrix is the one
+formula for an element fixing infinity; the constructors build on it.
 """
 
 from __future__ import annotations
@@ -146,9 +147,7 @@ class GroupMatrix:
 
 
 def identity() -> GroupMatrix:
-    return GroupMatrix(
-        tuple(tuple(ONE if i == k else ZERO for k in range(4)) for i in range(4)),
-        check=False)
+    return stabilizer_matrix(ONE, _NO_TRANSLATION, _I2)
 
 
 def image_of_infinity(g: GroupMatrix) -> tuple:
@@ -210,13 +209,30 @@ class HeisenbergTranslation:
 
     def matrix(self) -> GroupMatrix:
         """Upper triangular, with e = heisenberg_corner(|tau|^2, k) at (1, 4)."""
-        corner = heisenberg_corner(self.tau1.norm() + self.tau2.norm(), self.k)
-        return GroupMatrix((
-            (ONE, -self.tau1.conj(), -self.tau2.conj(), corner),
-            (ZERO, ONE, ZERO, self.tau1),
-            (ZERO, ZERO, ONE, self.tau2),
-            (ZERO, ZERO, ZERO, ONE),
-        ), check=False)
+        return stabilizer_matrix(ONE, self, _I2)
+
+
+_NO_TRANSLATION = HeisenbergTranslation(ZERO, ZERO, 0)
+_I2 = ((ONE, ZERO), (ZERO, ONE))
+
+
+def stabilizer_matrix(lam: EisensteinInt, translation: HeisenbergTranslation,
+                      u_rows) -> GroupMatrix:
+    """unit_correction(lam) * translation.matrix() * rotation_matrix(u) for
+    the u with rows u_rows, written out: rows (lam, -lam tau* u, lam e),
+    (0, u, tau) and (0, 0, 0, lam), with e = heisenberg_corner(|tau|^2, k).
+    The one place the entries of an element fixing infinity are written."""
+    tau1, tau2 = translation.tau1, translation.tau2
+    (a, b), (c, d) = u_rows
+    ct1, ct2 = tau1.conj(), tau2.conj()
+    corner = heisenberg_corner(tau1.norm() + tau2.norm(), translation.k)
+    return GroupMatrix((
+        (lam, -(lam * (ct1 * a + ct2 * c)), -(lam * (ct1 * b + ct2 * d)),
+         lam * corner),
+        (ZERO, a, b, tau1),
+        (ZERO, c, d, tau2),
+        (ZERO, ZERO, ZERO, lam),
+    ), check=False)
 
 
 def translation_matrix(tau, k: int) -> GroupMatrix:
@@ -226,17 +242,9 @@ def translation_matrix(tau, k: int) -> GroupMatrix:
 
 
 def rotation_matrix(u) -> GroupMatrix:
-    """Heisenberg rotation: u as the middle 2x2 block, ones at the corners.
-
-    u is a finite_unitary.FiniteUnitary; only its rows are read.
-    """
-    (a, b), (c, d) = u.rows
-    return GroupMatrix((
-        (ONE, ZERO, ZERO, ZERO),
-        (ZERO, a, b, ZERO),
-        (ZERO, c, d, ZERO),
-        (ZERO, ZERO, ZERO, ONE),
-    ), check=False)
+    """Heisenberg rotation: u (a FiniteUnitary) as the middle 2x2 block,
+    ones at the corners."""
+    return stabilizer_matrix(ONE, _NO_TRANSLATION, u.rows)
 
 
 def inversion() -> GroupMatrix:
@@ -257,12 +265,7 @@ def unit_correction(lam: EisensteinInt) -> GroupMatrix:
     """
     if not lam.is_unit():
         raise ValueError(f"{lam!r} is not a unit of Z[w]")
-    return GroupMatrix((
-        (lam, ZERO, ZERO, ZERO),
-        (ZERO, ONE, ZERO, ZERO),
-        (ZERO, ZERO, ONE, ZERO),
-        (ZERO, ZERO, ZERO, lam),
-    ), check=False)
+    return stabilizer_matrix(lam, _NO_TRANSLATION, _I2)
 
 
 # --- matrix JSON format -----------------------------------------------------

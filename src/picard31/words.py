@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .eisenstein import MU_POWERS, ONE, ZERO, EisensteinInt
+from .eisenstein import MU_POWERS, ONE, EisensteinInt
 from .errors import WordParseError
-from .hermitian import GroupMatrix, heisenberg_corner
+from .hermitian import GroupMatrix, heisenberg_corner, unit_correction
 from .jsonutil import decode_pair, encode_pair
 
 
@@ -93,15 +93,15 @@ def normalize(word: Word) -> Word:
     return Word(stack)
 
 
-def evaluate(word: Word) -> GroupMatrix:
-    """Product of the word's generator powers.
+def evaluate(word: Word, unit: EisensteinInt = ONE) -> GroupMatrix:
+    """unit_correction(unit) times the product of the word's generator powers.
 
-    Works column-by-column on the accumulator: right-multiplying by a
-    generator power is a short column operation (N mixes columns 1, 2, 4;
-    A swaps columns 2 and 3; B scales column 2; R permutes and negates),
-    which is much cheaper than generic 4x4 products.
+    Works column-by-column on an accumulator seeded with the diagonal
+    unit_correction(unit) (ValueError on a non-unit).  Each generator power
+    is a short column operation (N mixes columns 1, 2, 4; A swaps columns
+    2 and 3; B scales column 2; R permutes and negates).
     """
-    cols = [[ONE if i == j else ZERO for i in range(4)] for j in range(4)]
+    cols = [list(row) for row in unit_correction(unit).rows]
     for gen, exp in word.items:
         if gen is Generator.N:
             c1, c2, c3, c4 = cols

@@ -1,13 +1,17 @@
-"""The traced benchmark run wraps package functions by name; each must exist."""
+"""The traced benchmark run wraps package functions by name; each must
+exist, and a traced operation must behave as an untraced one."""
 
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import picard31
 import picard31.words
 from picard31.words import evaluate, parse
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def load_tracing():
@@ -36,3 +40,36 @@ def test_bench_entry_points():
     for step in trace.steps:
         for field in ("tau", "k", "n_before", "n_after"):
             assert hasattr(step, field), field
+
+
+def test_traced_ops_pass_through(monkeypatch):
+    # workloads imports reference by its bare name, and its dataclasses
+    # look their module up in sys.modules; both entries go at teardown.
+    for name in ("reference", "workloads"):
+        module = importlib.util.module_from_spec(
+            importlib.util.spec_from_file_location(name, BENCH / f"{name}.py"))
+        monkeypatch.setitem(sys.modules, name, module)
+        module.__spec__.loader.exec_module(module)
+    workloads = sys.modules["workloads"]
+    g = evaluate(parse("N^3 R B N^-2 R A N R N^2"))
+    matrix_text = picard31.hermitian.matrix_to_json_text(g)
+    cert_text = workloads.decompose_op(picard31, matrix_text)
+    assert json.loads(cert_text)["unit"] != [1, 0]
+
+    def chains():
+        return (workloads.decompose_op(picard31, matrix_text),
+                workloads.certify_op(picard31, matrix_text, cert_text))
+
+    untraced = chains()
+    assert untraced == (cert_text, True)
+    # The wrappers forward positional arguments only, so a keyword call
+    # inside the package raises TypeError in traced runs alone.
+    tracer = load_tracing().Tracer()
+    tracer.install(picard31)
+    try:
+        traced = chains()
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    names = {span[1] for span in tracer.spans}
+    assert {"words.evaluate", "decomposer.verify"} <= names

@@ -17,7 +17,8 @@ from picard31.decomposer import (decompose, decompose_traced,
                                  random_element, random_stabilizer,
                                  reduction_step, step_bound,
                                  translation_data, verify)
-from picard31.words import Generator, Word, evaluate, parse, serialize
+from picard31.words import (DecompositionResult, Generator, Word, evaluate,
+                            parse, serialize)
 
 
 def non_stabilizers(seed, count, max_len=20):
@@ -141,6 +142,19 @@ def test_decompose_round_trip():
         res = decompose(g)
         assert verify(g, res)
         assert res.unit in UNITS
+
+
+def test_verify_rejects_tampered_certificates():
+    members = [evaluate(random_element(900 + i, 30)) for i in range(51)]
+    for g, other in zip(members, members[1:]):
+        res = decompose(g)
+        assert verify(g, res)
+        for lam in UNITS:
+            if lam != res.unit:
+                assert not verify(g, DecompositionResult(lam, res.word))
+        longer = Word(res.word.items + ((Generator.N, 1),))
+        assert not verify(g, DecompositionResult(res.unit, longer))
+        assert other != g and not verify(other, res)
 
 
 def test_decompose_fixed_cases():

@@ -101,6 +101,11 @@ def test_int_equality():
     assert EisensteinInt(7, 0) == 7
     assert EisensteinInt(7, 1) != 7
     assert ZERO == 0 and not bool(ZERO) and bool(ONE)
+    # Equal objects hash equal, so an int and its EisensteinInt are one
+    # set or dict key.
+    assert hash(EisensteinInt(7, 0)) == hash(7)
+    assert 7 in {EisensteinInt(7, 0)}
+    assert EisensteinInt(3) in {3} and len({EisensteinInt(3), 3}) == 1
 
 
 # The three tests below keep the names of the tests of the former

@@ -173,6 +173,20 @@ def test_langlands_rejects_non_stabilizer():
                         check=False)
         with pytest.raises(ShapeError, match="middle block"):
             langlands_extract(p)
+    # A genuine stabilizer with one entry spoiled: the rebuilt matrix must
+    # catch what no field check reads (g21, g44, g12), and the corner check
+    # a corner of the wrong parity (g14 + g11).
+    h = (unit_correction(OMEGA) * translation_matrix((ONE, OMEGA), 0)
+         * rotation_matrix(U2))
+    assert langlands_extract(h).matrix() == h
+    for (i, j), spoil in (((1, 0), lambda e: e + ONE),
+                          ((3, 3), lambda e: -OMEGA),
+                          ((0, 1), lambda e: e + ONE),
+                          ((0, 3), lambda e: e + h.rows[0][0])):
+        rows = [list(row) for row in h.rows]
+        rows[i][j] = spoil(rows[i][j])
+        with pytest.raises(ShapeError):
+            langlands_extract(GroupMatrix(rows, check=False))
 
 
 def on_cone(point):

@@ -6,11 +6,11 @@ import random
 
 import pytest
 
-from picard31.eisenstein import ONE, ZERO
+from picard31.eisenstein import ONE, UNITS, ZERO, EisensteinInt
 from picard31.errors import WordParseError
 from picard31.finite_unitary import U1, U2
 from picard31.hermitian import (identity, inversion, rotation_matrix,
-                                translation_matrix)
+                                translation_matrix, unit_correction)
 from picard31.words import (DecompositionResult, Generator, Word, evaluate,
                             normalize, parse, serialize)
 
@@ -76,6 +76,18 @@ def test_evaluate_matches_generic_product():
 
 def test_evaluate_empty():
     assert evaluate(Word()) == identity()
+
+
+def test_evaluate_from_unit():
+    # evaluate(w, lam) seeds its columns with unit_correction(lam); the
+    # generic 4x4 product is the oracle.
+    rng = random.Random(12)
+    words = [Word()] + [random_word(rng) for _ in range(40)]
+    for lam in UNITS:
+        for w in words:
+            assert evaluate(w, lam) == unit_correction(lam) * evaluate(w)
+    with pytest.raises(ValueError):
+        evaluate(Word(), EisensteinInt(2))
 
 
 def test_evaluate_inverse_word():
