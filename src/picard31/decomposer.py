@@ -4,9 +4,9 @@ The algorithm repeatedly moves the image of infinity close to the origin by
 a Heisenberg translation and then applies the inversion.  Each round shrinks
 the norm of the bottom-left entry by a factor of at least 31/36, and that
 norm is a nonnegative integer, so after finitely many rounds the element
-fixes infinity and splits (langlands_extract) into a unit correction, a
-translation, and a rotation.  Unwinding the rounds yields a word over the
-four generators; the unit correction is reported separately.
+fixes infinity, where hermitian.langlands_extract splits it into a unit
+correction, a translation, and a rotation.  Unwinding the rounds yields a
+word over the four generators; the unit correction is reported separately.
 
 Every unit correction is a generator word too (tests pin words for w and
 -1, which generate the units), but folding it into the word would add 15
@@ -19,58 +19,14 @@ import random
 from dataclasses import dataclass
 
 from .eisenstein import UNITS, EisensteinInt, round_nearest
-from .errors import InternalError, NotMemberError, ShapeError
-from .finite_unitary import FiniteUnitary, enumerate_group, u_decompose
-from .hermitian import (GroupMatrix, HeisenbergTranslation, heisenberg_corner,
-                        image_of_infinity, stabilizer_matrix)
+from .errors import InternalError
+from .finite_unitary import enumerate_group, u_decompose
+from .hermitian import (GroupMatrix, HeisenbergParam, HeisenbergTranslation,
+                        heisenberg_corner, image_of_infinity,
+                        langlands_extract)
 from .jsonutil import encode_int, encode_pair
 from .words import (DecompositionResult, Generator, Word, evaluate, normalize,
                     serialize)
-
-
-@dataclass(frozen=True)
-class HeisenbergParam:
-    """Langlands data of a stabilizer-of-infinity element: matrix() is
-    unit_correction(lam) * translation.matrix() * rotation_matrix(u)."""
-
-    lam: EisensteinInt
-    translation: HeisenbergTranslation
-    u: FiniteUnitary
-
-    def matrix(self) -> GroupMatrix:
-        return stabilizer_matrix(self.lam, self.translation, self.u.rows)
-
-
-def langlands_extract(p: GroupMatrix) -> HeisenbergParam:
-    """Factor a stabilizer element as unit correction, translation, rotation.
-
-    The lattice admits no dilation component, so the fields are forced:
-    lam = g11, u the middle block, tau the middle of the last column, k the
-    w-coefficient of the corner over lam.  Reading them checks that lam is a
-    unit, u unitary and the corner consistent with |tau|^2; then the rebuilt
-    matrix must equal p.  Any failure raises ShapeError.
-    """
-    r = p.rows
-    lam = r[0][0]
-    if not lam.is_unit():
-        raise ShapeError(f"corner entry {lam} is not a unit")
-    u_rows = ((r[1][1], r[1][2]), (r[2][1], r[2][2]))
-    try:
-        u = FiniteUnitary(u_rows)
-    except NotMemberError:
-        raise ShapeError(
-            f"middle block {u_rows} is not in U(2; Z[w])") from None
-    tau1, tau2 = r[1][3], r[2][3]
-    corner = lam.unit_inverse() * r[0][3]
-    m = tau1.norm() + tau2.norm()
-    # corner = ((k - m)/2, k) with k = corner.b; this implies the parity rule.
-    if corner.b - 2 * corner.a != m:
-        raise ShapeError(
-            f"corner entry {corner} inconsistent with |tau|^2 = {m}")
-    param = HeisenbergParam(lam, HeisenbergTranslation(tau1, tau2, corner.b), u)
-    if param.matrix() != p:
-        raise ShapeError("matrix is not unit * translation * rotation")
-    return param
 
 
 @dataclass(frozen=True)

@@ -3,11 +3,12 @@
 The form is <w, z> = z* J w with J carrying 1 at the (1,4) and (4,1) corners
 and the identity in the middle 2x2 block.  Matrices G over Z[w] with
 G* J G = J make up the modular group this package decomposes.  This module
-holds the group element type, the explicit generator matrices, the one
-Heisenberg translation record (tau, k) with its parity rule, corner entry
-and composition law, the boundary action (g(infinity) in Z[w] over the
-integer |g41|^2), and the matrix JSON format.  stabilizer_matrix is the one
-formula for an element fixing infinity; the constructors build on it.
+holds the group element type, the explicit generator matrices, the boundary
+action (g(infinity) in Z[w] over the integer |g41|^2), the matrix JSON
+format, and the stabilizer of infinity: the one Heisenberg translation record
+(tau, k) with its parity rule, corner entry and composition law, the rotation
+block FiniteUnitary, and HeisenbergParam, whose matrix() is the one formula
+for an element fixing infinity and whose inverse is langlands_extract.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import json
 from dataclasses import dataclass
 
 from .eisenstein import ONE, ZERO, EisensteinInt
-from .errors import DomainError, NotMemberError, ParityError
+from .errors import DomainError, NotMemberError, ParityError, ShapeError
 from .jsonutil import canonical_dumps, decode_pair, encode_pair
 
 
@@ -147,7 +148,7 @@ class GroupMatrix:
 
 
 def identity() -> GroupMatrix:
-    return stabilizer_matrix(ONE, _NO_TRANSLATION, _I2)
+    return HeisenbergParam(ONE, _NO_TRANSLATION, _NO_ROTATION).matrix()
 
 
 def image_of_infinity(g: GroupMatrix) -> tuple:
@@ -209,30 +210,119 @@ class HeisenbergTranslation:
 
     def matrix(self) -> GroupMatrix:
         """Upper triangular, with e = heisenberg_corner(|tau|^2, k) at (1, 4)."""
-        return stabilizer_matrix(ONE, self, _I2)
+        return HeisenbergParam(ONE, self, _NO_ROTATION).matrix()
+
+
+class FiniteUnitary:
+    """2x2 Eisenstein matrix with U* U = I: the group U(2; Z[w]).
+
+    Every member is diagonal diag(a, b) or antidiagonal ((0, b), (a, 0))
+    with both entries sixth roots of unity, giving 2 * 6 * 6 = 72 elements.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        rows = tuple(tuple(row) for row in rows)
+        if len(rows) != 2 or any(len(r) != 2 for r in rows):
+            raise NotMemberError("expected a 2x2 matrix")
+        if not _is_unitary(rows):
+            raise NotMemberError(f"not in U(2; Z[w]): {rows}")
+        self.rows = rows
+
+    def is_diagonal(self) -> bool:
+        return self.rows[0][1].is_zero() and self.rows[1][0].is_zero()
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, FiniteUnitary):
+            return self.rows == other.rows
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return f"FiniteUnitary({self.rows!r})"
+
+    def __str__(self) -> str:
+        (a, b), (c, d) = self.rows
+        return f"[[{a}, {b}], [{c}, {d}]]"
+
+    def to_json(self) -> list:
+        """Rows of [a, b] pairs, as u2-table --json writes them (write-only)."""
+        return [[encode_pair(e) for e in row] for row in self.rows]
+
+
+def _is_unitary(rows) -> bool:
+    (a, b), (c, d) = rows
+    if b.is_zero() and c.is_zero():
+        return a.is_unit() and d.is_unit()
+    if a.is_zero() and d.is_zero():
+        return b.is_unit() and c.is_unit()
+    return False
+
+
+@dataclass(frozen=True)
+class HeisenbergParam:
+    """Langlands data of an element fixing infinity: a unit lam, a
+    translation and a rotation u, with matrix() equal to
+    unit_correction(lam) * translation.matrix() * rotation_matrix(u)."""
+
+    lam: EisensteinInt
+    translation: HeisenbergTranslation
+    u: FiniteUnitary
+
+    def matrix(self) -> GroupMatrix:
+        """Rows (lam, -lam tau* u, lam e), (0, u, tau) and (0, 0, 0, lam),
+        with e = heisenberg_corner(|tau|^2, k): the one place the entries
+        of an element fixing infinity are written."""
+        lam, tr = self.lam, self.translation
+        (a, b), (c, d) = self.u.rows
+        ct1, ct2 = tr.tau1.conj(), tr.tau2.conj()
+        corner = heisenberg_corner(tr.tau1.norm() + tr.tau2.norm(), tr.k)
+        return GroupMatrix((
+            (lam, -(lam * (ct1 * a + ct2 * c)), -(lam * (ct1 * b + ct2 * d)),
+             lam * corner),
+            (ZERO, a, b, tr.tau1),
+            (ZERO, c, d, tr.tau2),
+            (ZERO, ZERO, ZERO, lam),
+        ), check=False)
 
 
 _NO_TRANSLATION = HeisenbergTranslation(ZERO, ZERO, 0)
-_I2 = ((ONE, ZERO), (ZERO, ONE))
+_NO_ROTATION = FiniteUnitary(((ONE, ZERO), (ZERO, ONE)))
 
 
-def stabilizer_matrix(lam: EisensteinInt, translation: HeisenbergTranslation,
-                      u_rows) -> GroupMatrix:
-    """unit_correction(lam) * translation.matrix() * rotation_matrix(u) for
-    the u with rows u_rows, written out: rows (lam, -lam tau* u, lam e),
-    (0, u, tau) and (0, 0, 0, lam), with e = heisenberg_corner(|tau|^2, k).
-    The one place the entries of an element fixing infinity are written."""
-    tau1, tau2 = translation.tau1, translation.tau2
-    (a, b), (c, d) = u_rows
-    ct1, ct2 = tau1.conj(), tau2.conj()
-    corner = heisenberg_corner(tau1.norm() + tau2.norm(), translation.k)
-    return GroupMatrix((
-        (lam, -(lam * (ct1 * a + ct2 * c)), -(lam * (ct1 * b + ct2 * d)),
-         lam * corner),
-        (ZERO, a, b, tau1),
-        (ZERO, c, d, tau2),
-        (ZERO, ZERO, ZERO, lam),
-    ), check=False)
+def langlands_extract(p: GroupMatrix) -> HeisenbergParam:
+    """Factor a stabilizer element as unit correction, translation, rotation.
+
+    The lattice admits no dilation component, so the fields are forced:
+    lam = g11, u the middle block, tau the middle of the last column, k the
+    w-coefficient of the corner over lam.  Reading them checks that lam is a
+    unit, u unitary and the corner consistent with |tau|^2; then the rebuilt
+    matrix must equal p.  Any failure raises ShapeError.
+    """
+    r = p.rows
+    lam = r[0][0]
+    if not lam.is_unit():
+        raise ShapeError(f"corner entry {lam} is not a unit")
+    u_rows = ((r[1][1], r[1][2]), (r[2][1], r[2][2]))
+    try:
+        u = FiniteUnitary(u_rows)
+    except NotMemberError:
+        raise ShapeError(
+            f"middle block {u_rows} is not in U(2; Z[w])") from None
+    tau1, tau2 = r[1][3], r[2][3]
+    corner = lam.unit_inverse() * r[0][3]
+    m = tau1.norm() + tau2.norm()
+    # corner = ((k - m)/2, k) with k = corner.b; this implies the parity rule.
+    if corner.b - 2 * corner.a != m:
+        raise ShapeError(
+            f"corner entry {corner} inconsistent with |tau|^2 = {m}")
+    param = HeisenbergParam(lam, HeisenbergTranslation(tau1, tau2, corner.b), u)
+    if param.matrix() != p:
+        raise ShapeError("matrix is not unit * translation * rotation")
+    return param
 
 
 def translation_matrix(tau, k: int) -> GroupMatrix:
@@ -244,7 +334,7 @@ def translation_matrix(tau, k: int) -> GroupMatrix:
 def rotation_matrix(u) -> GroupMatrix:
     """Heisenberg rotation: u (a FiniteUnitary) as the middle 2x2 block,
     ones at the corners."""
-    return stabilizer_matrix(ONE, _NO_TRANSLATION, u.rows)
+    return HeisenbergParam(ONE, _NO_TRANSLATION, u).matrix()
 
 
 def inversion() -> GroupMatrix:
@@ -265,7 +355,7 @@ def unit_correction(lam: EisensteinInt) -> GroupMatrix:
     """
     if not lam.is_unit():
         raise ValueError(f"{lam!r} is not a unit of Z[w]")
-    return stabilizer_matrix(lam, _NO_TRANSLATION, _I2)
+    return HeisenbergParam(lam, _NO_TRANSLATION, _NO_ROTATION).matrix()
 
 
 # --- matrix JSON format -----------------------------------------------------
@@ -287,7 +377,4 @@ def matrix_from_json_text(text: str) -> GroupMatrix:
         raise ValueError(f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise ValueError("invalid JSON: nesting too deep") from None
-    try:
-        return GroupMatrix.from_json(obj)
-    except (TypeError, IndexError, KeyError) as exc:
-        raise ValueError(f"malformed matrix object: {exc}") from exc
+    return GroupMatrix.from_json(obj)

@@ -1,0 +1,119 @@
+"""Hypothesis properties: the stabilizer-of-infinity formula on large
+entries, the word normalizer, and the matrix JSON boundary."""
+
+import json
+
+from hypothesis import given, settings, strategies as st
+
+from picard31.decomposer import decompose_traced, random_element, verify
+from picard31.eisenstein import UNITS, EisensteinInt
+from picard31.errors import NotMemberError
+from picard31.finite_unitary import enumerate_group
+from picard31.hermitian import (GroupMatrix, HeisenbergParam,
+                                HeisenbergTranslation, langlands_extract,
+                                matrix_from_json_text, matrix_to_json_text,
+                                rotation_matrix, unit_correction)
+from picard31.words import Generator, Word, evaluate, normalize, parse, serialize
+
+_SETTINGS = dict(derandomize=True, database=None, deadline=None)
+_BIG = 2 ** 70
+_EXACT_LIMIT = 2 ** 53
+
+
+def _sizes(limit):
+    """Small values, where cancellations happen, and values up to limit."""
+    return st.one_of(st.integers(-5, 5), st.integers(-limit, limit))
+
+
+@st.composite
+def stabilizer_params(draw):
+    coeff = _sizes(_BIG)
+    tau1 = EisensteinInt(draw(coeff), draw(coeff))
+    tau2 = EisensteinInt(draw(coeff), draw(coeff))
+    # k = |tau|^2 (mod 2), the parity HeisenbergTranslation enforces.
+    k = 2 * draw(_sizes(_BIG // 2)) + (tau1.norm() + tau2.norm()) % 2
+    return HeisenbergParam(draw(st.sampled_from(UNITS)),
+                           HeisenbergTranslation(tau1, tau2, k),
+                           draw(st.sampled_from(enumerate_group())))
+
+
+@settings(max_examples=200, **_SETTINGS)
+@given(stabilizer_params())
+def test_large_stabilizer_round_trips(param):
+    h = param.matrix()
+    assert h == (unit_correction(param.lam) * param.translation.matrix()
+                 * rotation_matrix(param.u))
+    assert langlands_extract(h) == param
+    # Through the form-checking reader; only entries of 2^53 or more
+    # travel as strings.
+    text = matrix_to_json_text(h)
+    assert matrix_from_json_text(text) == h
+    for row in json.loads(text)["matrix"]:
+        for pair in row:
+            for v in pair:
+                assert isinstance(v, str) == (abs(int(v)) >= _EXACT_LIMIT)
+    result, trace = decompose_traced(h)
+    assert trace.steps == ()
+    assert trace.stabilizer == param
+    assert verify(h, result)
+
+
+_EXPONENT = st.one_of(
+    st.integers(-10 ** 6, 10 ** 6),
+    st.integers(-3, 3),
+    st.integers(-10 ** 5, 10 ** 5).map(lambda e: 2 * e),
+    st.integers(-10 ** 5, 10 ** 5).map(lambda e: 6 * e))
+_RAW_WORDS = st.lists(
+    st.tuples(st.sampled_from(tuple(Generator)), _EXPONENT),
+    max_size=60).map(Word)
+
+
+@settings(max_examples=300, **_SETTINGS)
+@given(_RAW_WORDS)
+def test_normalize_idempotent(word):
+    normal = normalize(word)
+    assert normalize(normal) == normal
+    assert evaluate(normal) == evaluate(word)
+    assert parse(serialize(normal)) == normal
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=8), children,
+                                        max_size=4)),
+    max_leaves=6)
+# What a matrix entry can be replaced by: anything, or a pair of integers
+# or strings, which reaches the form check.
+_ENTRY = _JSON | st.lists(st.integers(-2, 2) | st.text(max_size=3),
+                          min_size=2, max_size=2)
+_MEMBERS = tuple(evaluate(random_element(seed, 12)).to_json()
+                 for seed in range(4))
+
+
+@st.composite
+def perturbed_members(draw):
+    """A member's matrix JSON with one entry, one row or the whole grid
+    replaced by an arbitrary value."""
+    obj = json.loads(json.dumps(draw(st.sampled_from(_MEMBERS))))
+    grid = obj["matrix"]
+    where = draw(st.sampled_from(("entry", "row", "grid")))
+    i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    if where == "entry":
+        grid[i][j] = draw(_ENTRY)
+    elif where == "row":
+        grid[i] = draw(_JSON | st.lists(_ENTRY, min_size=4, max_size=4))
+    else:
+        obj["matrix"] = draw(_JSON)
+    return obj
+
+
+@settings(max_examples=500, **_SETTINGS)
+@given(_JSON | perturbed_members())
+def test_matrix_json_boundary(value):
+    try:
+        g = matrix_from_json_text(json.dumps(value))
+    except (ValueError, NotMemberError):
+        return
+    assert isinstance(g, GroupMatrix)
