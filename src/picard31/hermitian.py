@@ -272,6 +272,10 @@ class HeisenbergParam:
     translation: HeisenbergTranslation
     u: FiniteUnitary
 
+    def __post_init__(self):
+        if not self.lam.is_unit():
+            raise ValueError(f"{self.lam!r} is not a unit of Z[w]")
+
     def matrix(self) -> GroupMatrix:
         """Rows (lam, -lam tau* u, lam e), (0, u, tau) and (0, 0, 0, lam),
         with e = heisenberg_corner(|tau|^2, k): the one place the entries
@@ -352,9 +356,8 @@ def unit_correction(lam: EisensteinInt) -> GroupMatrix:
 
     This is the scalar-like residue a stabilizer element can carry at the
     corners; products of translations and rotations always have 1 there.
+    Raises ValueError on a non-unit lam.
     """
-    if not lam.is_unit():
-        raise ValueError(f"{lam!r} is not a unit of Z[w]")
     return HeisenbergParam(lam, _NO_TRANSLATION, _NO_ROTATION).matrix()
 
 

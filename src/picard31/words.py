@@ -15,7 +15,7 @@ from enum import Enum
 
 from .eisenstein import MU_POWERS, ONE, EisensteinInt
 from .errors import WordParseError
-from .hermitian import GroupMatrix, heisenberg_corner, unit_correction
+from .hermitian import GroupMatrix, unit_correction
 from .jsonutil import decode_pair, encode_pair
 
 
@@ -96,31 +96,43 @@ def normalize(word: Word) -> Word:
 def evaluate(word: Word, unit: EisensteinInt = ONE) -> GroupMatrix:
     """unit_correction(unit) times the product of the word's generator powers.
 
-    Works column-by-column on an accumulator seeded with the diagonal
-    unit_correction(unit) (ValueError on a non-unit).  Each generator power
-    is a short column operation (N mixes columns 1, 2, 4; A swaps columns
-    2 and 3; B scales column 2; R permutes and negates).
+    Works on four flat int columns, each (a1, b1, ..., a4, b4) for the
+    entries a + b*w, seeded with the diagonal unit_correction(unit)
+    (ValueError on a non-unit).  Each generator power is a short column
+    operation (N mixes columns 1, 2, 4; A swaps columns 2 and 3; B scales
+    column 2; R permutes and negates); the matrix is built once at the end.
     """
-    cols = [list(row) for row in unit_correction(unit).rows]
-    for gen, exp in word.items:
+    u = unit_correction(unit).rows
+    cols = [[v for row in u for v in (row[j].a, row[j].b)] for j in range(4)]
+    for gen, e in word.items:
         if gen is Generator.N:
-            c1, c2, c3, c4 = cols
-            corner = heisenberg_corner(exp * exp, exp)
-            cols[3] = [corner * c1[i] + exp * c2[i] + c4[i] for i in range(4)]
-            cols[1] = [c2[i] - exp * c1[i] for i in range(4)]
+            # c4 += (p + e*w) c1 + e c2, with p + e*w the corner of N^e.
+            c1, c2, _, c4 = cols
+            p = (e - e * e) // 2
+            for i in _ROWS:
+                x, y, a2, b2 = c1[i], c1[i + 1], c2[i], c2[i + 1]
+                c4[i] += p * x + e * (a2 - y)
+                c4[i + 1] += p * y + e * (x - y + b2)
+                c2[i], c2[i + 1] = a2 - e * x, b2 - e * y
         elif gen is Generator.A:
-            if exp % 2:
+            if e % 2:
                 cols[1], cols[2] = cols[2], cols[1]
         elif gen is Generator.B:
-            lam = MU_POWERS[exp % 6]
-            cols[1] = [lam * v for v in cols[1]]
-        else:
-            if exp % 2:
-                c1, c2, c3, c4 = cols
-                cols = [c4, [-v for v in c2], [-v for v in c3], c1]
+            mu = MU_POWERS[e % 6]
+            p, q, c2 = mu.a, mu.b, cols[1]
+            for i in _ROWS:
+                a, b = c2[i], c2[i + 1]
+                c2[i], c2[i + 1] = a * p - b * q, a * q + b * p - b * q
+        elif e % 2:
+            c1, c2, c3, c4 = cols
+            cols = [c4, [-v for v in c2], [-v for v in c3], c1]
     return GroupMatrix(
-        tuple(tuple(cols[j][i] for j in range(4)) for i in range(4)),
+        tuple(tuple(EisensteinInt(c[i], c[i + 1]) for c in cols) for i in _ROWS),
         check=False)
+
+
+# Offsets of the four rows' (a, b) pairs in a flat column.
+_ROWS = (0, 2, 4, 6)
 
 
 # --- text format ------------------------------------------------------------

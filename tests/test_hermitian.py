@@ -11,7 +11,8 @@ from picard31.eisenstein import OMEGA, ONE, UNITS, ZERO, EisensteinInt
 from picard31.errors import (DomainError, NotMemberError, ParityError,
                              ShapeError)
 from picard31.finite_unitary import U1, U2, enumerate_group
-from picard31.hermitian import (GroupMatrix, HeisenbergTranslation,
+from picard31.hermitian import (GroupMatrix, HeisenbergParam,
+                                HeisenbergTranslation,
                                 check_membership, identity, image_of_infinity,
                                 inversion, matrix_from_json_text,
                                 matrix_to_json_text, rotation_matrix,
@@ -81,9 +82,8 @@ def test_translation_matrix_entries():
     vert = translation_matrix((ZERO, ZERO), 2)
     assert vert.rows[0][3] == EisensteinInt(1, 2)
     assert vert.rows[1][3] == ZERO and vert.rows[2][3] == ZERO
-    # The corner formula checked against the form itself: evaluate shares
-    # heisenberg_corner with translation_matrix, so only G* J G = J is an
-    # independent judge of it.
+    # The corner formula checked against the form itself, a judge that
+    # shares no code with heisenberg_corner.
     rng = random.Random(11)
     for _ in range(200):
         tr = random_translation(rng, span=20, kspan=60)
@@ -140,6 +140,10 @@ def test_rotation_and_unit_correction_membership():
         assert check_membership(unit_correction(lam).rows)
     with pytest.raises(ValueError):
         unit_correction(EisensteinInt(2))
+    # Any non-unit lam: the matrix would fall outside the group.
+    with pytest.raises(ValueError, match="not a unit"):
+        HeisenbergParam(EisensteinInt(2), HeisenbergTranslation(ONE, ZERO, 1),
+                        U2)
 
 
 def test_langlands_round_trip():

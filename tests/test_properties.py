@@ -1,18 +1,20 @@
-"""Hypothesis properties: the stabilizer-of-infinity formula on large
-entries, the word normalizer, and the matrix JSON boundary."""
+"""Hypothesis properties: the Z[w] ring laws, the stabilizer-of-infinity
+formula on large entries, word evaluation against the generic matrix
+product, the word normalizer, and the matrix JSON boundary."""
 
 import json
 
 from hypothesis import given, settings, strategies as st
 
 from picard31.decomposer import decompose_traced, random_element, verify
-from picard31.eisenstein import UNITS, EisensteinInt
+from picard31.eisenstein import MU_POWERS, ONE, UNITS, ZERO, EisensteinInt
 from picard31.errors import NotMemberError
-from picard31.finite_unitary import enumerate_group
+from picard31.finite_unitary import U1, U2, enumerate_group
 from picard31.hermitian import (GroupMatrix, HeisenbergParam,
-                                HeisenbergTranslation, langlands_extract,
-                                matrix_from_json_text, matrix_to_json_text,
-                                rotation_matrix, unit_correction)
+                                HeisenbergTranslation, inversion,
+                                langlands_extract, matrix_from_json_text,
+                                matrix_to_json_text, rotation_matrix,
+                                translation_matrix, unit_correction)
 from picard31.words import Generator, Word, evaluate, normalize, parse, serialize
 
 _SETTINGS = dict(derandomize=True, database=None, deadline=None)
@@ -23,6 +25,25 @@ _EXACT_LIMIT = 2 ** 53
 def _sizes(limit):
     """Small values, where cancellations happen, and values up to limit."""
     return st.one_of(st.integers(-5, 5), st.integers(-limit, limit))
+
+
+_ZW = st.builds(EisensteinInt, _sizes(_BIG), _sizes(_BIG))
+
+
+@settings(max_examples=300, **_SETTINGS)
+@given(_ZW, _ZW, _ZW, st.integers(-10 ** 6, 10 ** 6),
+       st.integers(-10 ** 6, 10 ** 6))
+def test_eisenstein_ring_laws(x, y, z, d, e):
+    assert x + y == y + x and x * y == y * x
+    assert (x + y) + z == x + (y + z) and (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    # conj is an involution that respects + and *: a ring automorphism.
+    assert x.conj().conj() == x
+    assert (x + y).conj() == x.conj() + y.conj()
+    assert (x * y).conj() == x.conj() * y.conj()
+    assert (x * y).norm() == x.norm() * y.norm()
+    # Exponents of mu = -w add mod 6, which evaluate's B branch relies on.
+    assert MU_POWERS[d % 6] * MU_POWERS[e % 6] == MU_POWERS[(d + e) % 6]
 
 
 @st.composite
@@ -66,6 +87,25 @@ _EXPONENT = st.one_of(
 _RAW_WORDS = st.lists(
     st.tuples(st.sampled_from(tuple(Generator)), _EXPONENT),
     max_size=60).map(Word)
+
+
+# The generator matrices from their own constructors, multiplied through
+# GroupMatrix.__mul__/__pow__: no code shared with evaluate's columns.
+_GENERATOR_MATRICES = {Generator.N: translation_matrix((ONE, ZERO), 1),
+                       Generator.A: rotation_matrix(U1),
+                       Generator.B: rotation_matrix(U2),
+                       Generator.R: inversion()}
+
+
+@settings(max_examples=200, **_SETTINGS)
+@given(st.lists(st.tuples(st.sampled_from(tuple(Generator)), _EXPONENT),
+                max_size=40).map(Word),
+       st.sampled_from(UNITS))
+def test_evaluate_matches_generic_product(word, lam):
+    expected = unit_correction(lam)
+    for gen, e in word:
+        expected = expected * _GENERATOR_MATRICES[gen] ** e
+    assert evaluate(word, lam) == expected
 
 
 @settings(max_examples=300, **_SETTINGS)
