@@ -16,7 +16,8 @@ import random as _random
 import sys
 
 from .decomposer import decompose_traced, random_element
-from .errors import NotMemberError, Picard31Error, WordParseError
+from .errors import (InternalError, NotMemberError, Picard31Error,
+                     WordParseError)
 from .finite_unitary import enumerate_group, u_decompose
 from .hermitian import matrix_from_json_text, matrix_to_json_text
 from .jsonutil import canonical_dumps, decode_int, encode_int
@@ -143,6 +144,8 @@ def _cmd_fuzz(args) -> int:
             dump = {"seed": seed, "iteration": i, "word": serialize(word),
                     "error": str(exc)}
             dump.update(g.to_json())
+            if isinstance(exc, InternalError) and exc.steps is not None:
+                dump["steps"] = [step.to_json() for step in exc.steps]
             with open(_DUMP_PATH, "w", encoding="utf-8") as fh:
                 fh.write(canonical_dumps(dump) + "\n")
             print(f"iteration {i} (seed {seed + i}) failed: {exc}",

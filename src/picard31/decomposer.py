@@ -22,8 +22,7 @@ from .eisenstein import UNITS, EisensteinInt, round_nearest
 from .errors import InternalError
 from .finite_unitary import enumerate_group, u_decompose
 from .hermitian import (GroupMatrix, HeisenbergParam, HeisenbergTranslation,
-                        heisenberg_corner, image_of_infinity,
-                        langlands_extract)
+                        image_of_infinity, langlands_extract)
 from .jsonutil import encode_int, encode_pair
 from .words import (DecompositionResult, Generator, Word, evaluate, normalize,
                     serialize)
@@ -86,13 +85,18 @@ def translation_data(g: GroupMatrix):
 
     tau1 = -round_nearest(p1, n)
     tau2 = -round_nearest(p2, n)
-    s = (p1 + tau1 * n).norm() + (p2 + tau2 * n).norm()
-    zb = (c1 - p1 * tau1.conj() - p2 * tau2.conj()).b
+    pa, pb, qa, qb = p1.a, p1.b, p2.a, p2.b
+    t1a, t1b, t2a, t2b = tau1.a, tau1.b, tau2.a, tau2.b
+    # N(a + bw) = a^2 - ab + b^2, and the w-coefficient of
+    # (a + bw) conj(c + dw) is cb - da.
+    xa, xb, ya, yb = pa + t1a * n, pb + t1b * n, qa + t2a * n, qb + t2b * n
+    s = xa * xa - xa * xb + xb * xb + ya * ya - ya * yb + yb * yb
+    zb = c1.b - (t1a * pb - t1b * pa) - (t2a * qb - t2b * qa)
 
     # k must match the parity of |tau|^2 and minimize |zb + k n|; same-parity
     # integers are 2 apart, so the minimum is at most n.  Ties prefer the
     # smaller |k|, then the smaller k.
-    m = tau1.norm() + tau2.norm()
+    m = t1a * t1a - t1a * t1b + t1b * t1b + t2a * t2a - t2a * t2b + t2b * t2b
     base = -zb // n
     candidates = [k for k in range(base - 3, base + 4) if (k - m) % 2 == 0]
     k = min(candidates, key=lambda c: (abs(zb + c * n), abs(c), c))
@@ -102,34 +106,45 @@ def translation_data(g: GroupMatrix):
 def reduction_step(g: GroupMatrix) -> tuple[GroupMatrix, ReductionStep]:
     """One round: g' = R * N_(tau,k) * g with the chosen translation.
 
-    Computed by direct row operations; a generic product would redo the
-    structure of R and N.  Both the contraction 36 n' <= 31 n and the exact
-    ratio 4 n^3 n' = s^2 + 3 n^2 (zb + k n)^2 of translation_data are
-    asserted in integers.
+    Computed by direct row operations on the 32-int layout; a generic
+    product would redo the structure of R and N.  Both the contraction
+    36 n' <= 31 n and the exact ratio 4 n^3 n' = s^2 + 3 n^2 (zb + k n)^2 of
+    translation_data are asserted in integers.
     """
     tr, s, zb, n = translation_data(g)
-    tau1, tau2, k = tr.tau1, tr.tau2, tr.k
-    corner = heisenberg_corner(tau1.norm() + tau2.norm(), k)
-    ct1 = tau1.conj()
-    ct2 = tau2.conj()
+    k = tr.k
+    t1a, t1b, t2a, t2b = tr.tau1.a, tr.tau1.b, tr.tau2.a, tr.tau2.b
+    # conj(a + bw) = (a - b) - bw, and the corner ((k - m)/2) + kw of N_(tau,k).
+    u1a, u1b, u2a, u2b = t1a - t1b, -t1b, t2a - t2b, -t2b
+    m = t1a * t1a - t1a * t1b + t1b * t1b + t2a * t2a - t2a * t2b + t2b * t2b
+    ea = (k - m) // 2
 
-    r1, r2, r3, r4 = g.rows
-    new_rows = (
-        r4,
-        tuple(-(r2[j] + tau1 * r4[j]) for j in range(4)),
-        tuple(-(r3[j] + tau2 * r4[j]) for j in range(4)),
-        tuple(r1[j] - ct1 * r2[j] - ct2 * r3[j] + corner * r4[j]
-              for j in range(4)),
-    )
-    out = GroupMatrix(new_rows, check=False)
+    # Rows r1..r4 become r4, -(r2 + tau1 r4), -(r3 + tau2 r4) and
+    # r1 - conj(tau1) r2 - conj(tau2) r3 + corner r4, column by column, with
+    # (p + qw)(c + dw) = (pc - qd) + (pd + qc - qd)w.
+    v = g.flat
+    row2, row3, row4 = [], [], []
+    for j in (0, 2, 4, 6):
+        a1, b1 = v[j], v[j + 1]
+        a2, b2 = v[j + 8], v[j + 9]
+        a3, b3 = v[j + 16], v[j + 17]
+        x, y = v[j + 24], v[j + 25]
+        row2 += (-(a2 + t1a * x - t1b * y), -(b2 + t1a * y + t1b * x - t1b * y))
+        row3 += (-(a3 + t2a * x - t2b * y), -(b3 + t2a * y + t2b * x - t2b * y))
+        row4 += (a1 - (u1a * a2 - u1b * b2) - (u2a * a3 - u2b * b3)
+                 + ea * x - k * y,
+                 b1 - (u1a * b2 + u1b * a2 - u1b * b2)
+                 - (u2a * b3 + u2b * a3 - u2b * b3) + ea * y + k * x - k * y)
+    out = GroupMatrix.from_flat(v[24:32] + tuple(row2 + row3 + row4))
 
-    n_after = out.rows[3][0].norm()
+    x, y = row4[0], row4[1]
+    n_after = x * x - x * y + y * y
     if 36 * n_after > 31 * n:
         raise InternalError(f"reduction failed to contract: {n} -> {n_after}")
     if 4 * n ** 3 * n_after != s * s + 3 * n * n * (zb + k * n) ** 2:
         raise InternalError(f"norm {n} -> {n_after} does not match the "
                             f"predicted ratio (s={s}, zb={zb}, k={k})")
-    return out, ReductionStep(tau=(tau1, tau2), k=k,
+    return out, ReductionStep(tau=tr.tau, k=k,
                               n_before=n, n_after=n_after)
 
 
@@ -192,29 +207,34 @@ def decompose_traced(g: GroupMatrix) -> tuple[DecompositionResult, ReductionTrac
     unit * translation * rotation.  Pulling the unit to the front twists
     each round's tau by it, and everything right of the unit is a word in
     the generators.  The result is verified against g before returning.
+    An InternalError leaves with steps set to the rounds done before it.
     """
     steps = []
     current = g
-    while not current.fixes_infinity():
-        current, step = reduction_step(current)
-        steps.append(step)
-    param = langlands_extract(current)
-    lam = param.lam
+    try:
+        while not current.fixes_infinity():
+            current, step = reduction_step(current)
+            steps.append(step)
+        param = langlands_extract(current)
+        lam = param.lam
 
-    items = []
-    for step in steps:
-        t1, t2 = step.tau
-        prefix = decompose_translation((-(lam * t1), -(lam * t2)), -step.k)
-        items += list(prefix.items)
-        items.append((Generator.R, 1))
-    items += list(decompose_translation(param.translation.tau,
-                                        param.translation.k).items)
-    items += list(u_decompose(param.u).items)
-    word = normalize(Word(items))
+        items = []
+        for step in steps:
+            t1, t2 = step.tau
+            prefix = decompose_translation((-(lam * t1), -(lam * t2)), -step.k)
+            items += list(prefix.items)
+            items.append((Generator.R, 1))
+        items += list(decompose_translation(param.translation.tau,
+                                            param.translation.k).items)
+        items += list(u_decompose(param.u).items)
+        word = normalize(Word(items))
 
-    result = DecompositionResult(unit=lam, word=word)
-    if not verify(g, result):
-        raise InternalError("decomposition failed self-verification")
+        result = DecompositionResult(unit=lam, word=word)
+        if not verify(g, result):
+            raise InternalError("decomposition failed self-verification")
+    except InternalError as exc:
+        exc.steps = tuple(steps)
+        raise
     return result, ReductionTrace(steps=tuple(steps), stabilizer=param)
 
 

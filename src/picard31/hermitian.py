@@ -9,6 +9,15 @@ format, and the stabilizer of infinity: the one Heisenberg translation record
 (tau, k) with its parity rule, corner entry and composition law, the rotation
 block FiniteUnitary, and HeisenbergParam, whose matrix() is the one formula
 for an element fixing infinity and whose inverse is langlands_extract.
+
+A GroupMatrix keeps its entries as one tuple of 32 ints, the row-major
+(a, b) pairs of the entries a + b*w, so entry (i, j) (0-indexed) is
+flat[8i + 2j] + flat[8i + 2j + 1] w.  Products, the form check, the
+boundary action, the JSON codec and langlands_extract read these ints
+directly; rows, four rows of EisensteinInt, is a view built on request.
+The form check scans only the upper triangle j <= k of M* J M: that
+matrix is Hermitian and J is real symmetric, so a defect at (k, j) below
+the diagonal mirrors one at (j, k), which a row-major scan meets first.
 """
 
 from __future__ import annotations
@@ -18,30 +27,51 @@ from dataclasses import dataclass
 
 from .eisenstein import ONE, ZERO, EisensteinInt
 from .errors import DomainError, NotMemberError, ParityError, ShapeError
-from .jsonutil import canonical_dumps, decode_pair, encode_pair
+from .jsonutil import canonical_dumps, decode_coeffs, encode_int, encode_pair
 
 
-def _rows4(entries) -> tuple:
-    rows = tuple(tuple(row) for row in entries)
+def _flatten(entries) -> tuple:
+    """Four rows of four EisensteinInt as the 32-int layout; NotMemberError
+    on any other shape or entry type."""
+    try:
+        rows = tuple(tuple(row) for row in entries)
+    except TypeError:
+        raise NotMemberError("expected a 4x4 matrix") from None
     if len(rows) != 4 or any(len(r) != 4 for r in rows):
         raise NotMemberError("expected a 4x4 matrix")
-    return rows
+    entries = rows[0] + rows[1] + rows[2] + rows[3]
+    if not all(isinstance(e, EisensteinInt) for e in entries):
+        raise NotMemberError("matrix entries must be Eisenstein integers")
+    return _coeffs(entries)
 
 
-def _form_defect(rows) -> tuple | None:
+def _coeffs(entries) -> tuple:
+    """The (a, b) coefficients of EisensteinInt entries, in order."""
+    out = []
+    for e in entries:
+        out += (e.a, e.b)
+    return tuple(out)
+
+
+def _form_defect(flat: tuple) -> tuple | None:
     """First (row, col) position, 1-indexed, where M* J M differs from J; None if member.
 
     (M* J M)[j][k] = conj(M[0][j]) M[3][k] + conj(M[1][j]) M[1][k]
-                   + conj(M[2][j]) M[2][k] + conj(M[3][j]) M[0][k].
+                   + conj(M[2][j]) M[2][k] + conj(M[3][j]) M[0][k],
+    each term conj(a + bw)(c + dw) = ((a - b)c + bd) + (ad - bc)w.  Only
+    j <= k is scanned; see the module docstring.
     """
+    # Column j as its (a) and (b) coefficients down rows 0..3.
+    cols = [(flat[i::8], flat[i + 1::8]) for i in (0, 2, 4, 6)]
     for j in range(4):
-        c0, c1, c2, c3 = (rows[0][j].conj(), rows[1][j].conj(),
-                          rows[2][j].conj(), rows[3][j].conj())
-        for k in range(4):
-            val = (c0 * rows[3][k] + c1 * rows[1][k]
-                   + c2 * rows[2][k] + c3 * rows[0][k])
-            expected = _J_ENTRIES[j][k]
-            if val.a != expected or val.b != 0:
+        (a0, a1, a2, a3), (b0, b1, b2, b3) = cols[j]
+        for k in range(j, 4):
+            (c0, c1, c2, c3), (d0, d1, d2, d3) = cols[k]
+            re = ((a0 - b0) * c3 + b0 * d3 + (a1 - b1) * c1 + b1 * d1
+                  + (a2 - b2) * c2 + b2 * d2 + (a3 - b3) * c0 + b3 * d0)
+            im = (a0 * d3 - b0 * c3 + a1 * d1 - b1 * c1
+                  + a2 * d2 - b2 * c2 + a3 * d0 - b3 * c0)
+            if im or re != _J_ENTRIES[j][k]:
                 return (j + 1, k + 1)
     return None
 
@@ -49,44 +79,68 @@ def _form_defect(rows) -> tuple | None:
 _J_ENTRIES = ((0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0))
 
 
+def _require_member(flat: tuple) -> None:
+    defect = _form_defect(flat)
+    if defect is not None:
+        raise NotMemberError(
+            f"matrix does not preserve the Hermitian form: "
+            f"defect at entry {defect}")
+
+
 def check_membership(entries) -> bool:
-    """True iff M* J M = J holds entrywise exactly."""
+    """True iff entries are four rows of four EisensteinInt and M* J M = J
+    holds entrywise exactly."""
     try:
-        rows = _rows4(entries)
+        flat = _flatten(entries)
     except NotMemberError:
         return False
-    return _form_defect(rows) is None
+    return _form_defect(flat) is None
 
 
 class GroupMatrix:
     """An element of the modular group: 4x4 over Z[w] with G* J G = J.
 
-    The constructor enforces form preservation; arithmetic stays inside the
-    group, so internally produced values skip the (redundant) recheck.
+    The constructor takes four rows of EisensteinInt and enforces form
+    preservation; from_flat wraps the 32-int layout unchecked, for
+    arithmetic that stays inside the group.
     """
 
-    __slots__ = ("rows",)
+    __slots__ = ("flat",)
 
     def __init__(self, entries, *, check: bool = True):
-        rows = _rows4(entries)
+        flat = _flatten(entries)
         if check:
-            defect = _form_defect(rows)
-            if defect is not None:
-                raise NotMemberError(
-                    f"matrix does not preserve the Hermitian form: "
-                    f"defect at entry {defect}")
-        self.rows = rows
+            _require_member(flat)
+        self.flat = flat
+
+    @classmethod
+    def from_flat(cls, flat: tuple) -> GroupMatrix:
+        """The matrix whose 32-int layout is flat, without any check."""
+        g = object.__new__(cls)
+        g.flat = flat
+        return g
+
+    @property
+    def rows(self) -> tuple:
+        """The entries as four rows of EisensteinInt, built on each read."""
+        v = self.flat
+        return tuple(tuple(EisensteinInt(v[i], v[i + 1])
+                           for i in range(r, r + 8, 2))
+                     for r in (0, 8, 16, 24))
 
     def __mul__(self, other: GroupMatrix) -> GroupMatrix:
-        a = self.rows
-        b = other.rows
+        # (p + qw)(c + dw) = (pc - qd) + (pd + qc - qd)w, summed along j.
+        a = self.flat
+        cols = [(other.flat[i::8], other.flat[i + 1::8]) for i in (0, 2, 4, 6)]
         out = []
-        for i in range(4):
-            ai0, ai1, ai2, ai3 = a[i]
-            out.append(tuple(
-                ai0 * b[0][k] + ai1 * b[1][k] + ai2 * b[2][k] + ai3 * b[3][k]
-                for k in range(4)))
-        return GroupMatrix(out, check=False)
+        for r in (0, 8, 16, 24):
+            p0, q0, p1, q1, p2, q2, p3, q3 = a[r:r + 8]
+            for (c0, c1, c2, c3), (d0, d1, d2, d3) in cols:
+                qd = q0 * d0 + q1 * d1 + q2 * d2 + q3 * d3
+                out.append(p0 * c0 + p1 * c1 + p2 * c2 + p3 * c3 - qd)
+                out.append(p0 * d0 + q0 * c0 + p1 * d1 + q1 * c1 + p2 * d2
+                           + q2 * c2 + p3 * d3 + q3 * c3 - qd)
+        return GroupMatrix.from_flat(tuple(out))
 
     def __pow__(self, e: int) -> GroupMatrix:
         if e < 0:
@@ -101,36 +155,42 @@ class GroupMatrix:
         return result
 
     def conj_transpose(self) -> GroupMatrix:
-        r = self.rows
-        return GroupMatrix(
-            tuple(tuple(r[k][j].conj() for k in range(4)) for j in range(4)),
-            check=False)
+        return self._conj_permuted((0, 1, 2, 3))
 
     def inverse(self) -> GroupMatrix:
         """G^-1 = J G* J: conjugate-transpose with first and last rows/columns swapped."""
-        r = self.rows
-        perm = (3, 1, 2, 0)
-        return GroupMatrix(
-            tuple(tuple(r[perm[k]][perm[j]].conj() for k in range(4)) for j in range(4)),
-            check=False)
+        return self._conj_permuted((3, 1, 2, 0))
+
+    def _conj_permuted(self, perm) -> GroupMatrix:
+        # Entry (j, k) of the result is conj(M[perm[k]][perm[j]]), and
+        # conj(a + bw) = (a - b) - bw.
+        v = self.flat
+        out = []
+        for j in perm:
+            for k in perm:
+                a, b = v[8 * k + 2 * j], v[8 * k + 2 * j + 1]
+                out += (a - b, -b)
+        return GroupMatrix.from_flat(tuple(out))
 
     def fixes_infinity(self) -> bool:
-        return self.rows[3][0].is_zero()
+        return not (self.flat[24] or self.flat[25])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, GroupMatrix):
-            return self.rows == other.rows
+            return self.flat == other.flat
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(self.flat)
 
     def __repr__(self) -> str:
         body = ", ".join("[" + ", ".join(str(e) for e in row) + "]" for row in self.rows)
         return f"GroupMatrix([{body}])"
 
     def to_json(self) -> dict:
-        return {"matrix": [[encode_pair(e) for e in row] for row in self.rows]}
+        v = [encode_int(x) for x in self.flat]
+        return {"matrix": [[v[i:i + 2] for i in range(r, r + 8, 2)]
+                           for r in (0, 8, 16, 24)]}
 
     @classmethod
     def from_json(cls, obj: dict) -> GroupMatrix:
@@ -139,12 +199,15 @@ class GroupMatrix:
         entries = obj["matrix"]
         if not isinstance(entries, list) or len(entries) != 4:
             raise ValueError("matrix must have 4 rows")
-        rows = []
+        flat = []
         for row in entries:
             if not isinstance(row, list) or len(row) != 4:
                 raise ValueError("each matrix row must have 4 entries")
-            rows.append(tuple(decode_pair(e) for e in row))
-        return cls(rows)
+            for e in row:
+                flat += decode_coeffs(e)
+        flat = tuple(flat)
+        _require_member(flat)
+        return cls.from_flat(flat)
 
 
 def identity() -> GroupMatrix:
@@ -160,12 +223,13 @@ def image_of_infinity(g: GroupMatrix) -> tuple:
     2 Re(c1/n) = -|c2/n|^2 - |c3/n|^2, that is (2 a1 - b1) n = -N(c2) - N(c3)
     with c1 = a1 + b1 w.
     """
-    g41 = g.rows[3][0]
-    if g41.is_zero():
+    v = g.flat
+    x, y = v[24], v[25]
+    if not (x or y):
         raise DomainError("matrix fixes infinity; its image has no affine coordinates")
-    g41c = g41.conj()
-    return (g.rows[0][0] * g41c, g.rows[1][0] * g41c, g.rows[2][0] * g41c,
-            g41.norm())
+    # (a + bw) conj(x + yw) = (a(x - y) + by) + (bx - ay)w
+    return tuple(EisensteinInt(a * (x - y) + b * y, b * x - a * y)
+                 for a, b in (v[0:2], v[8:10], v[16:18])) + (x * x - x * y + y * y,)
 
 
 def heisenberg_corner(m: int, k: int) -> EisensteinInt:
@@ -284,13 +348,13 @@ class HeisenbergParam:
         (a, b), (c, d) = self.u.rows
         ct1, ct2 = tr.tau1.conj(), tr.tau2.conj()
         corner = heisenberg_corner(tr.tau1.norm() + tr.tau2.norm(), tr.k)
-        return GroupMatrix((
-            (lam, -(lam * (ct1 * a + ct2 * c)), -(lam * (ct1 * b + ct2 * d)),
-             lam * corner),
-            (ZERO, a, b, tr.tau1),
-            (ZERO, c, d, tr.tau2),
-            (ZERO, ZERO, ZERO, lam),
-        ), check=False)
+        return GroupMatrix.from_flat(_coeffs((
+            lam, -(lam * (ct1 * a + ct2 * c)), -(lam * (ct1 * b + ct2 * d)),
+            lam * corner,
+            ZERO, a, b, tr.tau1,
+            ZERO, c, d, tr.tau2,
+            ZERO, ZERO, ZERO, lam,
+        )))
 
 
 _NO_TRANSLATION = HeisenbergTranslation(ZERO, ZERO, 0)
@@ -306,18 +370,19 @@ def langlands_extract(p: GroupMatrix) -> HeisenbergParam:
     unit, u unitary and the corner consistent with |tau|^2; then the rebuilt
     matrix must equal p.  Any failure raises ShapeError.
     """
-    r = p.rows
-    lam = r[0][0]
+    v = p.flat  # entry (i, j) at v[8i + 2j], v[8i + 2j + 1]
+    lam = EisensteinInt(v[0], v[1])
     if not lam.is_unit():
         raise ShapeError(f"corner entry {lam} is not a unit")
-    u_rows = ((r[1][1], r[1][2]), (r[2][1], r[2][2]))
+    u_rows = ((EisensteinInt(v[10], v[11]), EisensteinInt(v[12], v[13])),
+              (EisensteinInt(v[18], v[19]), EisensteinInt(v[20], v[21])))
     try:
         u = FiniteUnitary(u_rows)
     except NotMemberError:
         raise ShapeError(
             f"middle block {u_rows} is not in U(2; Z[w])") from None
-    tau1, tau2 = r[1][3], r[2][3]
-    corner = lam.unit_inverse() * r[0][3]
+    tau1, tau2 = EisensteinInt(v[14], v[15]), EisensteinInt(v[22], v[23])
+    corner = lam.unit_inverse() * EisensteinInt(v[6], v[7])
     m = tau1.norm() + tau2.norm()
     # corner = ((k - m)/2, k) with k = corner.b; this implies the parity rule.
     if corner.b - 2 * corner.a != m:

@@ -43,11 +43,16 @@ def encode_pair(x: EisensteinInt) -> list:
     return [encode_int(x.a), encode_int(x.b)]
 
 
-def decode_pair(v) -> EisensteinInt:
-    """Inverse of encode_pair; anything but a two-item list is rejected."""
+def decode_coeffs(v) -> tuple[int, int]:
+    """The pair [a, b] as the ints (a, b); anything but a two-item list is rejected."""
     if not isinstance(v, list) or len(v) != 2:
         raise ValueError("expected an Eisenstein integer pair [a, b]")
-    return EisensteinInt(decode_int(v[0]), decode_int(v[1]))
+    return decode_int(v[0]), decode_int(v[1])
+
+
+def decode_pair(v) -> EisensteinInt:
+    """Inverse of encode_pair."""
+    return EisensteinInt(*decode_coeffs(v))
 
 
 def canonical_dumps(obj) -> str:

@@ -26,15 +26,6 @@ class Generator(Enum):
     R = "R"
 
 
-def _canonical_exponent(gen: Generator, e: int) -> int:
-    if gen is Generator.N:
-        return e
-    if gen is Generator.B:
-        # Representative in {-2, ..., 3}.
-        return (e + 2) % 6 - 2
-    return e % 2
-
-
 class Word:
     """Immutable sequence of (Generator, int) items, stored as given; parse
     is what validates outside text."""
@@ -81,14 +72,19 @@ def normalize(word: Word) -> Word:
     A factor that cancels to the identity exposes the entry below it, which
     later items can then merge with, so this runs against a stack rather than
     the raw neighbor pairs.  The stack never holds two adjacent equal
-    generators, so one merge per incoming item is enough.
+    generators, so one merge per incoming item is enough.  Exponents of B
+    reduce to {-2, ..., 3}, of A and R to {0, 1}; N keeps its exponent.
     """
+    N, B = Generator.N, Generator.B
     stack: list[tuple[Generator, int]] = []
     for gen, exp in word.items:
         if stack and stack[-1][0] is gen:
             exp += stack.pop()[1]
-        exp = _canonical_exponent(gen, exp)
-        if exp != 0:
+        if gen is B:
+            exp = (exp + 2) % 6 - 2
+        elif gen is not N:
+            exp %= 2
+        if exp:
             stack.append((gen, exp))
     return Word(stack)
 
@@ -100,10 +96,12 @@ def evaluate(word: Word, unit: EisensteinInt = ONE) -> GroupMatrix:
     entries a + b*w, seeded with the diagonal unit_correction(unit)
     (ValueError on a non-unit).  Each generator power is a short column
     operation (N mixes columns 1, 2, 4; A swaps columns 2 and 3; B scales
-    column 2; R permutes and negates); the matrix is built once at the end.
+    column 2; R permutes and negates); the columns fill the matrix's flat
+    row-major layout once at the end.
     """
-    u = unit_correction(unit).rows
-    cols = [[v for row in u for v in (row[j].a, row[j].b)] for j in range(4)]
+    u = unit_correction(unit).flat
+    cols = [[v for i in range(j, 32, 8) for v in u[i:i + 2]]
+            for j in (0, 2, 4, 6)]
     for gen, e in word.items:
         if gen is Generator.N:
             # c4 += (p + e*w) c1 + e c2, with p + e*w the corner of N^e.
@@ -126,9 +124,8 @@ def evaluate(word: Word, unit: EisensteinInt = ONE) -> GroupMatrix:
         elif e % 2:
             c1, c2, c3, c4 = cols
             cols = [c4, [-v for v in c2], [-v for v in c3], c1]
-    return GroupMatrix(
-        tuple(tuple(EisensteinInt(c[i], c[i + 1]) for c in cols) for i in _ROWS),
-        check=False)
+    return GroupMatrix.from_flat(
+        tuple(v for i in _ROWS for c in cols for v in c[i:i + 2]))
 
 
 # Offsets of the four rows' (a, b) pairs in a flat column.

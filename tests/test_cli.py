@@ -241,6 +241,36 @@ def test_fuzz_failure_writes_counterexample(tmp_path, capsys, monkeypatch):
     assert matrix_from_json_text(json.dumps(dump)) == calls[2]
 
 
+def test_fuzz_failure_dumps_partial_trace(tmp_path, capsys, monkeypatch):
+    # A round that fails leaves the rounds before it in the dump, as the
+    # --trace JSON writes them.
+    from picard31.decomposer import (decompose_traced, random_element,
+                                     reduction_step)
+    from picard31.errors import InternalError
+
+    calls = []
+
+    def failing_on_third(g):
+        calls.append(g)
+        if len(calls) == 3:
+            raise InternalError("injected round failure")
+        return reduction_step(g)
+
+    g = evaluate(random_element(45, 40))
+    steps = decompose_traced(g)[1].steps
+    assert len(steps) >= 3
+    monkeypatch.setattr("picard31.decomposer.reduction_step", failing_on_third)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, ["fuzz", "--seed", "45", "--iterations", "1",
+                                  "--json"])
+    assert code == 1
+    assert "failed: injected round failure" in err
+    dump = json.loads((tmp_path / "picard31-counterexample.json").read_text())
+    assert dump["error"] == "injected round failure"
+    assert dump["steps"] == [step.to_json() for step in steps[:2]]
+    assert matrix_from_json_text(json.dumps(dump)) == g
+
+
 def test_fuzz_text(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, ["fuzz", "--seed", "20", "--iterations", "5"])

@@ -11,7 +11,8 @@ from picard31.eisenstein import (OMEGA, ONE, UNITS, ZERO, EisensteinInt,
                                  round_nearest)
 from picard31.errors import DomainError, InternalError, ParityError
 from picard31.hermitian import (GroupMatrix, HeisenbergTranslation, identity,
-                                translation_matrix, unit_correction)
+                                inversion, translation_matrix,
+                                unit_correction)
 from picard31.decomposer import (decompose, decompose_traced,
                                  decompose_translation, langlands_extract,
                                  random_element, random_stabilizer,
@@ -122,6 +123,19 @@ def test_reduction_step_contracts():
         assert step.n_after == out.rows[3][0].norm()
         # The step stays inside the group.
         assert GroupMatrix(out.rows) == out
+
+
+def test_reduction_step_matches_generic_product():
+    # The row-operation kernel against R * N_(tau,k) * g computed by
+    # GroupMatrix.__mul__, on every round of each reduction.
+    rounds = 0
+    for g in non_stabilizers(900, 150, max_len=60):
+        while not g.fixes_infinity():
+            out, step = reduction_step(g)
+            assert out == inversion() * translation_matrix(step.tau, step.k) * g
+            g = out
+            rounds += 1
+    assert rounds > 400
 
 
 def test_step_bound():

@@ -66,6 +66,17 @@ def test_membership_rejects_perturbation():
     assert not check_membership([[ONE] * 4] * 3)
 
 
+def test_malformed_grid_is_not_a_member():
+    # Plain ints are not Eisenstein integer entries, and 5 is no grid.
+    ints = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    for bad in (ints, 5):
+        assert not check_membership(bad)
+        with pytest.raises(NotMemberError):
+            GroupMatrix(bad)
+        with pytest.raises(NotMemberError):
+            GroupMatrix(bad, check=False)
+
+
 def test_products_stay_in_group():
     rng = random.Random(1)
     for _ in range(50):

@@ -1,17 +1,21 @@
 """Hypothesis properties: the Z[w] ring laws, the stabilizer-of-infinity
-formula on large entries, word evaluation against the generic matrix
-product, the word normalizer, and the matrix JSON boundary."""
+formula on large entries, word evaluation and the reduction round against
+the generic matrix product, the form check's first defect, the word
+normalizer, and the matrix JSON boundary."""
 
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from picard31.decomposer import decompose_traced, random_element, verify
+from picard31.decomposer import (decompose_traced, random_element,
+                                 reduction_step, verify)
 from picard31.eisenstein import MU_POWERS, ONE, UNITS, ZERO, EisensteinInt
 from picard31.errors import NotMemberError
 from picard31.finite_unitary import U1, U2, enumerate_group
 from picard31.hermitian import (GroupMatrix, HeisenbergParam,
-                                HeisenbergTranslation, inversion,
+                                HeisenbergTranslation, check_membership,
+                                inversion,
                                 langlands_extract, matrix_from_json_text,
                                 matrix_to_json_text, rotation_matrix,
                                 translation_matrix, unit_correction)
@@ -106,6 +110,63 @@ def test_evaluate_matches_generic_product(word, lam):
     for gen, e in word:
         expected = expected * _GENERATOR_MATRICES[gen] ** e
     assert evaluate(word, lam) == expected
+
+
+@settings(max_examples=200, **_SETTINGS)
+@given(st.lists(st.tuples(st.sampled_from(tuple(Generator)), _EXPONENT),
+                max_size=40).map(Word))
+def test_reduction_step_matches_generic_product(word):
+    # Exponents up to 10^6 give entries of hundreds of bits.  A g fixing
+    # infinity has g44 a unit, so g R does not fix it.
+    g = evaluate(word)
+    if g.fixes_infinity():
+        g = g * inversion()
+    out, step = reduction_step(g)
+    assert out == inversion() * translation_matrix(step.tau, step.k) * g
+
+
+_J_ROWS = ((0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0))
+
+
+def _first_defect(rows):
+    """Row-major scan of all 16 entries of M* J M against J, in Z[w]."""
+    for j in range(4):
+        for k in range(4):
+            val = ZERO
+            for r, s in ((0, 3), (1, 1), (2, 2), (3, 0)):
+                val = val + rows[r][j].conj() * rows[s][k]
+            if val != EisensteinInt(_J_ROWS[j][k]):
+                return (j + 1, k + 1)
+    return None
+
+
+@st.composite
+def spoiled_members(draw):
+    """A member's rows with one or two entries shifted by a nonzero amount."""
+    rows = [list(row) for row in
+            evaluate(random_element(draw(st.integers(0, 10 ** 6)), 40)).rows]
+    for _ in range(draw(st.integers(1, 2))):
+        i, j = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        rows[i][j] = rows[i][j] + draw(_ZW.filter(bool))
+    return rows
+
+
+@settings(max_examples=300, **_SETTINGS)
+@given(spoiled_members())
+def test_form_check_names_first_defect(rows):
+    want = _first_defect(rows)
+    assert check_membership(rows) == (want is None)
+    if want is None:
+        return
+    message = ("matrix does not preserve the Hermitian form: "
+               f"defect at entry {want}")
+    with pytest.raises(NotMemberError) as info:
+        GroupMatrix(rows)
+    assert str(info.value) == message
+    text = json.dumps({"matrix": [[[e.a, e.b] for e in row] for row in rows]})
+    with pytest.raises(NotMemberError) as info:
+        matrix_from_json_text(text)
+    assert str(info.value) == message
 
 
 @settings(max_examples=300, **_SETTINGS)
