@@ -31,8 +31,10 @@ from .jsonutil import canonical_dumps, decode_coeffs, encode_int, encode_pair
 
 
 def _flatten(entries) -> tuple:
-    """Four rows of four EisensteinInt as the 32-int layout; NotMemberError
-    on any other shape or entry type."""
+    """Four rows of four EisensteinInt, or a GroupMatrix, as the 32-int
+    layout; NotMemberError on any other shape or entry type."""
+    if isinstance(entries, GroupMatrix):
+        return entries.flat
     try:
         rows = tuple(tuple(row) for row in entries)
     except TypeError:
@@ -88,8 +90,8 @@ def _require_member(flat: tuple) -> None:
 
 
 def check_membership(entries) -> bool:
-    """True iff entries are four rows of four EisensteinInt and M* J M = J
-    holds entrywise exactly."""
+    """True iff entries are four rows of four EisensteinInt (or a
+    GroupMatrix) and M* J M = J holds entrywise exactly."""
     try:
         flat = _flatten(entries)
     except NotMemberError:

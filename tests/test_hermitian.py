@@ -55,6 +55,7 @@ def test_form_matrix():
 def test_generators_preserve_form():
     for g in (N1, A, B, R, identity()):
         assert check_membership(g.rows)
+        assert check_membership(g)
 
 
 def test_membership_rejects_perturbation():
