@@ -22,7 +22,8 @@ from .eisenstein import UNITS, EisensteinInt, round_nearest
 from .errors import InternalError
 from .finite_unitary import enumerate_group, u_decompose
 from .hermitian import (GroupMatrix, HeisenbergParam, HeisenbergTranslation,
-                        image_of_infinity, langlands_extract)
+                        heisenberg_corner, image_of_infinity,
+                        langlands_extract)
 from .jsonutil import encode_int, encode_pair
 from .words import (DecompositionResult, Generator, Word, evaluate, normalize,
                     serialize)
@@ -85,21 +86,18 @@ def translation_data(g: GroupMatrix):
 
     tau1 = -round_nearest(p1, n)
     tau2 = -round_nearest(p2, n)
-    pa, pb, qa, qb = p1.a, p1.b, p2.a, p2.b
-    t1a, t1b, t2a, t2b = tau1.a, tau1.b, tau2.a, tau2.b
-    # N(a + bw) = a^2 - ab + b^2, and the w-coefficient of
-    # (a + bw) conj(c + dw) is cb - da.
-    xa, xb, ya, yb = pa + t1a * n, pb + t1b * n, qa + t2a * n, qb + t2b * n
-    s = xa * xa - xa * xb + xb * xb + ya * ya - ya * yb + yb * yb
-    zb = c1.b - (t1a * pb - t1b * pa) - (t2a * qb - t2b * qa)
+    s = (p1 + tau1 * n).norm() + (p2 + tau2 * n).norm()
+    zb = (c1 - p1 * tau1.conj() - p2 * tau2.conj()).b
 
-    # k must match the parity of |tau|^2 and minimize |zb + k n|; same-parity
-    # integers are 2 apart, so the minimum is at most n.  Ties prefer the
-    # smaller |k|, then the smaller k.
-    m = t1a * t1a - t1a * t1b + t1b * t1b + t2a * t2a - t2a * t2b + t2b * t2b
-    base = -zb // n
-    candidates = [k for k in range(base - 3, base + 4) if (k - m) % 2 == 0]
-    k = min(candidates, key=lambda c: (abs(zb + c * n), abs(c), c))
+    # k must match the parity of m = |tau|^2 and minimize |zb + k n|.  That
+    # is convex in k with its minimum at -zb/n, so over the same-parity
+    # integers it is least at lo, the largest one <= -zb/n, or at lo + 2;
+    # the minimum is at most n.  Ties prefer the smaller |k|, then the
+    # smaller k.
+    m = tau1.norm() + tau2.norm()
+    lo = -zb // n
+    lo -= (lo - m) % 2
+    k = min((lo, lo + 2), key=lambda c: (abs(zb + c * n), abs(c), c))
     return HeisenbergTranslation(tau1, tau2, k), s, zb, n
 
 
@@ -114,10 +112,9 @@ def reduction_step(g: GroupMatrix) -> tuple[GroupMatrix, ReductionStep]:
     tr, s, zb, n = translation_data(g)
     k = tr.k
     t1a, t1b, t2a, t2b = tr.tau1.a, tr.tau1.b, tr.tau2.a, tr.tau2.b
-    # conj(a + bw) = (a - b) - bw, and the corner ((k - m)/2) + kw of N_(tau,k).
+    # conj(a + bw) = (a - b) - bw, and the corner ea + kw of N_(tau,k).
     u1a, u1b, u2a, u2b = t1a - t1b, -t1b, t2a - t2b, -t2b
-    m = t1a * t1a - t1a * t1b + t1b * t1b + t2a * t2a - t2a * t2b + t2b * t2b
-    ea = (k - m) // 2
+    ea = heisenberg_corner(tr.tau1.norm() + tr.tau2.norm(), k).a
 
     # Rows r1..r4 become r4, -(r2 + tau1 r4), -(r3 + tau2 r4) and
     # r1 - conj(tau1) r2 - conj(tau2) r3 + corner r4, column by column, with

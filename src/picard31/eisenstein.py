@@ -77,9 +77,6 @@ class EisensteinInt:
             raise ZeroDivisionError(f"{self!r} is not a unit")
         return self.conj()
 
-    def to_complex(self) -> complex:
-        return complex(self.a - self.b / 2, self.b * _SQRT3_FLOAT / 2)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, EisensteinInt):
             return self.a == other.a and self.b == other.b
@@ -104,8 +101,6 @@ class EisensteinInt:
             return f"{self.b}w"
         return f"{self.a}{self.b:+}w"
 
-
-_SQRT3_FLOAT = 3 ** 0.5
 
 ZERO = EisensteinInt(0, 0)
 ONE = EisensteinInt(1, 0)

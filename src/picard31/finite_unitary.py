@@ -20,10 +20,6 @@ from .hermitian import FiniteUnitary
 from .words import Generator, Word, normalize
 
 
-def identity() -> FiniteUnitary:
-    return FiniteUnitary(((ONE, ZERO), (ZERO, ONE)))
-
-
 U1 = FiniteUnitary(((ZERO, ONE), (ONE, ZERO)))
 U2 = FiniteUnitary(((-OMEGA, ZERO), (ZERO, ONE)))
 

@@ -109,10 +109,9 @@ class GroupMatrix:
 
     __slots__ = ("flat",)
 
-    def __init__(self, entries, *, check: bool = True):
+    def __init__(self, entries):
         flat = _flatten(entries)
-        if check:
-            _require_member(flat)
+        _require_member(flat)
         self.flat = flat
 
     @classmethod
@@ -279,6 +278,7 @@ class HeisenbergTranslation:
         return HeisenbergParam(ONE, self, _NO_ROTATION).matrix()
 
 
+@dataclass(frozen=True)
 class FiniteUnitary:
     """2x2 Eisenstein matrix with U* U = I: the group U(2; Z[w]).
 
@@ -286,29 +286,18 @@ class FiniteUnitary:
     with both entries sixth roots of unity, giving 2 * 6 * 6 = 72 elements.
     """
 
-    __slots__ = ("rows",)
+    rows: tuple
 
-    def __init__(self, rows):
-        rows = tuple(tuple(row) for row in rows)
+    def __post_init__(self):
+        rows = tuple(tuple(row) for row in self.rows)
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise NotMemberError("expected a 2x2 matrix")
         if not _is_unitary(rows):
             raise NotMemberError(f"not in U(2; Z[w]): {rows}")
-        self.rows = rows
+        object.__setattr__(self, "rows", rows)
 
     def is_diagonal(self) -> bool:
         return self.rows[0][1].is_zero() and self.rows[1][0].is_zero()
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FiniteUnitary):
-            return self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"FiniteUnitary({self.rows!r})"
 
     def __str__(self) -> str:
         (a, b), (c, d) = self.rows
@@ -415,7 +404,7 @@ def inversion() -> GroupMatrix:
         (ZERO, -ONE, ZERO, ZERO),
         (ZERO, ZERO, -ONE, ZERO),
         (ONE, ZERO, ZERO, ZERO),
-    ), check=False)
+    ))
 
 
 def unit_correction(lam: EisensteinInt) -> GroupMatrix:

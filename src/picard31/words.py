@@ -104,7 +104,9 @@ def evaluate(word: Word, unit: EisensteinInt = ONE) -> GroupMatrix:
             for j in (0, 2, 4, 6)]
     for gen, e in word.items:
         if gen is Generator.N:
-            # c4 += (p + e*w) c1 + e c2, with p + e*w the corner of N^e.
+            # c4 += (p + e*w) c1 + e c2, with p + e*w the corner of N^e,
+            # written inline rather than by heisenberg_corner because this
+            # runs once per letter.
             c1, c2, _, c4 = cols
             p = (e - e * e) // 2
             for i in _ROWS:

@@ -1,5 +1,6 @@
 """The finite unitary rotation group and its word table."""
 
+import dataclasses
 from collections import deque
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from picard31.eisenstein import OMEGA, ONE, ZERO, EisensteinInt
 from picard31.errors import NotMemberError
 from picard31.finite_unitary import (U1, U2, FiniteUnitary, enumerate_group,
-                                     identity, u_decompose, word_table)
+                                     u_decompose, word_table)
 from picard31.hermitian import identity as identity4, rotation_matrix
 from picard31.jsonutil import decode_pair
 from picard31.words import Generator, Word, evaluate, serialize
@@ -16,6 +17,13 @@ from picard31.words import Generator, Word, evaluate, serialize
 def test_generators_are_members():
     FiniteUnitary(U1.rows)
     FiniteUnitary(U2.rows)
+
+
+def test_frozen():
+    # Elements key the word table, so they must not change after hashing.
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        U1.rows = U2.rows
+    assert U1.rows == ((ZERO, ONE), (ONE, ZERO))
 
 
 def test_membership_rejects():
@@ -96,7 +104,7 @@ def test_u_decompose_fixed_case():
     u = FiniteUnitary(((ONE, ZERO), (ZERO, -OMEGA)))
     word = u_decompose(u)
     assert serialize(word) == "A B A"
-    assert u_decompose(identity()) == Word()
+    assert u_decompose(FiniteUnitary(((ONE, ZERO), (ZERO, ONE)))) == Word()
 
 
 def test_u_decompose_rejects_non_member():
