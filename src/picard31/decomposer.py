@@ -86,8 +86,14 @@ def translation_data(g: GroupMatrix):
 
     tau1 = -round_nearest(p1, n)
     tau2 = -round_nearest(p2, n)
-    s = (p1 + tau1 * n).norm() + (p2 + tau2 * n).norm()
-    zb = (c1 - p1 * tau1.conj() - p2 * tau2.conj()).b
+    pa, pb, qa, qb = p1.a, p1.b, p2.a, p2.b
+    t1a, t1b, t2a, t2b = tau1.a, tau1.b, tau2.a, tau2.b
+    # s and zb in plain ints, as EisensteinInt products would also build
+    # coefficients of the big entries that are not needed: N(a + bw) =
+    # a^2 - ab + b^2, and the w-coefficient of (a + bw) conj(c + dw) is cb - da.
+    xa, xb, ya, yb = pa + t1a * n, pb + t1b * n, qa + t2a * n, qb + t2b * n
+    s = xa * xa - xa * xb + xb * xb + ya * ya - ya * yb + yb * yb
+    zb = c1.b - (t1a * pb - t1b * pa) - (t2a * qb - t2b * qa)
 
     # k must match the parity of m = |tau|^2 and minimize |zb + k n|.  That
     # is convex in k with its minimum at -zb/n, so over the same-parity
