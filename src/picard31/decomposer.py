@@ -88,9 +88,9 @@ def translation_data(g: GroupMatrix):
     tau2 = -round_nearest(p2, n)
     pa, pb, qa, qb = p1.a, p1.b, p2.a, p2.b
     t1a, t1b, t2a, t2b = tau1.a, tau1.b, tau2.a, tau2.b
-    # s and zb in plain ints, as EisensteinInt products would also build
-    # coefficients of the big entries that are not needed: N(a + bw) =
-    # a^2 - ab + b^2, and the w-coefficient of (a + bw) conj(c + dw) is cb - da.
+    # Plain ints, as EisensteinInt products would also compute coefficients
+    # that s and zb do not use: N(a + bw) = a^2 - ab + b^2, and the
+    # w-coefficient of (a + bw) conj(c + dw) is cb - da.
     xa, xb, ya, yb = pa + t1a * n, pb + t1b * n, qa + t2a * n, qb + t2b * n
     s = xa * xa - xa * xb + xb * xb + ya * ya - ya * yb + yb * yb
     zb = c1.b - (t1a * pb - t1b * pa) - (t2a * qb - t2b * qa)
