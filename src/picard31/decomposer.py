@@ -110,10 +110,11 @@ def translation_data(g: GroupMatrix):
 def reduction_step(g: GroupMatrix) -> tuple[GroupMatrix, ReductionStep]:
     """One round: g' = R * N_(tau,k) * g with the chosen translation.
 
-    Computed by direct row operations on the 32-int layout; a generic
-    product would redo the structure of R and N.  Both the contraction
-    36 n' <= 31 n and the exact ratio 4 n^3 n' = s^2 + 3 n^2 (zb + k n)^2 of
-    translation_data are asserted in integers.
+    Computed by direct row operations on each column of GroupMatrix's
+    layout; a generic product would redo the structure of R and N.  Both
+    the contraction 36 n' <= 31 n and the exact ratio
+    4 n^3 n' = s^2 + 3 n^2 (zb + k n)^2 of translation_data are asserted
+    in integers.
     """
     tr, s, zb, n = translation_data(g)
     k = tr.k
@@ -123,32 +124,29 @@ def reduction_step(g: GroupMatrix) -> tuple[GroupMatrix, ReductionStep]:
     ea = heisenberg_corner(tr.tau1.norm() + tr.tau2.norm(), k).a
 
     # Rows r1..r4 become r4, -(r2 + tau1 r4), -(r3 + tau2 r4) and
-    # r1 - conj(tau1) r2 - conj(tau2) r3 + corner r4, column by column, with
+    # r1 - conj(tau1) r2 - conj(tau2) r3 + corner r4, in each column, with
     # (p + qw)(c + dw) = (pc - qd) + (pd + qc - qd)w.
     v = g.flat
-    row2, row3, row4 = [], [], []
-    for j in (0, 2, 4, 6):
-        a1, b1 = v[j], v[j + 1]
-        a2, b2 = v[j + 8], v[j + 9]
-        a3, b3 = v[j + 16], v[j + 17]
-        x, y = v[j + 24], v[j + 25]
-        row2 += (-(a2 + t1a * x - t1b * y), -(b2 + t1a * y + t1b * x - t1b * y))
-        row3 += (-(a3 + t2a * x - t2b * y), -(b3 + t2a * y + t2b * x - t2b * y))
-        row4 += (a1 - (u1a * a2 - u1b * b2) - (u2a * a3 - u2b * b3)
-                 + ea * x - k * y,
-                 b1 - (u1a * b2 + u1b * a2 - u1b * b2)
-                 - (u2a * b3 + u2b * a3 - u2b * b3) + ea * y + k * x - k * y)
-    out = GroupMatrix.from_flat(v[24:32] + tuple(row2 + row3 + row4))
+    out = []
+    for c in (0, 8, 16, 24):
+        a1, b1, a2, b2, a3, b3, x, y = v[c:c + 8]
+        out += (x, y,
+                -(a2 + t1a * x - t1b * y), -(b2 + t1a * y + t1b * x - t1b * y),
+                -(a3 + t2a * x - t2b * y), -(b3 + t2a * y + t2b * x - t2b * y),
+                a1 - (u1a * a2 - u1b * b2) - (u2a * a3 - u2b * b3)
+                + ea * x - k * y,
+                b1 - (u1a * b2 + u1b * a2 - u1b * b2)
+                - (u2a * b3 + u2b * a3 - u2b * b3) + ea * y + k * x - k * y)
 
-    x, y = row4[0], row4[1]
+    x, y = out[6], out[7]
     n_after = x * x - x * y + y * y
     if 36 * n_after > 31 * n:
         raise InternalError(f"reduction failed to contract: {n} -> {n_after}")
     if 4 * n ** 3 * n_after != s * s + 3 * n * n * (zb + k * n) ** 2:
         raise InternalError(f"norm {n} -> {n_after} does not match the "
                             f"predicted ratio (s={s}, zb={zb}, k={k})")
-    return out, ReductionStep(tau=tr.tau, k=k,
-                              n_before=n, n_after=n_after)
+    return GroupMatrix.from_flat(tuple(out)), ReductionStep(
+        tau=tr.tau, k=k, n_before=n, n_after=n_after)
 
 
 def step_bound(n0: int) -> int:

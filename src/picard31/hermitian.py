@@ -10,14 +10,17 @@ format, and the stabilizer of infinity: the one Heisenberg translation record
 block FiniteUnitary, and HeisenbergParam, whose matrix() is the one formula
 for an element fixing infinity and whose inverse is langlands_extract.
 
-A GroupMatrix keeps its entries as one tuple of 32 ints, the row-major
-(a, b) pairs of the entries a + b*w, so entry (i, j) (0-indexed) is
-flat[8i + 2j] + flat[8i + 2j + 1] w.  Products, the form check, the
-boundary action, the JSON codec and langlands_extract read these ints
-directly; rows, four rows of EisensteinInt, is a view built on request.
+A GroupMatrix keeps its entries as one tuple of 32 ints, the (a, b)
+pairs of the entries a + b*w column by column: entry (i, j) (0-indexed)
+is flat[8j + 2i] + flat[8j + 2i + 1] w, and column j is flat[8j:8j + 8].
+The kernels (the form check, the boundary action, evaluate and the
+reduction round) read whole columns.  Rows appear only at the edges,
+which transpose: the rows constructor, rows (four rows of EisensteinInt,
+built on request), the row-major JSON codec and the left factor of a
+product.
 The form check scans only the upper triangle j <= k of M* J M: that
 matrix is Hermitian and J is real symmetric, so a defect at (k, j) below
-the diagonal mirrors one at (j, k), which a row-major scan meets first.
+the diagonal mirrors one at (j, k), which a row-by-row scan meets first.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ def _flatten(entries) -> tuple:
         raise NotMemberError("expected a 4x4 matrix") from None
     if len(rows) != 4 or any(len(r) != 4 for r in rows):
         raise NotMemberError("expected a 4x4 matrix")
-    entries = rows[0] + rows[1] + rows[2] + rows[3]
+    entries = tuple(r[j] for j in range(4) for r in rows)
     if not all(isinstance(e, EisensteinInt) for e in entries):
         raise NotMemberError("matrix entries must be Eisenstein integers")
     return _coeffs(entries)
@@ -63,12 +66,10 @@ def _form_defect(flat: tuple) -> tuple | None:
     each term conj(a + bw)(c + dw) = ((a - b)c + bd) + (ad - bc)w.  Only
     j <= k is scanned; see the module docstring.
     """
-    # Column j as its (a) and (b) coefficients down rows 0..3.
-    cols = [(flat[i::8], flat[i + 1::8]) for i in (0, 2, 4, 6)]
     for j in range(4):
-        (a0, a1, a2, a3), (b0, b1, b2, b3) = cols[j]
+        a0, b0, a1, b1, a2, b2, a3, b3 = flat[8 * j:8 * j + 8]
         for k in range(j, 4):
-            (c0, c1, c2, c3), (d0, d1, d2, d3) = cols[k]
+            c0, d0, c1, d1, c2, d2, c3, d3 = flat[8 * k:8 * k + 8]
             re = ((a0 - b0) * c3 + b0 * d3 + (a1 - b1) * c1 + b1 * d1
                   + (a2 - b2) * c2 + b2 * d2 + (a3 - b3) * c0 + b3 * d0)
             im = (a0 * d3 - b0 * c3 + a1 * d1 - b1 * c1
@@ -116,7 +117,8 @@ class GroupMatrix:
 
     @classmethod
     def from_flat(cls, flat: tuple) -> GroupMatrix:
-        """The matrix whose 32-int layout is flat, without any check."""
+        """The matrix whose 32-int layout (see the module docstring) is
+        flat, without any check."""
         g = object.__new__(cls)
         g.flat = flat
         return g
@@ -125,18 +127,20 @@ class GroupMatrix:
     def rows(self) -> tuple:
         """The entries as four rows of EisensteinInt, built on each read."""
         v = self.flat
-        return tuple(tuple(EisensteinInt(v[i], v[i + 1])
-                           for i in range(r, r + 8, 2))
-                     for r in (0, 8, 16, 24))
+        return tuple(tuple(EisensteinInt(v[c], v[c + 1])
+                           for c in range(i, i + 32, 8))
+                     for i in (0, 2, 4, 6))
 
     def __mul__(self, other: GroupMatrix) -> GroupMatrix:
-        # (p + qw)(c + dw) = (pc - qd) + (pd + qc - qd)w, summed along j.
+        # (p + qw)(c + dw) = (pc - qd) + (pd + qc - qd)w, summed along j;
+        # each row of self as its (p) and (q) coefficients.
         a = self.flat
-        cols = [(other.flat[i::8], other.flat[i + 1::8]) for i in (0, 2, 4, 6)]
+        rows = [(a[i::8], a[i + 1::8]) for i in (0, 2, 4, 6)]
+        b = other.flat
         out = []
-        for r in (0, 8, 16, 24):
-            p0, q0, p1, q1, p2, q2, p3, q3 = a[r:r + 8]
-            for (c0, c1, c2, c3), (d0, d1, d2, d3) in cols:
+        for c in (0, 8, 16, 24):
+            c0, d0, c1, d1, c2, d2, c3, d3 = b[c:c + 8]
+            for (p0, p1, p2, p3), (q0, q1, q2, q3) in rows:
                 qd = q0 * d0 + q1 * d1 + q2 * d2 + q3 * d3
                 out.append(p0 * c0 + p1 * c1 + p2 * c2 + p3 * c3 - qd)
                 out.append(p0 * d0 + q0 * c0 + p1 * d1 + q1 * c1 + p2 * d2
@@ -163,18 +167,18 @@ class GroupMatrix:
         return self._conj_permuted((3, 1, 2, 0))
 
     def _conj_permuted(self, perm) -> GroupMatrix:
-        # Entry (j, k) of the result is conj(M[perm[k]][perm[j]]), and
-        # conj(a + bw) = (a - b) - bw.
+        # Column k of the result is conj(row perm[k] of M), its entries
+        # permuted by perm, and conj(a + bw) = (a - b) - bw.
         v = self.flat
         out = []
-        for j in perm:
-            for k in perm:
-                a, b = v[8 * k + 2 * j], v[8 * k + 2 * j + 1]
+        for k in perm:
+            for j in perm:
+                a, b = v[8 * j + 2 * k], v[8 * j + 2 * k + 1]
                 out += (a - b, -b)
         return GroupMatrix.from_flat(tuple(out))
 
     def fixes_infinity(self) -> bool:
-        return not (self.flat[24] or self.flat[25])
+        return not (self.flat[6] or self.flat[7])
 
     def __eq__(self, other) -> bool:
         if isinstance(other, GroupMatrix):
@@ -190,8 +194,8 @@ class GroupMatrix:
 
     def to_json(self) -> dict:
         v = [encode_int(x) for x in self.flat]
-        return {"matrix": [[v[i:i + 2] for i in range(r, r + 8, 2)]
-                           for r in (0, 8, 16, 24)]}
+        return {"matrix": [[v[c:c + 2] for c in range(i, i + 32, 8)]
+                           for i in (0, 2, 4, 6)]}
 
     @classmethod
     def from_json(cls, obj: dict) -> GroupMatrix:
@@ -200,13 +204,13 @@ class GroupMatrix:
         entries = obj["matrix"]
         if not isinstance(entries, list) or len(entries) != 4:
             raise ValueError("matrix must have 4 rows")
-        flat = []
+        cols = [[], [], [], []]
         for row in entries:
             if not isinstance(row, list) or len(row) != 4:
                 raise ValueError("each matrix row must have 4 entries")
-            for e in row:
-                flat += decode_coeffs(e)
-        flat = tuple(flat)
+            for col, e in zip(cols, row):
+                col += decode_coeffs(e)
+        flat = tuple(cols[0] + cols[1] + cols[2] + cols[3])
         _require_member(flat)
         return cls.from_flat(flat)
 
@@ -224,13 +228,12 @@ def image_of_infinity(g: GroupMatrix) -> tuple:
     2 Re(c1/n) = -|c2/n|^2 - |c3/n|^2, that is (2 a1 - b1) n = -N(c2) - N(c3)
     with c1 = a1 + b1 w.
     """
-    v = g.flat
-    x, y = v[24], v[25]
+    a1, b1, a2, b2, a3, b3, x, y = g.flat[0:8]
     if not (x or y):
         raise DomainError("matrix fixes infinity; its image has no affine coordinates")
     # (a + bw) conj(x + yw) = (a(x - y) + by) + (bx - ay)w
     return tuple(EisensteinInt(a * (x - y) + b * y, b * x - a * y)
-                 for a, b in (v[0:2], v[8:10], v[16:18])) + (x * x - x * y + y * y,)
+                 for a, b in ((a1, b1), (a2, b2), (a3, b3))) + (x * x - x * y + y * y,)
 
 
 def heisenberg_corner(m: int, k: int) -> EisensteinInt:
@@ -332,19 +335,19 @@ class HeisenbergParam:
             raise ValueError(f"{self.lam!r} is not a unit of Z[w]")
 
     def matrix(self) -> GroupMatrix:
-        """Rows (lam, -lam tau* u, lam e), (0, u, tau) and (0, 0, 0, lam),
-        with e = heisenberg_corner(|tau|^2, k): the one place the entries
-        of an element fixing infinity are written."""
+        """Column 1 is (lam, 0, 0, 0), columns 2-3 stack -lam tau* u over u
+        over zeros, and column 4 is (lam e, tau, lam), with
+        e = heisenberg_corner(|tau|^2, k): the one place the entries of an
+        element fixing infinity are written."""
         lam, tr = self.lam, self.translation
         (a, b), (c, d) = self.u.rows
         ct1, ct2 = tr.tau1.conj(), tr.tau2.conj()
         corner = heisenberg_corner(tr.tau1.norm() + tr.tau2.norm(), tr.k)
         return GroupMatrix.from_flat(_coeffs((
-            lam, -(lam * (ct1 * a + ct2 * c)), -(lam * (ct1 * b + ct2 * d)),
-            lam * corner,
-            ZERO, a, b, tr.tau1,
-            ZERO, c, d, tr.tau2,
-            ZERO, ZERO, ZERO, lam,
+            lam, ZERO, ZERO, ZERO,
+            -(lam * (ct1 * a + ct2 * c)), a, c, ZERO,
+            -(lam * (ct1 * b + ct2 * d)), b, d, ZERO,
+            lam * corner, tr.tau1, tr.tau2, lam,
         )))
 
 
@@ -361,19 +364,19 @@ def langlands_extract(p: GroupMatrix) -> HeisenbergParam:
     unit, u unitary and the corner consistent with |tau|^2; then the rebuilt
     matrix must equal p.  Any failure raises ShapeError.
     """
-    v = p.flat  # entry (i, j) at v[8i + 2j], v[8i + 2j + 1]
+    v = p.flat  # the column layout of the module docstring
     lam = EisensteinInt(v[0], v[1])
     if not lam.is_unit():
         raise ShapeError(f"corner entry {lam} is not a unit")
-    u_rows = ((EisensteinInt(v[10], v[11]), EisensteinInt(v[12], v[13])),
-              (EisensteinInt(v[18], v[19]), EisensteinInt(v[20], v[21])))
+    u_rows = ((EisensteinInt(v[10], v[11]), EisensteinInt(v[18], v[19])),
+              (EisensteinInt(v[12], v[13]), EisensteinInt(v[20], v[21])))
     try:
         u = FiniteUnitary(u_rows)
     except NotMemberError:
         raise ShapeError(
             f"middle block {u_rows} is not in U(2; Z[w])") from None
-    tau1, tau2 = EisensteinInt(v[14], v[15]), EisensteinInt(v[22], v[23])
-    corner = lam.unit_inverse() * EisensteinInt(v[6], v[7])
+    tau1, tau2 = EisensteinInt(v[26], v[27]), EisensteinInt(v[28], v[29])
+    corner = lam.unit_inverse() * EisensteinInt(v[24], v[25])
     m = tau1.norm() + tau2.norm()
     # corner = ((k - m)/2, k) with k = corner.b; this implies the parity rule.
     if corner.b - 2 * corner.a != m:

@@ -92,16 +92,14 @@ def normalize(word: Word) -> Word:
 def evaluate(word: Word, unit: EisensteinInt = ONE) -> GroupMatrix:
     """unit_correction(unit) times the product of the word's generator powers.
 
-    Works on four flat int columns, each (a1, b1, ..., a4, b4) for the
-    entries a + b*w, seeded with the diagonal unit_correction(unit)
-    (ValueError on a non-unit).  Each generator power is a short column
-    operation (N mixes columns 1, 2, 4; A swaps columns 2 and 3; B scales
-    column 2; R permutes and negates); the columns fill the matrix's flat
-    row-major layout once at the end.
+    Works on the four columns of GroupMatrix's layout as int lists, seeded
+    with the diagonal unit_correction(unit) (ValueError on a non-unit).
+    Each generator power is a short column operation (N mixes columns 1,
+    2, 4; A swaps columns 2 and 3; B scales column 2; R permutes and
+    negates).
     """
     u = unit_correction(unit).flat
-    cols = [[v for i in range(j, 32, 8) for v in u[i:i + 2]]
-            for j in (0, 2, 4, 6)]
+    cols = [list(u[c:c + 8]) for c in (0, 8, 16, 24)]
     for gen, e in word.items:
         if gen is Generator.N:
             # c4 += (p + e*w) c1 + e c2, with p + e*w the corner of N^e,
@@ -126,8 +124,8 @@ def evaluate(word: Word, unit: EisensteinInt = ONE) -> GroupMatrix:
         elif e % 2:
             c1, c2, c3, c4 = cols
             cols = [c4, [-v for v in c2], [-v for v in c3], c1]
-    return GroupMatrix.from_flat(
-        tuple(v for i in _ROWS for c in cols for v in c[i:i + 2]))
+    c1, c2, c3, c4 = cols
+    return GroupMatrix.from_flat(tuple(c1 + c2 + c3 + c4))
 
 
 # Offsets of the four rows' (a, b) pairs in a flat column.

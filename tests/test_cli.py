@@ -2,11 +2,15 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from picard31.cli import main
-from picard31.eisenstein import ONE, ZERO
+from picard31.eisenstein import ONE, ZERO, EisensteinInt
 from picard31.hermitian import (inversion, matrix_from_json_text,
                                 matrix_to_json_text, translation_matrix,
                                 unit_correction)
@@ -149,6 +153,30 @@ def test_random_deterministic(capsys):
     assert obj["seed"] == 12
     g = matrix_from_json_text(out1)
     assert g == evaluate(parse(obj["word"]))
+
+
+def test_random_text_through_module_entry_point(capsys):
+    # python -m picard31.cli prints the seed, the word and four bracketed
+    # rows, the same as main() and in agreement with the --json run.
+    argv = ["random", "--seed", "41", "--max-len", "6"]
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "picard31.cli"] + argv,
+                          env=env, capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert run(capsys, argv) == (0, proc.stdout, "")
+    seed, word, *rows = proc.stdout.splitlines()
+    code, out, _ = run(capsys, argv + ["--json"])
+    obj = json.loads(out)
+    assert seed == "seed: 41"
+    assert word == f"word: {obj['word']}"
+    assert len(rows) == 4
+    assert all(r.startswith("[") and r.endswith("]") for r in rows)
+    assert [r[1:-1].split() for r in rows] == [
+        [str(EisensteinInt(*e)) for e in row] for row in obj["matrix"]]
 
 
 def test_random_env_seed(capsys, monkeypatch):

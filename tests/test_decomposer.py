@@ -19,7 +19,7 @@ from picard31.decomposer import (decompose, decompose_traced,
                                  reduction_step, step_bound,
                                  translation_data, verify)
 from picard31.words import (DecompositionResult, Generator, Word, evaluate,
-                            parse, serialize)
+                            normalize, parse, serialize)
 
 
 def non_stabilizers(seed, count, max_len=20):
@@ -113,6 +113,34 @@ def test_reduction_ratio_check_is_live(monkeypatch, bump):
     for g in non_stabilizers(700, 20):
         with pytest.raises(InternalError, match="predicted ratio"):
             reduction_step(g)
+
+
+def test_reduction_contraction_check_is_live(monkeypatch):
+    # k moved by 10 keeps its parity, and s and zb stay true to it, so the
+    # ratio identity still holds; only the contraction check can object.
+    def far(g):
+        tr, s, zb, n = translation_data(g)
+        return HeisenbergTranslation(tr.tau1, tr.tau2, tr.k + 10), s, zb, n
+
+    monkeypatch.setattr("picard31.decomposer.translation_data", far)
+    cases = [evaluate(parse("N^3 R B N^-2 R A N R N^2"))]
+    for g in cases + list(non_stabilizers(700, 20)):
+        with pytest.raises(InternalError, match="failed to contract"):
+            reduction_step(g)
+
+
+def test_self_verification_is_live(monkeypatch):
+    # A normalize that drops the word's last item spoils the word; the
+    # self-verification must catch it, with the rounds done attached.
+    g = evaluate(parse("N^3 R B N^-2 R A N R N^2"))
+    steps = decompose_traced(g)[1].steps
+    assert steps
+    monkeypatch.setattr("picard31.decomposer.normalize",
+                        lambda word: Word(normalize(word).items[:-1]))
+    with pytest.raises(InternalError,
+                       match="failed self-verification") as exc:
+        decompose_traced(g)
+    assert exc.value.steps == steps
 
 
 def test_reduction_step_contracts():

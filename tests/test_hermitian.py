@@ -33,8 +33,8 @@ J = GroupMatrix([[EisensteinInt(v) for v in row]
 def non_member(rows):
     """A GroupMatrix of four rows of EisensteinInt with no form check, for
     inputs that are deliberately not group members."""
-    return GroupMatrix.from_flat(
-        tuple(c for row in rows for e in row for c in (e.a, e.b)))
+    return GroupMatrix.from_flat(tuple(c for j in range(4) for row in rows
+                                       for c in (row[j].a, row[j].b)))
 
 
 def random_translation(rng, span=5, kspan=10):
@@ -249,6 +249,25 @@ def test_boundary_point_rejects_off_cone():
     assert not check_membership(g.rows)
     assert image_of_infinity(g) == (ONE, ZERO, ZERO, 1)
     assert not on_cone(image_of_infinity(g))
+
+
+def test_flat_layout_is_by_columns():
+    # Entry (i, j) sits at flat[8j + 2i], flat[8j + 2i + 1]; rows, the
+    # rows constructor and the JSON codec stay row-major.  g has no
+    # symmetry, so a transposed edge would show.
+    g = translation_matrix((ONE, OMEGA), 2) * rotation_matrix(U2)
+    rows = g.rows
+    assert rows != tuple(zip(*rows))
+    assert (rows[1][3], rows[2][3], rows[3][0]) == (ONE, OMEGA, ZERO)
+    for i in range(4):
+        for j in range(4):
+            assert g.flat[8 * j + 2 * i:8 * j + 2 * i + 2] == (rows[i][j].a,
+                                                              rows[i][j].b)
+    assert GroupMatrix(rows).flat == g.flat
+    grid = [[[e.a, e.b] for e in row] for row in rows]
+    assert g.to_json() == {"matrix": grid}
+    assert json.loads(matrix_to_json_text(g)) == {"matrix": grid}
+    assert matrix_from_json_text(json.dumps({"matrix": grid})).flat == g.flat
 
 
 def test_json_round_trip():
