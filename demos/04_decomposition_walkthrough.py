@@ -19,9 +19,12 @@ print("bottom-left norm n0 =", n0)
 print("guaranteed step bound:", step_bound(n0) + 1)
 print()
 
-# Peek at the first round's choice before running the whole thing.  The
-# quality figures are integers over n = |g41|^2: i1 = s / (2 n^2) and
-# |e + k| = |zb + k n| / n.
+# Peek at the first round's choice before running the whole thing.  Of all
+# translations (tau, k) within the paper's bounds i1 <= 1/3 and
+# |e + k| <= 1, the round takes the one that leaves the smallest norm
+# n' = n (i1^2 + (3/4)(e + k)^2), which need not be the nearest lattice
+# point.  The quality figures are integers over n = |g41|^2:
+# i1 = s / (2 n^2) and |e + k| = |zb + k n| / n.
 tr, s, zb, n = translation_data(g)
 print("first round picks tau =", (str(tr.tau1), str(tr.tau2)), " k =", tr.k)
 print(f"  quality: i1 = {Fraction(s, 2 * n * n)} (<= 1/3),  "

@@ -131,8 +131,8 @@ def _cmd_random(args) -> int:
 
 def _cmd_fuzz(args) -> int:
     seed = _resolve_seed(args)
-    max_steps = 0
-    max_word_len = 0
+    max_steps = total_steps = 0
+    max_word_len = total_word_len = 0
     max_norm = 0
     hist = [0] * _HIST_BINS
     for i in range(args.iterations):
@@ -153,7 +153,10 @@ def _cmd_fuzz(args) -> int:
             print(f"counterexample written to {_DUMP_PATH}", file=sys.stderr)
             return 1
         max_steps = max(max_steps, len(trace.steps))
-        max_word_len = max(max_word_len, result.word.syllable_length())
+        total_steps += len(trace.steps)
+        word_len = result.word.syllable_length()
+        max_word_len = max(max_word_len, word_len)
+        total_word_len += word_len
         for step in trace.steps:
             max_norm = max(max_norm, step.n_before)
             # floor(n_after / n_before / (31/36) * _HIST_BINS), exactly in integers.
@@ -165,7 +168,9 @@ def _cmd_fuzz(args) -> int:
             "seed": seed,
             "iterations": args.iterations,
             "max_steps": max_steps,
+            "total_steps": total_steps,
             "max_word_length": max_word_len,
+            "total_word_length": total_word_len,
             "max_intermediate_norm": encode_int(max_norm),
             "contraction_histogram": [
                 {"lo": edges[b], "hi": edges[b + 1], "count": hist[b]}
@@ -175,7 +180,9 @@ def _cmd_fuzz(args) -> int:
     print(f"seed: {seed}")
     print(f"iterations: {args.iterations}")
     print(f"max steps: {max_steps}")
+    print(f"total steps: {total_steps}")
     print(f"max word length: {max_word_len}")
+    print(f"total word length: {total_word_len}")
     print(f"max intermediate norm: {max_norm}")
     print("contraction ratio histogram:")
     for b in range(_HIST_BINS):

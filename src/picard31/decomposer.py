@@ -1,12 +1,15 @@
 """Constructive decomposition of group elements into generator words.
 
 The algorithm repeatedly moves the image of infinity close to the origin by
-a Heisenberg translation and then applies the inversion.  Each round shrinks
-the norm of the bottom-left entry by a factor of at least 31/36, and that
-norm is a nonnegative integer, so after finitely many rounds the element
-fixes infinity, where hermitian.langlands_extract splits it into a unit
-correction, a translation, and a rotation.  Unwinding the rounds yields a
-word over the four generators; the unit correction is reported separately.
+a Heisenberg translation and then applies the inversion.  Of the
+translations within the paper's bounds, translation_data takes the one that
+leaves the smallest bottom-left norm, by an exhaustive search over the
+lattice corners around the image.  Each round shrinks that norm by a factor
+of at least 31/36, and the norm is a nonnegative integer, so after finitely
+many rounds the element fixes infinity, where hermitian.langlands_extract
+splits it into a unit correction, a translation, and a rotation.  Unwinding
+the rounds yields a word over the four generators; the unit correction is
+reported separately.
 
 Every unit correction is a generator word too (tests pin words for w and
 -1, which generate the units), but folding it into the word would add 15
@@ -18,7 +21,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .eisenstein import UNITS, EisensteinInt, round_nearest
+from .eisenstein import UNITS, EisensteinInt, lattice_corners
+# The traced benchmark run wraps round_nearest by this module's name.
+from .eisenstein import round_nearest  # noqa: F401
 from .errors import InternalError
 from .finite_unitary import enumerate_group, u_decompose
 from .hermitian import (GroupMatrix, HeisenbergParam, HeisenbergTranslation,
@@ -68,7 +73,7 @@ class ReductionTrace:
 
 
 def translation_data(g: GroupMatrix):
-    """Choose the reduction translation for g and report its quality.
+    """Choose the reduction translation for g: the (tau, k) of least n'.
 
     Everything is in Z[w] over the one integer n = |g41|^2 that
     image_of_infinity returns: g(infinity) = (c1/n, p1/n, p2/n).  Returns
@@ -76,35 +81,59 @@ def translation_data(g: GroupMatrix):
     zb the w-coefficient of c1 - p1 conj(tau1) - p2 conj(tau2).  In the
     paper's terms i1 = s / (2 n^2) is half the squared distance of
     (q1, q2) to -tau, and e = zb / n is twice the sqrt(3)-coefficient of
-    Im(z - q1 conj(tau1) - q2 conj(tau2)); the bottom-left norm changes by
-    the exact factor i1^2 + (3/4)(e + k)^2, that is
-    4 n^3 n' = s^2 + 3 n^2 (zb + k n)^2.  The choice guarantees
-    3 s <= 2 n^2 (i1 <= 1/3) and |zb + k n| <= n (|e + k| <= 1).
+    Im(z - q1 conj(tau1) - q2 conj(tau2)); the bottom-left norm after the
+    round is n' = n (i1^2 + (3/4)(e + k)^2), that is
+    4 n^3 n' = s^2 + 3 n^2 (zb + k n)^2.
+
+    The rule: among all tau in Z[w]^2 and k = |tau|^2 (mod 2) within the
+    paper's bounds 3 s <= 2 n^2 (i1 <= 1/3) and |zb + k n| <= n
+    (|e + k| <= 1), take the one of least n'; ties go to the smaller |k|,
+    then the smaller k, then the lexicographically smallest
+    (tau1.a, tau1.b, tau2.a, tau2.b).  The nearest lattice points
+    -tau_j to q_j meet both bounds, so 36 n' <= 31 n holds as in the paper.
+    The search is exhaustive: both parts of s are >= 0, so each -tau_j has
+    3 N(p_j + n tau_j) <= 2 n^2, and by the corner lemma of
+    eisenstein.lattice_corners it is one of the at most three corners
+    around q_j that pass; for each tau, only the two same-parity k around
+    -zb/n can meet |zb + k n| <= n.  s and zb split by coordinate, so each
+    corner's parts are computed once and each pair is scored by sums.
     Raises DomainError when g fixes infinity, as image_of_infinity does.
     """
     c1, p1, p2, n = image_of_infinity(g)
-
-    tau1 = -round_nearest(p1, n)
-    tau2 = -round_nearest(p2, n)
-    pa, pb, qa, qb = p1.a, p1.b, p2.a, p2.b
-    t1a, t1b, t2a, t2b = tau1.a, tau1.b, tau2.a, tau2.b
-    # Plain ints, as EisensteinInt products would also compute coefficients
-    # that s and zb do not use: N(a + bw) = a^2 - ab + b^2, and the
-    # w-coefficient of (a + bw) conj(c + dw) is cb - da.
-    xa, xb, ya, yb = pa + t1a * n, pb + t1b * n, qa + t2a * n, qb + t2b * n
-    s = xa * xa - xa * xb + xb * xb + ya * ya - ya * yb + yb * yb
-    zb = c1.b - (t1a * pb - t1b * pa) - (t2a * qb - t2b * qa)
-
-    # k must match the parity of m = |tau|^2 and minimize |zb + k n|.  That
-    # is convex in k with its minimum at -zb/n, so over the same-parity
-    # integers it is least at lo, the largest one <= -zb/n, or at lo + 2;
-    # the minimum is at most n.  Ties prefer the smaller |k|, then the
-    # smaller k.
-    m = tau1.norm() + tau2.norm()
-    lo = -zb // n
-    lo -= (lo - m) % 2
-    k = min((lo, lo + 2), key=lambda c: (abs(zb + c * n), abs(c), c))
-    return HeisenbergTranslation(tau1, tau2, k), s, zb, n
+    top = 2 * n * n
+    # Per coordinate, each admissible corner u = -tau in plain ints with its
+    # parts of s, zb and |tau|^2: N(p - u n), the w-coefficient
+    # ua pb - ub pa of -p conj(tau), and N(u).
+    parts = [[(d, ua, ub, ua * pb - ub * pa, ua * ua - ua * ub + ub * ub)
+              for d, ua, ub in lattice_corners(pa, pb, n) if 3 * d <= top]
+             for pa, pb in ((p1.a, p1.b), (p2.a, p2.b))]
+    choices = []
+    for s1, u1a, u1b, z1, m1 in parts[0]:
+        for s2, u2a, u2b, z2, m2 in parts[1]:
+            s = s1 + s2
+            if 3 * s > top:
+                continue
+            zb = c1.b + z1 + z2
+            # k must match the parity of m = |tau|^2 and minimize
+            # |e| = |zb + k n|.  That is convex in k with its minimum at
+            # -zb/n, so over the same-parity integers it is least at the
+            # largest one <= -zb/n (where -2n < e <= 0) or at the next one,
+            # 2 higher; the minimum is at most n.  A tie at e = -n goes to
+            # the smaller |k|, then the smaller k: to the higher one exactly
+            # when the lower is below -1.
+            k = -zb // n
+            k -= (k - m1 - m2) % 2
+            e = zb + k * n
+            if e < -n or e == -n and k < -1:
+                k += 2
+                e += 2 * n
+            choices.append((s, zb, k, e, -u1a, -u1b, -u2a, -u2b))
+    n3 = 3 * n * n
+    s, zb, k, _, t1a, t1b, t2a, t2b = min(
+        choices, key=lambda c: (c[0] * c[0] + n3 * c[3] * c[3],
+                                abs(c[2]), c[2], c[4:]))
+    return (HeisenbergTranslation(EisensteinInt(t1a, t1b),
+                                  EisensteinInt(t2a, t2b), k), s, zb, n)
 
 
 def reduction_step(g: GroupMatrix) -> tuple[GroupMatrix, ReductionStep]:

@@ -120,6 +120,32 @@ UNITS = (
 MU_POWERS = tuple((-OMEGA) ** d for d in range(6))
 
 
+def lattice_corners(a: int, b: int, d: int) -> list[tuple[int, int, int]]:
+    """The four lattice points u = p + q*w, p in {a//d, a//d + 1} and
+    q in {b//d, b//d + 1}, around z = (a + b*w)/d (d >= 1), as triples
+    (d^2 |z - u|^2, p, q) in ascending lex order of (p, q).
+
+    Corner lemma: they hold the nearest lattice point and every u with
+    |z - u|^2 <= 2/3, and at most three of them are that close.  The
+    diagonal from (a//d, b//d) to the opposite corner has length 1 and
+    splits their parallelogram into two unit equilateral triangles; let T
+    be a closed one holding z.  T is the meet of three strips, each between
+    an edge line and the parallel lattice line through the opposite vertex,
+    sqrt(3)/2 apart.  A lattice point other than T's vertices, the fourth
+    corner among them, lies outside some strip, so |z - u|^2 >= 3/4 > 2/3.
+    """
+    p0, q0 = a // d, b // d
+    # N(x - i d, y - j d) for the remainders x, y in [0, d), expanded so
+    # that the four norms share six products.
+    x, y = a - p0 * d, b - q0 * d
+    base = x * x - x * y + y * y
+    xd, yd, dd = x * d, y * d, d * d
+    return [(base, p0, q0),
+            (base + xd - 2 * yd + dd, p0, q0 + 1),
+            (base - 2 * xd + yd + dd, p0 + 1, q0),
+            (base - xd - yd + dd, p0 + 1, q0 + 1)]
+
+
 def round_nearest(num: EisensteinInt, den: int) -> EisensteinInt:
     """Nearest lattice point of Z[w] to z = num/den (den >= 1), minimizing
     the Euclidean distance.
@@ -128,23 +154,7 @@ def round_nearest(num: EisensteinInt, den: int) -> EisensteinInt:
     origin, so |z - u|^2 <= 1/3.  Ties on the cell boundary are broken by the
     lexicographically smallest coefficient pair (a, b).  Scaling num and den
     by a common factor changes neither the result nor the tie-break, so den
-    need not be reduced.
+    need not be reduced.  The minimizer is one of lattice_corners.
     """
-    a, b, d = num.a, num.b, den
-    # The minimizer's coordinates differ from (a/d, b/d) by less than 1 in each
-    # slot (the form x^2 - xy + y^2 bounds both |x| and |y| by 2/sqrt(3)*|z|),
-    # so the four floor/ceil combinations always contain it.
-    p0, q0 = a // d, b // d
-    best = None
-    best_dist = None
-    # Candidates scanned in ascending lex order, so on a tie the first (and
-    # therefore lexicographically smallest) minimizer is kept.
-    for p in (p0, p0 + 1):
-        ra = a - p * d
-        for q in (q0, q0 + 1):
-            rb = b - q * d
-            dist = ra * ra - ra * rb + rb * rb
-            if best_dist is None or dist < best_dist:
-                best_dist = dist
-                best = (p, q)
-    return EisensteinInt(best[0], best[1])
+    _, p, q = min(lattice_corners(num.a, num.b, den))
+    return EisensteinInt(p, q)

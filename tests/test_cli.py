@@ -229,6 +229,8 @@ def test_random_pipes_into_decompose(capsys):
 
 
 def test_fuzz(tmp_path, capsys, monkeypatch):
+    from picard31.decomposer import decompose_traced, random_element
+
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, ["fuzz", "--seed", "20", "--iterations", "25",
                                 "--max-len", "15", "--json"])
@@ -236,6 +238,14 @@ def test_fuzz(tmp_path, capsys, monkeypatch):
     obj = json.loads(out)
     assert obj["iterations"] == 25
     assert obj["max_steps"] >= 1
+    # The totals add up what each iteration's decomposition reports.
+    steps = letters = 0
+    for i in range(25):
+        result, trace = decompose_traced(evaluate(random_element(20 + i, 15)))
+        steps += len(trace.steps)
+        letters += result.word.syllable_length()
+    assert obj["total_steps"] == steps >= obj["max_steps"]
+    assert obj["total_word_length"] == letters >= obj["max_word_length"]
     assert sum(rec["count"] for rec in obj["contraction_histogram"]) > 0
     # No counterexample file on success.
     assert not list(tmp_path.iterdir())
@@ -304,6 +314,11 @@ def test_fuzz_text(tmp_path, capsys, monkeypatch):
     code, out, _ = run(capsys, ["fuzz", "--seed", "20", "--iterations", "5"])
     assert code == 0
     assert "max steps:" in out
+    _, json_out, _ = run(capsys, ["fuzz", "--seed", "20", "--iterations", "5",
+                                  "--json"])
+    obj = json.loads(json_out)
+    assert f"total steps: {obj['total_steps']}\n" in out
+    assert f"total word length: {obj['total_word_length']}\n" in out
     assert "histogram" in out
 
 

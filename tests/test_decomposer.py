@@ -47,29 +47,75 @@ def test_translation_data_invariants():
         translation_data(identity())
 
 
-def reference_translation_data(g):
-    """Independent reference for translation_data in the fraction field
-    Q(w): the coordinates of g(infinity) are divided out as pairs of
-    fractions, each reduced on its own, and k is chosen by comparing
-    rationals."""
+def g_infinity(g):
+    """n = |g41|^2 and the coordinates c1, q1, q2 of g(infinity) as pairs
+    of fractions, each divided out in the fraction field Q(w)."""
     rows = g.rows
     g41 = qw(rows[3][0])
-    c1 = div(qw(rows[0][0]), g41)
-    q1 = div(qw(rows[1][0]), g41)
-    q2 = div(qw(rows[2][0]), g41)
+    return (rows[3][0].norm(), div(qw(rows[0][0]), g41),
+            div(qw(rows[1][0]), g41), div(qw(rows[2][0]), g41))
 
+
+def quality(c1, q1, q2, tau1, tau2):
+    """i1 = |q + tau|^2 / 2 and e, the w-coefficient of
+    c1 - q1 conj(tau1) - q2 conj(tau2), for the choice tau."""
+    i1 = (norm(add(q1, qw(tau1))) + norm(add(q2, qw(tau2)))) / 2
+    z = sub(sub(c1, mul(q1, conj(qw(tau1)))), mul(q2, conj(qw(tau2))))
+    return i1, z[1]
+
+
+def nearest_translation_data(g):
+    """The nearest-point rule, a yardstick for translation_data's n': each
+    coordinate reduced on its own to its nearest lattice point, and k
+    chosen by comparing rationals."""
+    _, c1, q1, q2 = g_infinity(g)
     tau1 = -round_nearest(*as_num_den(q1))
     tau2 = -round_nearest(*as_num_den(q2))
-    i1 = (norm(add(q1, qw(tau1))) + norm(add(q2, qw(tau2)))) / 2
-
-    z = sub(sub(c1, mul(q1, conj(qw(tau1)))), mul(q2, conj(qw(tau2))))
-    e = z[1]
+    i1, e = quality(c1, q1, q2, tau1, tau2)
 
     m = tau1.norm() + tau2.norm()
     base = math.floor(-e)
     candidates = [k for k in range(base - 3, base + 4) if (k - m) % 2 == 0]
     k = min(candidates, key=lambda c: (abs(e + c), abs(c), c))
     return HeisenbergTranslation(tau1, tau2, k), i1, e
+
+
+def reference_translation_data(g):
+    """Independent reference for translation_data in the fraction field
+    Q(w), by brute force: tau_j over the 5x5 lattice window around each
+    coordinate and k over every integer of the parity of |tau|^2 within 4
+    of -e.  Of the choices with i1 <= 1/3 and |e + k| <= 1 it returns the
+    one of least n' = n (i1^2 + (3/4)(e + k)^2); ties go to the smaller
+    |k|, then the smaller k, then the lexicographically smallest
+    (tau1.a, tau1.b, tau2.a, tau2.b)."""
+    n, c1, q1, q2 = g_infinity(g)
+    # Both halves of i1 are >= 0, so i1 <= 1/3 needs each half <= 1/3;
+    # dropping the other window points first only saves time.
+    windows = []
+    for q in (q1, q2):
+        a0, b0 = math.floor(q[0]), math.floor(q[1])
+        lattice = (EisensteinInt(-a, -b) for a in range(a0 - 2, a0 + 3)
+                   for b in range(b0 - 2, b0 + 3))
+        windows.append([tau for tau in lattice
+                        if norm(add(q, qw(tau))) <= Fraction(2, 3)])
+    best = None
+    for tau1 in windows[0]:
+        for tau2 in windows[1]:
+            i1, e = quality(c1, q1, q2, tau1, tau2)
+            if i1 > Fraction(1, 3):
+                continue
+            m = tau1.norm() + tau2.norm()
+            base = math.floor(-e)
+            window = [k for k in range(base - 4, base + 5)
+                      if (k - m) % 2 == 0 and abs(e + k) <= 4]
+            for k in window:
+                if abs(e + k) > 1:
+                    continue
+                n_after = n * (i1 * i1 + Fraction(3, 4) * (e + k) ** 2)
+                key = (n_after, abs(k), k, tau1.a, tau1.b, tau2.a, tau2.b)
+                if best is None or key < best[0]:
+                    best = key, HeisenbergTranslation(tau1, tau2, k), i1, e
+    return best[1:]
 
 
 def exact_word(seed, length):
@@ -83,7 +129,7 @@ def exact_word(seed, length):
 def test_translation_data_matches_reference():
     words = [random_element(900 + s, 200) for s in range(300)]
     words += [exact_word(1900 + s, 1500) for s in range(4)]
-    states = 0
+    states = shorter = 0
     for w in words:
         g = evaluate(w)
         while not g.fixes_infinity():
@@ -94,11 +140,27 @@ def test_translation_data_matches_reference():
             # The paper's rational form of the contraction, on the
             # reference's i1 and e: n' = n (i1^2 + (3/4)(e + k)^2).
             _, i1, e = ref
+            near, near_i1, near_e = nearest_translation_data(g)
             g, step = reduction_step(g)
             assert step.n_after == n * (i1 * i1
                                         + Fraction(3, 4) * (e + tr.k) ** 2)
+            # Never worse than the nearest-point rule, and often better.
+            near_n = n * (near_i1 * near_i1
+                          + Fraction(3, 4) * (near_e + near.k) ** 2)
+            assert step.n_after <= near_n
+            shorter += step.n_after < near_n
             states += 1
     assert states > 2000
+    assert shorter > states // 10
+
+
+def test_translation_data_k_tie():
+    # g(infinity) has lattice coordinates, so s = 0, and zb = 0 with |tau|^2
+    # odd: k = -1 and k = 1 both give |zb + k n| = n, and the smaller k wins.
+    g = evaluate(parse("R N^-2 B^2 N^-2 R"))
+    tr, s, zb, n = translation_data(g)
+    assert (s, zb, n, tr.k) == (0, 0, 4, -1)
+    assert tr == reference_translation_data(g)[0]
 
 
 @pytest.mark.parametrize("bump", [(1, 0), (0, 1)], ids=["s", "zb"])
@@ -157,7 +219,7 @@ def test_reduction_step_matches_generic_product():
     # The row-operation kernel against R * N_(tau,k) * g computed by
     # GroupMatrix.__mul__, on every round of each reduction.
     rounds = 0
-    for g in non_stabilizers(900, 150, max_len=60):
+    for g in non_stabilizers(900, 200, max_len=60):
         while not g.fixes_infinity():
             out, step = reduction_step(g)
             assert out == inversion() * translation_matrix(step.tau, step.k) * g

@@ -18,8 +18,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
-DEMOS_SHA256 = ("d7db4d5df9400266a5e0e8311efa26cb"
-                "1e339962dc01c242104646cdd1a1001b")
+DEMOS_SHA256 = ("1954f86770caf7b752b2276ad5c95cc6"
+                "18d857610d0c4599eb6af6f63934e25f")
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from fraction_pairs import div, qw
 from picard31.decomposer import random_element
 from picard31.eisenstein import (OMEGA, ONE, UNITS, ZERO, EisensteinInt,
-                                 round_nearest)
+                                 lattice_corners, round_nearest)
 from picard31.hermitian import image_of_infinity
 from picard31.words import evaluate
 
@@ -243,3 +243,38 @@ def test_round_nearest_minimizes_property(case):
     # built in lex order.
     assert got == minimizers[0]
     assert len(minimizers) >= ties
+
+
+# The corner lemma behind translation_data's exhaustive search, on entries
+# up to 2^70: generic points, and the exact ties above (cell-edge midpoints,
+# deep holes) with numerator and denominator scaled by up to 2^70.
+_BIG = 2 ** 70
+_BIG_ZW = st.builds(EisensteinInt, _coeffs(_BIG), _coeffs(_BIG))
+_BIG_GENERIC = st.tuples(_BIG_ZW, st.integers(1, _BIG))
+_BIG_EDGE = st.builds(lambda u, v, c: ((u * 2 + v) * c, 2 * c),
+                      _BIG_ZW, st.sampled_from(UNITS), st.integers(1, _BIG))
+_BIG_HOLE = st.builds(
+    lambda u, h, c: ((u * 3 + h) * c, 3 * c), _BIG_ZW,
+    st.sampled_from((EisensteinInt(2, 1), EisensteinInt(1, 2))),
+    st.integers(1, _BIG))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.one_of(_BIG_GENERIC, _BIG_EDGE, _BIG_HOLE, st.tuples(_BIG_ZW,
+                                                               st.just(1))))
+def test_lattice_corners_hold_every_admissible_point(case):
+    num, den = case
+    corners = lattice_corners(num.a, num.b, den)
+    p0, q0 = num.a // den, num.b // den
+    assert [(p, q) for _, p, q in corners] == [
+        (p0, q0), (p0, q0 + 1), (p0 + 1, q0), (p0 + 1, q0 + 1)]
+    for dist, p, q in corners:
+        assert dist == (num - EisensteinInt(p, q) * den).norm()
+    # Every lattice point of the 7x7 window with 3 N(num - u den) <= 2 den^2
+    # is a corner, and at most three of the four corners pass.
+    window = [EisensteinInt(p, q) for p in range(p0 - 3, p0 + 4)
+              for q in range(q0 - 3, q0 + 4)]
+    admissible = {(u.a, u.b) for u in window
+                  if 3 * (num - u * den).norm() <= 2 * den * den}
+    assert admissible <= {(p, q) for _, p, q in corners}
+    assert 1 <= len(admissible) <= 3
