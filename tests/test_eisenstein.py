@@ -246,8 +246,9 @@ def test_round_nearest_minimizes_property(case):
 
 
 # The corner lemma behind translation_data's exhaustive search, on entries
-# up to 2^70: generic points, and the exact ties above (cell-edge midpoints,
-# deep holes) with numerator and denominator scaled by up to 2^70.
+# up to 2^70: generic points, the exact ties above (cell-edge midpoints,
+# deep holes) with numerator and denominator scaled by up to 2^70, and
+# lattice points.
 _BIG = 2 ** 70
 _BIG_ZW = st.builds(EisensteinInt, _coeffs(_BIG), _coeffs(_BIG))
 _BIG_GENERIC = st.tuples(_BIG_ZW, st.integers(1, _BIG))
@@ -257,11 +258,11 @@ _BIG_HOLE = st.builds(
     lambda u, h, c: ((u * 3 + h) * c, 3 * c), _BIG_ZW,
     st.sampled_from((EisensteinInt(2, 1), EisensteinInt(1, 2))),
     st.integers(1, _BIG))
+_BIG_INTEGRAL = st.tuples(_BIG_ZW, st.just(1))
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(st.one_of(_BIG_GENERIC, _BIG_EDGE, _BIG_HOLE, st.tuples(_BIG_ZW,
-                                                               st.just(1))))
+@given(st.one_of(_BIG_GENERIC, _BIG_EDGE, _BIG_HOLE, _BIG_INTEGRAL))
 def test_lattice_corners_hold_every_admissible_point(case):
     num, den = case
     corners = lattice_corners(num.a, num.b, den)
