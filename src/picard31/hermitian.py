@@ -13,8 +13,9 @@ for an element fixing infinity and whose inverse is langlands_extract.
 A GroupMatrix keeps its entries as one tuple of 32 ints, the (a, b)
 pairs of the entries a + b*w column by column: entry (i, j) (0-indexed)
 is flat[8j + 2i] + flat[8j + 2i + 1] w, and column j is flat[8j:8j + 8].
-The kernels (the form check, the boundary action, evaluate and the
-reduction round) read whole columns.  Rows appear only at the edges,
+The kernels read whole columns: the form check, the boundary action,
+the reduction round, and evaluate, which applies each run of stabilizer
+letters to all four columns in one pass.  Rows appear only at the edges,
 which transpose: the rows constructor, rows (four rows of EisensteinInt,
 built on request), the row-major JSON codec and the left factor of a
 product.

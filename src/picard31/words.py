@@ -15,7 +15,7 @@ from enum import Enum
 
 from .eisenstein import MU_POWERS, ONE, EisensteinInt
 from .errors import WordParseError
-from .hermitian import GroupMatrix, unit_correction
+from .hermitian import GroupMatrix, heisenberg_corner, unit_correction
 from .jsonutil import decode_pair, encode_pair
 
 
@@ -92,44 +92,91 @@ def normalize(word: Word) -> Word:
 def evaluate(word: Word, unit: EisensteinInt = ONE) -> GroupMatrix:
     """unit_correction(unit) times the product of the word's generator powers.
 
-    Works on the four columns of GroupMatrix's layout as int lists, seeded
-    with the diagonal unit_correction(unit) (ValueError on a non-unit).
-    Each generator power is a short column operation (N mixes columns 1,
-    2, 4; A swaps columns 2 and 3; B scales column 2; R permutes and
-    negates).
+    N, A and B fix infinity and R does not, so a word is a chain of N/A/B
+    runs joined by R's.  Each run is composed in small ints as one pending
+    element P = T(tau, k) Rot(u): N^e = T((e, 0), e) moves left past Rot(u)
+    as T(u (e, 0), e), and B^e and A^e multiply u on the right.  At each R
+    and at the end, P is applied to the four int columns of GroupMatrix's
+    layout in one pass, seeded with the diagonal unit_correction(unit)
+    (ValueError on a non-unit).  Units reach the big columns only at the
+    end: columns 2 and 3 of the product are held as mu^f2 and mu^f3 times
+    the stored ones, so Rot(u) and R's signs move only f2, f3 and the
+    column order, and T(tau, k) acts on the stored columns as T(sigma, k)
+    with sigma_j = mu^f_j tau_j.
     """
-    u = unit_correction(unit).flat
-    cols = [list(u[c:c + 8]) for c in (0, 8, 16, 24)]
-    for gen, e in word.items:
-        if gen is Generator.N:
-            # c4 += (p + e*w) c1 + e c2, with p + e*w the corner of N^e,
-            # written inline rather than by heisenberg_corner because this
-            # runs once per letter.
-            c1, c2, _, c4 = cols
-            p = (e - e * e) // 2
-            for i in _ROWS:
-                x, y, a2, b2 = c1[i], c1[i + 1], c2[i], c2[i + 1]
-                c4[i] += p * x + e * (a2 - y)
-                c4[i + 1] += p * y + e * (x - y + b2)
-                c2[i], c2[i + 1] = a2 - e * x, b2 - e * y
-        elif gen is Generator.A:
+    v = unit_correction(unit).flat
+    c1, c2, c3, c4 = (list(v[c:c + 8]) for c in (0, 8, 16, 24))
+    f2 = f3 = 0
+    # P: tau = (t1a + t1b w, t2a + t2b w), and u holds mu^d1 in its first
+    # column and mu^d2 in its second, on the diagonal or, if anti, off it.
+    t1a = t1b = t2a = t2b = k = d1 = d2 = 0
+    anti = False
+    N, A, B = Generator.N, Generator.A, Generator.B
+    # (None, 1) marks the end of the word, where P is applied once more.
+    for gen, e in word.items + ((None, 1),):
+        if gen is N:
+            # u (e, 0) = e mu^d1 in coordinate 2 if anti, else 1; k gains e
+            # and the w-coefficient of conj(u (e, 0)) times that tau_j.
+            mu = MU_POWERS[d1]
+            va, vb = e * mu.a, e * mu.b
+            if anti:
+                k += e + va * t2b - vb * t2a
+                t2a += va
+                t2b += vb
+            else:
+                k += e + va * t1b - vb * t1a
+                t1a += va
+                t1b += vb
+        elif gen is B:
+            d1 = (d1 + e) % 6
+        elif gen is A:
             if e % 2:
-                cols[1], cols[2] = cols[2], cols[1]
-        elif gen is Generator.B:
-            mu = MU_POWERS[e % 6]
-            p, q, c2 = mu.a, mu.b, cols[1]
-            for i in _ROWS:
-                a, b = c2[i], c2[i + 1]
-                c2[i], c2[i + 1] = a * p - b * q, a * q + b * p - b * q
+                d1, d2, anti = d2, d1, not anti
         elif e % 2:
-            c1, c2, c3, c4 = cols
-            cols = [c4, [-v for v in c2], [-v for v in c3], c1]
-    c1, c2, c3, c4 = cols
-    return GroupMatrix.from_flat(tuple(c1 + c2 + c3 + c4))
-
-
-# Offsets of the four rows' (a, b) pairs in a flat column.
-_ROWS = (0, 2, 4, 6)
+            if t1a or t1b or t2a or t2b or k:
+                # T(sigma, k) on the stored columns: c4 gains
+                # c1 corner + c2 sigma1 + c3 sigma2, and c2 and c3 lose
+                # conj(sigma1) c1 and conj(sigma2) c1, with
+                # (p + qw)(c + dw) = (pc - qd) + (pd + qc - qd)w and
+                # conj(sigma_j) = s_jc - s_jb w.
+                m2, m3 = MU_POWERS[f2], MU_POWERS[f3]
+                s1a = m2.a * t1a - m2.b * t1b
+                s1b = m2.a * t1b + m2.b * (t1a - t1b)
+                s2a = m3.a * t2a - m3.b * t2b
+                s2b = m3.a * t2b + m3.b * (t2a - t2b)
+                corner = heisenberg_corner(
+                    s1a * s1a - s1a * s1b + s1b * s1b
+                    + s2a * s2a - s2a * s2b + s2b * s2b, k)
+                ea, eb = corner.a, corner.b
+                ed, s1c, s2c = ea - eb, s1a - s1b, s2a - s2b
+                n2, n3, n4 = [], [], []
+                for a, b, x2, y2, x3, y3, x4, y4 in zip(
+                        c1[::2], c1[1::2], c2[::2], c2[1::2],
+                        c3[::2], c3[1::2], c4[::2], c4[1::2]):
+                    n2 += (x2 - s1c * a - s1b * b, y2 + s1b * a - s1a * b)
+                    n3 += (x3 - s2c * a - s2b * b, y3 + s2b * a - s2a * b)
+                    n4 += (x4 + ea * a - eb * b + s1a * x2 - s1b * y2
+                           + s2a * x3 - s2b * y3,
+                           y4 + eb * a + ed * b + s1b * x2 + s1c * y2
+                           + s2b * x3 + s2c * y3)
+                c2, c3, c4 = n2, n3, n4
+            if anti:
+                c2, c3, f2, f3 = c3, c2, (f3 + d1) % 6, (f2 + d2) % 6
+            else:
+                f2, f3 = (f2 + d1) % 6, (f3 + d2) % 6
+            if gen is None:
+                break
+            # R: (c1, c2, c3, c4) -> (c4, -c2, -c3, c1), with mu^3 = -1.
+            c1, c4, f2, f3 = c4, c1, (f2 + 3) % 6, (f3 + 3) % 6
+            t1a = t1b = t2a = t2b = k = d1 = d2 = 0
+            anti = False
+    out = list(c1)
+    for col, f in ((c2, f2), (c3, f3)):
+        mu = MU_POWERS[f]
+        p, q = mu.a, mu.b
+        for a, b in zip(col[::2], col[1::2]):
+            out += (p * a - q * b, (p - q) * b + q * a)
+    return GroupMatrix.from_flat(tuple(out + c4))
 
 
 # --- text format ------------------------------------------------------------

@@ -10,7 +10,7 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.domains import QQ
 from sympy.polys.matrices import DomainMatrix
 
-from picard31.decomposer import random_element
+from picard31.decomposer import decompose, random_element
 from picard31.words import Generator, evaluate
 
 K = QQ.algebraic_field(sympy.sqrt(-3))
@@ -65,11 +65,27 @@ def test_generators_preserve_form():
     assert GENERATORS[Generator.B] ** 6 == I4
 
 
+def as_oracle(g):
+    """A GroupMatrix's entries in the oracle's field."""
+    return matrix([[K.convert(e.a) + K.convert(e.b) * W for e in row]
+                   for row in g.rows])
+
+
 def test_evaluate_matches_oracle():
     for seed in range(20):
         word = random_element(300 + seed, 12)
         expected = oracle_product(word)
         assert preserves_form(expected)
-        got = matrix([[K.convert(e.a) + K.convert(e.b) * W for e in row]
-                      for row in evaluate(word).rows])
-        assert got == expected
+        assert as_oracle(evaluate(word)) == expected
+    # Decomposition words, whose long N/A/B runs between R's evaluate
+    # composes in small ints; the unit correction diag(lam, 1, 1, lam) is
+    # written out here.
+    for seed in range(4):
+        word = random_element(400 + seed, 60)
+        result = decompose(evaluate(word))
+        lam = K.convert(result.unit.a) + K.convert(result.unit.b) * W
+        unit = matrix(((lam, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                       (0, 0, 0, lam)))
+        expected = unit * oracle_product(result.word)
+        assert expected == oracle_product(word)
+        assert as_oracle(evaluate(result.word, result.unit)) == expected

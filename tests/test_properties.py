@@ -101,15 +101,43 @@ _GENERATOR_MATRICES = {Generator.N: translation_matrix((ONE, ZERO), 1),
                        Generator.R: inversion()}
 
 
+def _generic_product(word, lam):
+    expected = unit_correction(lam)
+    for gen, e in word:
+        expected = expected * _GENERATOR_MATRICES[gen] ** e
+    return expected
+
+
 @settings(max_examples=200, **_SETTINGS)
 @given(st.lists(st.tuples(st.sampled_from(tuple(Generator)), _EXPONENT),
                 max_size=40).map(Word),
        st.sampled_from(UNITS))
 def test_evaluate_matches_generic_product(word, lam):
-    expected = unit_correction(lam)
-    for gen, e in word:
-        expected = expected * _GENERATOR_MATRICES[gen] ** e
-    assert evaluate(word, lam) == expected
+    assert evaluate(word, lam) == _generic_product(word, lam)
+
+
+_STABILIZER_ITEM = st.tuples(
+    st.sampled_from((Generator.N, Generator.A, Generator.B)), _EXPONENT)
+
+
+@st.composite
+def r_sparse_words(draw):
+    """Runs of up to 30 N, A and B items (length drawn uniformly) joined by
+    single R's; evaluate composes each run in small ints and applies it to
+    its columns once."""
+    items = []
+    for i in range(draw(st.integers(1, 5))):
+        if i:
+            items.append((Generator.R, 1))
+        n = draw(st.integers(0, 30))
+        items += draw(st.lists(_STABILIZER_ITEM, min_size=n, max_size=n))
+    return Word(items)
+
+
+@settings(max_examples=200, **_SETTINGS)
+@given(r_sparse_words(), st.sampled_from(UNITS))
+def test_evaluate_matches_generic_product_on_long_runs(word, lam):
+    assert evaluate(word, lam) == _generic_product(word, lam)
 
 
 @settings(max_examples=200, **_SETTINGS)

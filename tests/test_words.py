@@ -78,6 +78,36 @@ def test_evaluate_empty():
     assert evaluate(Word()) == identity()
 
 
+def raw_word(text):
+    """The items of text as written, without parse's normalization."""
+    items = []
+    for token in text.split():
+        gen, _, exp = token.partition("^")
+        items.append((Generator(gen), int(exp) if exp else 1))
+    return Word(items)
+
+
+@pytest.mark.parametrize("text", [
+    "",
+    "R",
+    # A leading R, a trailing R, and an empty run between two R's.
+    "R N^2 B A N^-1",
+    "N^3 B^-1 A N R",
+    "N B R R A N^2",
+    # A^odd between N's, so the run's rotation is antidiagonal when the
+    # later N arrives.
+    "N^2 B A^3 N^-5 B^2 N R N A N",
+    # B exponents in one run that sum past 6.
+    "B^4 N B^5 N^2 B^3 B^-13 N R B^7 N",
+    # A^2 and A^-4 inside a run leave its rotation unchanged.
+    "N B A^2 N^-3 B^2 A^-4 N",
+])
+def test_evaluate_run_edges(text):
+    w = raw_word(text)
+    for lam in UNITS:
+        assert evaluate(w, lam) == unit_correction(lam) * generic_evaluate(w)
+
+
 def test_evaluate_from_unit():
     # evaluate(w, lam) seeds its columns with unit_correction(lam); the
     # generic 4x4 product is the oracle.
