@@ -163,30 +163,28 @@ def _cmd_fuzz(args) -> int:
             b = 36 * _HIST_BINS * step.n_after // (31 * step.n_before)
             hist[min(_HIST_BINS - 1, b)] += 1
     edges = [31 / 36 * b / _HIST_BINS for b in range(_HIST_BINS + 1)]
+    stats = {
+        "seed": seed,
+        "iterations": args.iterations,
+        "max_steps": max_steps,
+        "total_steps": total_steps,
+        "max_word_length": max_word_len,
+        "total_word_length": total_word_len,
+        "max_intermediate_norm": encode_int(max_norm),
+        "contraction_histogram": [
+            {"lo": edges[b], "hi": edges[b + 1], "count": hist[b]}
+            for b in range(_HIST_BINS)],
+    }
     if args.json:
-        print(canonical_dumps({
-            "seed": seed,
-            "iterations": args.iterations,
-            "max_steps": max_steps,
-            "total_steps": total_steps,
-            "max_word_length": max_word_len,
-            "total_word_length": total_word_len,
-            "max_intermediate_norm": encode_int(max_norm),
-            "contraction_histogram": [
-                {"lo": edges[b], "hi": edges[b + 1], "count": hist[b]}
-                for b in range(_HIST_BINS)],
-        }))
+        print(canonical_dumps(stats))
         return 0
-    print(f"seed: {seed}")
-    print(f"iterations: {args.iterations}")
-    print(f"max steps: {max_steps}")
-    print(f"total steps: {total_steps}")
-    print(f"max word length: {max_word_len}")
-    print(f"total word length: {total_word_len}")
-    print(f"max intermediate norm: {max_norm}")
+    # The text form is the same dict, each key with '_' read as a space.
+    histogram = stats.pop("contraction_histogram")
+    for key, value in stats.items():
+        print(f"{key.replace('_', ' ')}: {value}")
     print("contraction ratio histogram:")
-    for b in range(_HIST_BINS):
-        print(f"  [{edges[b]:.4f}, {edges[b + 1]:.4f}): {hist[b]}")
+    for row in histogram:
+        print(f"  [{row['lo']:.4f}, {row['hi']:.4f}): {row['count']}")
     return 0
 
 

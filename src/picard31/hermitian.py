@@ -205,13 +205,11 @@ class GroupMatrix:
         entries = obj["matrix"]
         if not isinstance(entries, list) or len(entries) != 4:
             raise ValueError("matrix must have 4 rows")
-        cols = [[], [], [], []]
-        for row in entries:
-            if not isinstance(row, list) or len(row) != 4:
-                raise ValueError("each matrix row must have 4 entries")
-            for col, e in zip(cols, row):
-                col += decode_coeffs(e)
-        flat = tuple(cols[0] + cols[1] + cols[2] + cols[3])
+        if not all(isinstance(row, list) and len(row) == 4 for row in entries):
+            raise ValueError("each matrix row must have 4 entries")
+        # Decoded in reading order, so the first bad entry is the one reported.
+        rows = [[decode_coeffs(e) for e in row] for row in entries]
+        flat = tuple(x for col in zip(*rows) for pair in col for x in pair)
         _require_member(flat)
         return cls.from_flat(flat)
 

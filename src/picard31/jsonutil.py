@@ -26,16 +26,16 @@ def encode_int(v: int):
 
 
 def decode_int(v) -> int:
-    """Accept a JSON number or decimal string; reject floats and junk."""
-    if isinstance(v, bool):
-        raise ValueError(f"expected an integer, got {v!r}")
-    if isinstance(v, int):
+    """Accept a JSON number or decimal string; reject floats and junk.
+    The test is on the exact type, int or str as json.loads builds them, so
+    a bool (type bool, not int) and any other subclass is rejected."""
+    if type(v) is int:
         return v
-    if isinstance(v, str):
-        if _DECIMAL.fullmatch(v) is None:
-            raise ValueError(f"expected a decimal integer string, got {v!r}")
-        return int(v)
-    raise ValueError(f"expected an integer, got {v!r}")
+    if type(v) is not str:
+        raise ValueError(f"expected an integer, got {v!r}")
+    if _DECIMAL.fullmatch(v) is None:
+        raise ValueError(f"expected a decimal integer string, got {v!r}")
+    return int(v)
 
 
 def encode_pair(x: EisensteinInt) -> list:

@@ -10,12 +10,13 @@ B^6 = I, N of infinite order).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from enum import Enum
 
 from .eisenstein import MU_POWERS, ONE, EisensteinInt
 from .errors import WordParseError
-from .hermitian import GroupMatrix, heisenberg_corner, unit_correction
+from .hermitian import GroupMatrix, heisenberg_corner
 from .jsonutil import decode_pair, encode_pair
 
 
@@ -90,22 +91,26 @@ def normalize(word: Word) -> Word:
 
 
 def evaluate(word: Word, unit: EisensteinInt = ONE) -> GroupMatrix:
-    """unit_correction(unit) times the product of the word's generator powers.
+    """unit_correction(unit) times the product of the word's generator powers
+    (ValueError on a non-unit).
 
     N, A and B fix infinity and R does not, so a word is a chain of N/A/B
     runs joined by R's.  Each run is composed in small ints as one pending
     element P = T(tau, k) Rot(u): N^e = T((e, 0), e) moves left past Rot(u)
     as T(u (e, 0), e), and B^e and A^e multiply u on the right.  At each R
     and at the end, P is applied to the four int columns of GroupMatrix's
-    layout in one pass, seeded with the diagonal unit_correction(unit)
-    (ValueError on a non-unit).  Units reach the big columns only at the
-    end: columns 2 and 3 of the product are held as mu^f2 and mu^f3 times
-    the stored ones, so Rot(u) and R's signs move only f2, f3 and the
-    column order, and T(tau, k) acts on the stored columns as T(sigma, k)
-    with sigma_j = mu^f_j tau_j.
+    layout in one pass, starting from the identity's.  Units reach the big
+    columns only at the end: columns 2 and 3 of the product are held as
+    mu^f2 and mu^f3 times the stored ones, so Rot(u) and R's signs move
+    only f2, f3 and the column order, and T(tau, k) acts on the stored
+    columns as T(sigma, k) with sigma_j = mu^f_j tau_j.  The final pass
+    also scales rows 1 and 4 by unit = mu^d0, which commutes with every
+    column operation: entry (i, j) gets mu^(r_i + f_j), r = (d0, 0, 0, d0).
     """
-    v = unit_correction(unit).flat
-    c1, c2, c3, c4 = (list(v[c:c + 8]) for c in (0, 8, 16, 24))
+    if unit not in MU_POWERS:
+        raise ValueError(f"{unit!r} is not a unit of Z[w]")
+    d0 = MU_POWERS.index(unit)
+    c1, c2, c3, c4 = ([0] * 2 * j + [1] + [0] * (7 - 2 * j) for j in range(4))
     f2 = f3 = 0
     # P: tau = (t1a + t1b w, t2a + t2b w), and u holds mu^d1 in its first
     # column and mu^d2 in its second, on the diagonal or, if anti, off it.
@@ -170,57 +175,40 @@ def evaluate(word: Word, unit: EisensteinInt = ONE) -> GroupMatrix:
             c1, c4, f2, f3 = c4, c1, (f2 + 3) % 6, (f3 + 3) % 6
             t1a = t1b = t2a = t2b = k = d1 = d2 = 0
             anti = False
-    out = list(c1)
-    for col, f in ((c2, f2), (c3, f3)):
-        mu = MU_POWERS[f]
-        p, q = mu.a, mu.b
-        for a, b in zip(col[::2], col[1::2]):
+    out = []
+    for col, f in ((c1, 0), (c2, f2), (c3, f3), (c4, 0)):
+        for r, a, b in zip((d0, 0, 0, d0), col[::2], col[1::2]):
+            mu = MU_POWERS[(r + f) % 6]
+            p, q = mu.a, mu.b
             out += (p * a - q * b, (p - q) * b + q * a)
-    return GroupMatrix.from_flat(tuple(out + c4))
+    return GroupMatrix.from_flat(tuple(out))
 
 
 # --- text format ------------------------------------------------------------
 
 _LETTERS = {g.value: g for g in Generator}
-# ASCII only: str.isdigit also accepts digits such as '²' and '٣'.
-_DIGITS = frozenset("0123456789")
+# The word grammar.  [0-9], as \d also takes digits such as '²' and '٣';
+# \s is exactly str.isspace.  A letter with '^' but no integer stops it.
+_WORD = re.compile(r"\s*(?:[NABR](?:\^[+-]?[0-9]+|(?!\^))\s*)*")
+_ITEM = re.compile(r"([NABR])(?:\^([+-]?[0-9]+))?")
+_EXPONENT_START = re.compile(r"[NABR]\^[+-]?")
 
 
 def parse(text: str) -> Word:
     """Parse the word syntax: generator letters with optional ^exponent,
-    separated by whitespace.  Returns the normalized word."""
-    items = []
-    i = 0
-    n = len(text)
-    while i < n and text[i].isspace():
-        i += 1
-    while i < n:
-        ch = text[i]
-        gen = _LETTERS.get(ch)
-        if gen is None:
-            raise WordParseError(f"expected generator letter, got {ch!r}",
-                                 _byte_offset(text, i))
-        i += 1
-        exp = 1
-        if i < n and text[i] == "^":
-            i += 1
-            start = i
-            if i < n and text[i] in "+-":
-                i += 1
-            if i >= n or text[i] not in _DIGITS:
-                raise WordParseError("expected integer exponent after '^'",
-                                     _byte_offset(text, i))
-            while i < n and text[i] in _DIGITS:
-                i += 1
-            exp = int(text[start:i])
-        items.append((gen, exp))
-        while i < n and text[i].isspace():
-            i += 1
-    return normalize(Word(items))
-
-
-def _byte_offset(text: str, index: int) -> int:
-    return len(text[:index].encode("utf-8"))
+    separated by whitespace.  Returns the normalized word; WordParseError
+    gives the byte offset where the grammar stops, or where an exponent's
+    digits should start."""
+    end = _WORD.match(text).end()
+    if end == len(text):
+        return normalize(Word([(_LETTERS[g], int(e) if e else 1)
+                               for g, e in _ITEM.findall(text)]))
+    bad_exponent = _EXPONENT_START.match(text, end)
+    if bad_exponent is None:
+        message = f"expected generator letter, got {text[end]!r}"
+    else:
+        message, end = "expected integer exponent after '^'", bad_exponent.end()
+    raise WordParseError(message, len(text[:end].encode("utf-8")))
 
 
 def serialize(word: Word) -> str:

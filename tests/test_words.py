@@ -1,5 +1,6 @@
 """Word normalization, parsing, serialization, and fast evaluation."""
 
+import collections
 import functools
 import operator
 import random
@@ -109,8 +110,9 @@ def test_evaluate_run_edges(text):
 
 
 def test_evaluate_from_unit():
-    # evaluate(w, lam) seeds its columns with unit_correction(lam); the
-    # generic 4x4 product is the oracle.
+    # evaluate(w, lam) scales rows 1 and 4 by lam in its final pass, and
+    # unit_correction(lam) is HeisenbergParam's matrix: two independent
+    # paths, joined by the generic 4x4 product.
     rng = random.Random(12)
     words = [Word()] + [random_word(rng) for _ in range(40)]
     for lam in UNITS:
@@ -200,6 +202,75 @@ def test_parse_errors_carry_byte_offsets():
         with pytest.raises(WordParseError) as info:
             parse(text)
         assert info.value.offset == 2
+
+
+_DIGITS = frozenset("0123456789")
+
+
+def scanner_parse(text):
+    """A character-by-character scanner for the word syntax, kept as an
+    independent oracle for parse's grammar, messages and byte offsets."""
+    def fail(message, i):
+        raise WordParseError(message, len(text[:i].encode("utf-8")))
+    items = []
+    i = 0
+    n = len(text)
+    while i < n and text[i].isspace():
+        i += 1
+    while i < n:
+        ch = text[i]
+        if ch not in "NABR":
+            fail(f"expected generator letter, got {ch!r}", i)
+        i += 1
+        exp = 1
+        if i < n and text[i] == "^":
+            i += 1
+            start = i
+            if i < n and text[i] in "+-":
+                i += 1
+            if i >= n or text[i] not in _DIGITS:
+                fail("expected integer exponent after '^'", i)
+            while i < n and text[i] in _DIGITS:
+                i += 1
+            exp = int(text[start:i])
+        items.append((Generator(ch), exp))
+        while i < n and text[i].isspace():
+            i += 1
+    return normalize(Word(items))
+
+
+def parse_outcome(parse_fn, text):
+    try:
+        return parse_fn(text)
+    except WordParseError as exc:
+        return ("error", str(exc), exc.offset)
+
+
+# Characters and pieces for random word text: the syntax, whitespace
+# (U+2003 included), non-ASCII digits that pass str.isdigit, and junk.
+_CHARS = "NABR^+-0123456789 \t\n\u2003²٣xn"
+_PIECES = ("N", "A", "B", "R", "N^2", "B^-1", "A^+3", "R^007", " ", "  ",
+           "\n", "\u2003", "^", "N^", "B^-", "7", "²", "٣", "x", "n")
+
+
+def test_parse_matches_scanner_on_random_text():
+    rng = random.Random(16)
+    outcomes = collections.Counter()
+    for i in range(100_000):
+        if i % 2:
+            text = "".join(rng.choice(_CHARS)
+                           for _ in range(rng.randint(0, 12)))
+        else:
+            text = "".join(rng.choice(_PIECES)
+                           for _ in range(rng.randint(0, 10)))
+        expected = parse_outcome(scanner_parse, text)
+        assert parse_outcome(parse, text) == expected, text
+        if isinstance(expected, Word):
+            outcomes["word"] += 1
+        else:
+            outcomes["exponent" if "exponent" in expected[1] else "letter"] += 1
+    # Words and both kinds of error are each well represented.
+    assert min(outcomes[k] for k in ("word", "letter", "exponent")) > 5_000, outcomes
 
 
 def test_word_multiplication():
