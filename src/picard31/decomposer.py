@@ -33,6 +33,8 @@ from .jsonutil import encode_int, encode_pair
 from .words import (DecompositionResult, Generator, Word, evaluate, normalize,
                     serialize)
 
+_N, _A, _B, _R = Generator.N, Generator.A, Generator.B, Generator.R
+
 
 @dataclass(frozen=True)
 class ReductionStep:
@@ -208,25 +210,29 @@ def decompose_translation(tau, k: int) -> Word:
     a^2 - ab + b^2 = a + b - ab (mod 2).
     """
     tr = HeisenbergTranslation(*tau, k)
-    a1, b1 = tr.tau1.a, tr.tau1.b
-    a2, b2 = tr.tau2.a, tr.tau2.b
-    items = []
+    return Word(_translation_items([], 1, 0, tr.tau1.a, tr.tau1.b, tr.tau2.a,
+                                   tr.tau2.b, k))
+
+
+def _translation_items(items, la, lb, t1a, t1b, t2a, t2b, k) -> list:
+    """items extended by those of decompose_translation((lam tau1, lam tau2),
+    k) for the unit lam = la + lb w, from the ints of tau and k alone."""
+    # lam tau_j by (p + qw)(c + dw) = (pc - qd) + (pd + qc - qd)w.
+    a1, b1 = la * t1a - lb * t1b, la * t1b + lb * t1a - lb * t1b
+    a2, b2 = la * t2a - lb * t2b, la * t2b + lb * t2a - lb * t2b
     if a1:
-        items.append((Generator.N, a1))
+        items.append((_N, a1))
     if b1:
-        items += [(Generator.B, -2), (Generator.N, b1), (Generator.B, 2)]
+        items += (_B, -2), (_N, b1), (_B, 2)
     if a2:
-        items += [(Generator.A, 1), (Generator.N, a2), (Generator.A, 1)]
+        items += (_A, 1), (_N, a2), (_A, 1)
     if b2:
-        items += [(Generator.A, 1), (Generator.B, -2), (Generator.N, b2),
-                  (Generator.B, 2), (Generator.A, 1)]
-    k_word = a1 + b1 - a1 * b1 + a2 + b2 - a2 * b2
-    t1 = (k - k_word) // 2
-    if t1:
-        items += [(Generator.N, t1), (Generator.B, 1), (Generator.N, 1),
-                  (Generator.B, -1), (Generator.N, -t1), (Generator.B, 1),
-                  (Generator.N, -1), (Generator.B, -1)]
-    return Word(items)
+        items += (_A, 1), (_B, -2), (_N, b2), (_B, 2), (_A, 1)
+    t = (k - (a1 + b1 - a1 * b1 + a2 + b2 - a2 * b2)) // 2
+    if t:
+        items += ((_N, t), (_B, 1), (_N, 1), (_B, -1), (_N, -t), (_B, 1),
+                  (_N, -1), (_B, -1))
+    return items
 
 
 def decompose_traced(g: GroupMatrix) -> tuple[DecompositionResult, ReductionTrace]:
@@ -246,20 +252,20 @@ def decompose_traced(g: GroupMatrix) -> tuple[DecompositionResult, ReductionTrac
             current, step = reduction_step(current)
             steps.append(step)
         param = langlands_extract(current)
-        lam = param.lam
-
+        # Round i contributes the items of N_(-lam tau_i, -k_i), then R.
         items = []
+        la, lb = -param.lam.a, -param.lam.b
         for step in steps:
             t1, t2 = step.tau
-            prefix = decompose_translation((-(lam * t1), -(lam * t2)), -step.k)
-            items += list(prefix.items)
-            items.append((Generator.R, 1))
-        items += list(decompose_translation(param.translation.tau,
-                                            param.translation.k).items)
-        items += list(u_decompose(param.u).items)
+            _translation_items(items, la, lb, t1.a, t1.b, t2.a, t2.b, -step.k)
+            items.append((_R, 1))
+        tr = param.translation
+        _translation_items(items, 1, 0, tr.tau1.a, tr.tau1.b, tr.tau2.a,
+                           tr.tau2.b, tr.k)
+        items += u_decompose(param.u).items
         word = normalize(Word(items))
 
-        result = DecompositionResult(unit=lam, word=word)
+        result = DecompositionResult(unit=param.lam, word=word)
         if not verify(g, result):
             raise InternalError("decomposition failed self-verification")
     except InternalError as exc:

@@ -9,14 +9,15 @@ word in closed form in the exponents (i, j):
     ((0, mu^i), (mu^j, 0))  = B^i A B^j
 
 Normalized, these are shortest words over {A, B, B^-1}; the table of all 72
-is built once, at import, straight from the 36 exponent pairs.
+is built once, at import, from hermitian.ROTATIONS, which lists each element
+with its exponent pair.
 """
 
 from __future__ import annotations
 
-from .eisenstein import MU_POWERS, ONE, ZERO, OMEGA
+from .eisenstein import ONE, ZERO, OMEGA
 from .errors import NotMemberError
-from .hermitian import FiniteUnitary
+from .hermitian import ROTATIONS, FiniteUnitary
 from .words import Generator, Word, normalize
 
 
@@ -27,12 +28,9 @@ U2 = FiniteUnitary(((-OMEGA, ZERO), (ZERO, ONE)))
 def _closed_forms():
     """(element, word) for both shapes of every exponent pair (i, j)."""
     A, B = Generator.A, Generator.B
-    for i, x in enumerate(MU_POWERS):
-        for j, y in enumerate(MU_POWERS):
-            yield (FiniteUnitary(((x, ZERO), (ZERO, y))),
-                   normalize(Word(((A, 1), (B, j), (A, 1), (B, i)))))
-            yield (FiniteUnitary(((ZERO, x), (y, ZERO))),
-                   normalize(Word(((B, i), (A, 1), (B, j)))))
+    for i, j, u in ROTATIONS:
+        yield u, normalize(Word(((A, 1), (B, j), (A, 1), (B, i))
+                                if u.is_diagonal() else ((B, i), (A, 1), (B, j))))
 
 
 _WORDS = dict(sorted(_closed_forms(), key=lambda item: tuple(

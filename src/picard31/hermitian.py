@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .eisenstein import ONE, ZERO, EisensteinInt
+from .eisenstein import MU_POWERS, ONE, ZERO, EisensteinInt
 from .errors import DomainError, NotMemberError, ParityError, ShapeError
 from .jsonutil import canonical_dumps, decode_coeffs, encode_int, encode_pair
 
@@ -48,15 +48,13 @@ def _flatten(entries) -> tuple:
     entries = tuple(r[j] for j in range(4) for r in rows)
     if not all(isinstance(e, EisensteinInt) for e in entries):
         raise NotMemberError("matrix entries must be Eisenstein integers")
-    return _coeffs(entries)
+    return tuple(x for e in entries for x in (e.a, e.b))
 
 
-def _coeffs(entries) -> tuple:
-    """The (a, b) coefficients of EisensteinInt entries, in order."""
-    out = []
-    for e in entries:
-        out += (e.a, e.b)
-    return tuple(out)
+def _mul(p: int, q: int, c: int, d: int) -> tuple:
+    """(p + qw)(c + dw) = (pc - qd) + (pd + qc - qd)w, as its (a, b) pair."""
+    qd = q * d
+    return p * c - qd, p * d + q * c - qd
 
 
 def _form_defect(flat: tuple) -> tuple | None:
@@ -286,6 +284,8 @@ class FiniteUnitary:
 
     Every member is diagonal diag(a, b) or antidiagonal ((0, b), (a, 0))
     with both entries sixth roots of unity, giving 2 * 6 * 6 = 72 elements.
+    flat holds the 8 ints of rows ((a, b), (c, d)) in the order a, c, b, d
+    of the middle block in GroupMatrix's layout.
     """
 
     rows: tuple
@@ -297,6 +297,8 @@ class FiniteUnitary:
         if not _is_unitary(rows):
             raise NotMemberError(f"not in U(2; Z[w]): {rows}")
         object.__setattr__(self, "rows", rows)
+        (a, b), (c, d) = rows
+        object.__setattr__(self, "flat", (a.a, a.b, c.a, c.b, b.a, b.b, d.a, d.b))
 
     def is_diagonal(self) -> bool:
         return self.rows[0][1].is_zero() and self.rows[1][0].is_zero()
@@ -312,11 +314,8 @@ class FiniteUnitary:
 
 def _is_unitary(rows) -> bool:
     (a, b), (c, d) = rows
-    if b.is_zero() and c.is_zero():
-        return a.is_unit() and d.is_unit()
-    if a.is_zero() and d.is_zero():
-        return b.is_unit() and c.is_unit()
-    return False
+    return (not (b or c) and a.is_unit() and d.is_unit()
+            or not (a or d) and b.is_unit() and c.is_unit())
 
 
 @dataclass(frozen=True)
@@ -338,20 +337,29 @@ class HeisenbergParam:
         over zeros, and column 4 is (lam e, tau, lam), with
         e = heisenberg_corner(|tau|^2, k): the one place the entries of an
         element fixing infinity are written."""
-        lam, tr = self.lam, self.translation
-        (a, b), (c, d) = self.u.rows
-        ct1, ct2 = tr.tau1.conj(), tr.tau2.conj()
+        la, lb = self.lam.a, self.lam.b
+        tr = self.translation
+        t1a, t1b, t2a, t2b = tr.tau1.a, tr.tau1.b, tr.tau2.a, tr.tau2.b
         corner = heisenberg_corner(tr.tau1.norm() + tr.tau2.norm(), tr.k)
-        return GroupMatrix.from_flat(_coeffs((
-            lam, ZERO, ZERO, ZERO,
-            -(lam * (ct1 * a + ct2 * c)), a, c, ZERO,
-            -(lam * (ct1 * b + ct2 * d)), b, d, ZERO,
-            lam * corner, tr.tau1, tr.tau2, lam,
-        )))
+        out = [la, lb, 0, 0, 0, 0, 0, 0]
+        for xa, xb, ya, yb in (self.u.flat[:4], self.u.flat[4:]):
+            # conj(tau1) x + conj(tau2) y, with conj(a + bw) = (a - b) - bw.
+            pa, pb = _mul(t1a - t1b, -t1b, xa, xb)
+            qa, qb = _mul(t2a - t2b, -t2b, ya, yb)
+            ra, rb = _mul(la, lb, pa + qa, pb + qb)
+            out += (-ra, -rb, xa, xb, ya, yb, 0, 0)
+        out += (*_mul(la, lb, corner.a, corner.b), t1a, t1b, t2a, t2b, la, lb)
+        return GroupMatrix.from_flat(tuple(out))
 
 
 _NO_TRANSLATION = HeisenbergTranslation(ZERO, ZERO, 0)
 _NO_ROTATION = FiniteUnitary(((ONE, ZERO), (ZERO, ONE)))
+# The 72 rotations, through the checked constructor, as (i, j, u) with u =
+# diag(mu^i, mu^j) or ((0, mu^i), (mu^j, 0)), mu = -w; _BLOCKS keys them by flat.
+ROTATIONS = tuple((i, j, FiniteUnitary(rows)) for i, x in enumerate(MU_POWERS)
+                  for j, y in enumerate(MU_POWERS)
+                  for rows in (((x, ZERO), (ZERO, y)), ((ZERO, x), (y, ZERO))))
+_BLOCKS = {u.flat: u for _, _, u in ROTATIONS}
 
 
 def langlands_extract(p: GroupMatrix) -> HeisenbergParam:
@@ -360,28 +368,27 @@ def langlands_extract(p: GroupMatrix) -> HeisenbergParam:
     The lattice admits no dilation component, so the fields are forced:
     lam = g11, u the middle block, tau the middle of the last column, k the
     w-coefficient of the corner over lam.  Reading them checks that lam is a
-    unit, u unitary and the corner consistent with |tau|^2; then the rebuilt
-    matrix must equal p.  Any failure raises ShapeError.
+    unit, u one of the 72 rotation blocks and the corner consistent with
+    |tau|^2; then the rebuilt matrix must equal p.  Any failure raises
+    ShapeError.
     """
     v = p.flat  # the column layout of the module docstring
     lam = EisensteinInt(v[0], v[1])
     if not lam.is_unit():
         raise ShapeError(f"corner entry {lam} is not a unit")
-    u_rows = ((EisensteinInt(v[10], v[11]), EisensteinInt(v[18], v[19])),
-              (EisensteinInt(v[12], v[13]), EisensteinInt(v[20], v[21])))
-    try:
-        u = FiniteUnitary(u_rows)
-    except NotMemberError:
-        raise ShapeError(
-            f"middle block {u_rows} is not in U(2; Z[w])") from None
+    u = _BLOCKS.get(v[10:14] + v[18:22])
+    if u is None:
+        u_rows = ((EisensteinInt(v[10], v[11]), EisensteinInt(v[18], v[19])),
+                  (EisensteinInt(v[12], v[13]), EisensteinInt(v[20], v[21])))
+        raise ShapeError(f"middle block {u_rows} is not in U(2; Z[w])")
     tau1, tau2 = EisensteinInt(v[26], v[27]), EisensteinInt(v[28], v[29])
-    corner = lam.unit_inverse() * EisensteinInt(v[24], v[25])
     m = tau1.norm() + tau2.norm()
-    # corner = ((k - m)/2, k) with k = corner.b; this implies the parity rule.
-    if corner.b - 2 * corner.a != m:
-        raise ShapeError(
-            f"corner entry {corner} inconsistent with |tau|^2 = {m}")
-    param = HeisenbergParam(lam, HeisenbergTranslation(tau1, tau2, corner.b), u)
+    # corner = conj(lam) g14 = ((k - m)/2, k); this implies the parity rule.
+    ca, k = _mul(v[0] - v[1], -v[1], v[24], v[25])
+    if k - 2 * ca != m:
+        raise ShapeError(f"corner entry {EisensteinInt(ca, k)} "
+                         f"inconsistent with |tau|^2 = {m}")
+    param = HeisenbergParam(lam, HeisenbergTranslation(tau1, tau2, k), u)
     if param.matrix() != p:
         raise ShapeError("matrix is not unit * translation * rotation")
     return param

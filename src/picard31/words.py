@@ -11,6 +11,7 @@ B^6 = I, N of infinite order).
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -192,22 +193,30 @@ _LETTERS = {g.value: g for g in Generator}
 _WORD = re.compile(r"\s*(?:[NABR](?:\^[+-]?[0-9]+|(?!\^))\s*)*")
 _ITEM = re.compile(r"([NABR])(?:\^([+-]?[0-9]+))?")
 _EXPONENT_START = re.compile(r"[NABR]\^[+-]?")
+_DIGITS = re.compile(r"[0-9]+")  # in a word, only exponents hold digits
 
 
 def parse(text: str) -> Word:
     """Parse the word syntax: generator letters with optional ^exponent,
     separated by whitespace.  Returns the normalized word; WordParseError
-    gives the byte offset where the grammar stops, or where an exponent's
-    digits should start."""
+    gives the byte offset where the grammar stops, where an exponent's
+    digits should start, or where those of an exponent longer than
+    Python's int/str conversion limit start."""
     end = _WORD.match(text).end()
-    if end == len(text):
-        return normalize(Word([(_LETTERS[g], int(e) if e else 1)
-                               for g, e in _ITEM.findall(text)]))
-    bad_exponent = _EXPONENT_START.match(text, end)
-    if bad_exponent is None:
-        message = f"expected generator letter, got {text[end]!r}"
+    if end < len(text):
+        bad_exponent = _EXPONENT_START.match(text, end)
+        if bad_exponent is None:
+            message = f"expected generator letter, got {text[end]!r}"
+        else:
+            message, end = "expected integer exponent after '^'", bad_exponent.end()
     else:
-        message, end = "expected integer exponent after '^'", bad_exponent.end()
+        try:
+            return normalize(Word([(_LETTERS[g], int(e) if e else 1)
+                                   for g, e in _ITEM.findall(text)]))
+        except ValueError:  # an exponent past Python's int/str digit limit
+            limit = sys.get_int_max_str_digits()
+            end = next(m.start() for m in _DIGITS.finditer(text) if len(m[0]) > limit)
+            message = f"exponent longer than the {limit}-digit int/str limit"
     raise WordParseError(message, len(text[:end].encode("utf-8")))
 
 

@@ -142,6 +142,14 @@ def test_evaluate_beyond_int_str_limit(capsys):
     assert code == 2
     assert out == ""
     assert len(err.splitlines()) == 1
+    # An exponent with more digits than the limit fails in parse, at the
+    # byte where its digits start.
+    code, out, err = run(capsys, ["evaluate"], stdin="A N^" + "9" * 5000)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert f"{sys.get_int_max_str_digits()}-digit" in err
+    assert "(at byte 4)" in err
 
 
 def test_random_deterministic(capsys):

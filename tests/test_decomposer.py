@@ -1,5 +1,6 @@
 """The reduction algorithm: translation choice, contraction, assembly."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -13,7 +14,8 @@ from picard31.errors import DomainError, InternalError, ParityError
 from picard31.hermitian import (GroupMatrix, HeisenbergTranslation, identity,
                                 inversion, translation_matrix,
                                 unit_correction)
-from picard31.decomposer import (decompose, decompose_traced,
+from picard31.decomposer import (_translation_items, decompose,
+                                 decompose_traced,
                                  decompose_translation, langlands_extract,
                                  random_element, random_stabilizer,
                                  reduction_step, step_bound,
@@ -320,6 +322,23 @@ def test_decompose_translation_exact():
     # A k of the wrong parity is a bad input, not an internal failure.
     with pytest.raises(ParityError):
         decompose_translation((ONE, ZERO), 0)
+
+
+def test_round_items_match_decompose_translation():
+    # decompose_traced writes each round's prefix N_(-lam tau, -k) straight
+    # from ints, passing the coefficients of -lam; it must give the items of
+    # decompose_translation on the twisted data, and its translation.
+    box = range(-2, 3)
+    for lam in UNITS:
+        for t1a, t1b, t2a, t2b in itertools.product(box, repeat=4):
+            t1, t2 = EisensteinInt(t1a, t1b), EisensteinInt(t2a, t2b)
+            m = t1.norm() + t2.norm()
+            for k in range(-3 + (m + 1) % 2, 4, 2):
+                tau = (-(lam * t1), -(lam * t2))
+                items = _translation_items([], -lam.a, -lam.b, t1a, t1b,
+                                           t2a, t2b, -k)
+                assert items == list(decompose_translation(tau, -k).items)
+                assert evaluate(Word(items)) == translation_matrix(tau, -k)
 
 
 def test_decompose_translation_uses_only_nab():

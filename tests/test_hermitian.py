@@ -1,6 +1,8 @@
 """Group matrices, generator constructors, Heisenberg data, and the
 stabilizer factorization."""
 
+import collections
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -12,7 +14,7 @@ from picard31.errors import (DomainError, NotMemberError, ParityError,
                              ShapeError)
 from picard31.finite_unitary import U1, U2, enumerate_group
 from picard31.hermitian import (GroupMatrix, HeisenbergParam,
-                                HeisenbergTranslation,
+                                HeisenbergTranslation, _is_unitary,
                                 check_membership, identity, image_of_infinity,
                                 inversion, matrix_from_json_text,
                                 matrix_to_json_text, rotation_matrix,
@@ -207,6 +209,69 @@ def test_langlands_rejects_non_stabilizer():
         rows[i][j] = spoil(rows[i][j])
         with pytest.raises(ShapeError):
             langlands_extract(non_member(rows))
+
+
+def oracle_flat(param):
+    """HeisenbergParam.matrix() written in EisensteinInt arithmetic, entry
+    by entry from its docstring, as 32 ints in GroupMatrix's layout: an
+    independent oracle for the int formula."""
+    lam, tr = param.lam, param.translation
+    (a, b), (c, d) = param.u.rows
+    ct1, ct2 = tr.tau1.conj(), tr.tau2.conj()
+    m = tr.tau1.norm() + tr.tau2.norm()
+    corner = EisensteinInt((tr.k - m) // 2, tr.k)
+    entries = (lam, ZERO, ZERO, ZERO,
+               -(lam * (ct1 * a + ct2 * c)), a, c, ZERO,
+               -(lam * (ct1 * b + ct2 * d)), b, d, ZERO,
+               lam * corner, tr.tau1, tr.tau2, lam)
+    return tuple(x for e in entries for x in (e.a, e.b))
+
+
+def test_heisenberg_param_matrix_matches_oracle():
+    # Every unit and rotation, with seeded tau of up to 70-bit entries and k
+    # of both parities.
+    rng = random.Random(70)
+
+    def big():
+        bound = 2 ** rng.randint(0, 70)
+        return EisensteinInt(rng.randint(-bound, bound),
+                             rng.randint(-bound, bound))
+
+    parities = collections.Counter()
+    for lam in UNITS:
+        for u in enumerate_group():
+            for _ in range(2):
+                t1, t2 = big(), big()
+                m = t1.norm() + t2.norm()
+                k = 2 * rng.randint(-2 ** 70, 2 ** 70) + m % 2
+                parities[k % 2] += 1
+                param = HeisenbergParam(lam, HeisenbergTranslation(t1, t2, k), u)
+                h = param.matrix()
+                assert h.flat == oracle_flat(param)
+                assert langlands_extract(h) == param
+    assert min(parities[0], parities[1]) > 300, parities
+
+
+def test_block_lookup_matches_is_unitary():
+    # langlands_extract finds the middle block in a table of the 72
+    # rotations.  Over every block with entries in {0, the six units, 2,
+    # 1 + 2w}, it must accept exactly the blocks _is_unitary accepts and
+    # reject the others with the middle-block message.
+    values = (ZERO, *UNITS, EisensteinInt(2), EisensteinInt(1, 2))
+    accepted = 0
+    for a, b, c, d in itertools.product(values, repeat=4):
+        rows = ((a, b), (c, d))
+        p = non_member(((ONE, ZERO, ZERO, ZERO), (ZERO, a, b, ZERO),
+                        (ZERO, c, d, ZERO), (ZERO, ZERO, ZERO, ONE)))
+        if _is_unitary(rows):
+            accepted += 1
+            assert langlands_extract(p).u.rows == rows
+        else:
+            with pytest.raises(ShapeError) as info:
+                langlands_extract(p)
+            assert str(info.value) == (
+                f"middle block {rows} is not in U(2; Z[w])")
+    assert accepted == 72
 
 
 def on_cone(point):

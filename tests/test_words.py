@@ -4,6 +4,7 @@ import collections
 import functools
 import operator
 import random
+import sys
 
 import pytest
 
@@ -202,6 +203,25 @@ def test_parse_errors_carry_byte_offsets():
         with pytest.raises(WordParseError) as info:
             parse(text)
         assert info.value.offset == 2
+
+
+def test_parse_exponent_past_int_str_limit():
+    # int() refuses more digits than Python's int/str limit; parse names the
+    # limit and the byte offset of the first digit of the first such exponent.
+    limit = sys.get_int_max_str_digits()
+    ok = "N^" + "9" * limit
+    assert parse(ok) == Word(((Generator.N, int("9" * limit)),))
+    over = "9" * max(5000, limit + 1)
+    for text, offset in (("N^" + over, 2),
+                         ("A B^-" + over, 5),
+                         ("\u2003R N^+" + over, 8),
+                         (ok + " B^" + over, limit + 5),
+                         ("N^" + "0" * (limit + 1) + " A", 2)):
+        with pytest.raises(WordParseError) as info:
+            parse(text)
+        assert info.value.offset == offset, text[:12]
+        assert str(info.value) == (f"exponent longer than the {limit}-digit "
+                                   f"int/str limit (at byte {offset})")
 
 
 _DIGITS = frozenset("0123456789")
