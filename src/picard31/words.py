@@ -91,6 +91,9 @@ def normalize(word: Word) -> Word:
     return Word(stack)
 
 
+_MU = tuple((mu.a, mu.b) for mu in MU_POWERS)  # no EisensteinInt read per letter
+
+
 def evaluate(word: Word, unit: EisensteinInt = ONE) -> GroupMatrix:
     """unit_correction(unit) times the product of the word's generator powers
     (ValueError on a non-unit).
@@ -99,19 +102,24 @@ def evaluate(word: Word, unit: EisensteinInt = ONE) -> GroupMatrix:
     runs joined by R's.  Each run is composed in small ints as one pending
     element P = T(tau, k) Rot(u): N^e = T((e, 0), e) moves left past Rot(u)
     as T(u (e, 0), e), and B^e and A^e multiply u on the right.  At each R
-    and at the end, P is applied to the four int columns of GroupMatrix's
-    layout in one pass, starting from the identity's.  Units reach the big
-    columns only at the end: columns 2 and 3 of the product are held as
-    mu^f2 and mu^f3 times the stored ones, so Rot(u) and R's signs move
-    only f2, f3 and the column order, and T(tau, k) acts on the stored
-    columns as T(sigma, k) with sigma_j = mu^f_j tau_j.  The final pass
-    also scales rows 1 and 4 by unit = mu^d0, which commutes with every
-    column operation: entry (i, j) gets mu^(r_i + f_j), r = (d0, 0, 0, d0).
+    and at the end, P is applied to the four columns of GroupMatrix's
+    layout, 8-int tuples starting from the identity's, in one straight-line
+    pass: each column is unpacked once and the new columns 2, 3 and 4 are
+    one tuple expression each.  Units reach the big columns only at the
+    end: columns 2 and 3 of the product are held as mu^f2 and mu^f3 times
+    the stored ones, so Rot(u) and R's signs move only f2, f3 and the
+    column order, and T(tau, k) acts on the stored columns as T(sigma, k)
+    with sigma_j = mu^f_j tau_j.  The closing twist multiplies rows 2 and
+    3 of each column by mu^f and, for unit = mu^d0 (which commutes with
+    every column operation), rows 1 and 4 by mu^(d0 + f); f is 0, f2, f3, 0.
     """
-    if unit not in MU_POWERS:
+    for d0, mu in enumerate(MU_POWERS):  # the comparisons `unit in MU_POWERS` makes
+        if mu == unit:
+            break
+    else:
         raise ValueError(f"{unit!r} is not a unit of Z[w]")
-    d0 = MU_POWERS.index(unit)
-    c1, c2, c3, c4 = ([0] * 2 * j + [1] + [0] * (7 - 2 * j) for j in range(4))
+    c1, c2, c3, c4 = ((1, 0, 0, 0, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0, 0, 0),
+                      (0, 0, 0, 0, 1, 0, 0, 0), (0, 0, 0, 0, 0, 0, 1, 0))
     f2 = f3 = 0
     # P: tau = (t1a + t1b w, t2a + t2b w), and u holds mu^d1 in its first
     # column and mu^d2 in its second, on the diagonal or, if anti, off it.
@@ -123,8 +131,8 @@ def evaluate(word: Word, unit: EisensteinInt = ONE) -> GroupMatrix:
         if gen is N:
             # u (e, 0) = e mu^d1 in coordinate 2 if anti, else 1; k gains e
             # and the w-coefficient of conj(u (e, 0)) times that tau_j.
-            mu = MU_POWERS[d1]
-            va, vb = e * mu.a, e * mu.b
+            p, q = _MU[d1]
+            va, vb = e * p, e * q
             if anti:
                 k += e + va * t2b - vb * t2a
                 t2a += va
@@ -145,27 +153,36 @@ def evaluate(word: Word, unit: EisensteinInt = ONE) -> GroupMatrix:
                 # conj(sigma1) c1 and conj(sigma2) c1, with
                 # (p + qw)(c + dw) = (pc - qd) + (pd + qc - qd)w and
                 # conj(sigma_j) = s_jc - s_jb w.
-                m2, m3 = MU_POWERS[f2], MU_POWERS[f3]
-                s1a = m2.a * t1a - m2.b * t1b
-                s1b = m2.a * t1b + m2.b * (t1a - t1b)
-                s2a = m3.a * t2a - m3.b * t2b
-                s2b = m3.a * t2b + m3.b * (t2a - t2b)
+                (p2, q2), (p3, q3) = _MU[f2], _MU[f3]
+                s1a = p2 * t1a - q2 * t1b
+                s1b = p2 * t1b + q2 * (t1a - t1b)
+                s2a = p3 * t2a - q3 * t2b
+                s2b = p3 * t2b + q3 * (t2a - t2b)
                 corner = heisenberg_corner(
                     s1a * s1a - s1a * s1b + s1b * s1b
                     + s2a * s2a - s2a * s2b + s2b * s2b, k)
                 ea, eb = corner.a, corner.b
                 ed, s1c, s2c = ea - eb, s1a - s1b, s2a - s2b
-                n2, n3, n4 = [], [], []
-                for a, b, x2, y2, x3, y3, x4, y4 in zip(
-                        c1[::2], c1[1::2], c2[::2], c2[1::2],
-                        c3[::2], c3[1::2], c4[::2], c4[1::2]):
-                    n2 += (x2 - s1c * a - s1b * b, y2 + s1b * a - s1a * b)
-                    n3 += (x3 - s2c * a - s2b * b, y3 + s2b * a - s2a * b)
-                    n4 += (x4 + ea * a - eb * b + s1a * x2 - s1b * y2
-                           + s2a * x3 - s2b * y3,
-                           y4 + eb * a + ed * b + s1b * x2 + s1c * y2
-                           + s2b * x3 + s2c * y3)
-                c2, c3, c4 = n2, n3, n4
+                a1, b1, a2, b2, a3, b3, a4, b4 = c1
+                x1, y1, x2, y2, x3, y3, x4, y4 = c2
+                u1, v1, u2, v2, u3, v3, u4, v4 = c3
+                g1, h1, g2, h2, g3, h3, g4, h4 = c4
+                c2 = (x1 - s1c * a1 - s1b * b1, y1 + s1b * a1 - s1a * b1,
+                      x2 - s1c * a2 - s1b * b2, y2 + s1b * a2 - s1a * b2,
+                      x3 - s1c * a3 - s1b * b3, y3 + s1b * a3 - s1a * b3,
+                      x4 - s1c * a4 - s1b * b4, y4 + s1b * a4 - s1a * b4)
+                c3 = (u1 - s2c * a1 - s2b * b1, v1 + s2b * a1 - s2a * b1,
+                      u2 - s2c * a2 - s2b * b2, v2 + s2b * a2 - s2a * b2,
+                      u3 - s2c * a3 - s2b * b3, v3 + s2b * a3 - s2a * b3,
+                      u4 - s2c * a4 - s2b * b4, v4 + s2b * a4 - s2a * b4)
+                c4 = (g1 + ea * a1 - eb * b1 + s1a * x1 - s1b * y1 + s2a * u1 - s2b * v1,
+                      h1 + eb * a1 + ed * b1 + s1b * x1 + s1c * y1 + s2b * u1 + s2c * v1,
+                      g2 + ea * a2 - eb * b2 + s1a * x2 - s1b * y2 + s2a * u2 - s2b * v2,
+                      h2 + eb * a2 + ed * b2 + s1b * x2 + s1c * y2 + s2b * u2 + s2c * v2,
+                      g3 + ea * a3 - eb * b3 + s1a * x3 - s1b * y3 + s2a * u3 - s2b * v3,
+                      h3 + eb * a3 + ed * b3 + s1b * x3 + s1c * y3 + s2b * u3 + s2c * v3,
+                      g4 + ea * a4 - eb * b4 + s1a * x4 - s1b * y4 + s2a * u4 - s2b * v4,
+                      h4 + eb * a4 + ed * b4 + s1b * x4 + s1c * y4 + s2b * u4 + s2c * v4)
             if anti:
                 c2, c3, f2, f3 = c3, c2, (f3 + d1) % 6, (f2 + d2) % 6
             else:
@@ -176,18 +193,20 @@ def evaluate(word: Word, unit: EisensteinInt = ONE) -> GroupMatrix:
             c1, c4, f2, f3 = c4, c1, (f2 + 3) % 6, (f3 + 3) % 6
             t1a = t1b = t2a = t2b = k = d1 = d2 = 0
             anti = False
-    out = []
-    for col, f in ((c1, 0), (c2, f2), (c3, f3), (c4, 0)):
-        for r, a, b in zip((d0, 0, 0, d0), col[::2], col[1::2]):
-            mu = MU_POWERS[(r + f) % 6]
-            p, q = mu.a, mu.b
-            out += (p * a - q * b, (p - q) * b + q * a)
-    return GroupMatrix.from_flat(tuple(out))
+    flat = ()
+    for (a1, b1, a2, b2, a3, b3, a4, b4), f in ((c1, 0), (c2, f2), (c3, f3), (c4, 0)):
+        (p, q), (r, s) = _MU[(d0 + f) % 6], _MU[f]
+        flat += (p * a1 - q * b1, (p - q) * b1 + q * a1,
+                 r * a2 - s * b2, (r - s) * b2 + s * a2,
+                 r * a3 - s * b3, (r - s) * b3 + s * a3,
+                 p * a4 - q * b4, (p - q) * b4 + q * a4)
+    return GroupMatrix.from_flat(flat)
 
 
 # --- text format ------------------------------------------------------------
 
 _LETTERS = {g.value: g for g in Generator}
+_NAMES = {g: letter for letter, g in _LETTERS.items()}  # no enum .value per item
 # The word grammar.  [0-9], as \d also takes digits such as '²' and '٣';
 # \s is exactly str.isspace.  A letter with '^' but no integer stops it.
 _WORD = re.compile(r"\s*(?:[NABR](?:\^[+-]?[0-9]+|(?!\^))\s*)*")
@@ -222,13 +241,8 @@ def parse(text: str) -> Word:
 
 def serialize(word: Word) -> str:
     """Inverse of parse on normalized words."""
-    parts = []
-    for gen, exp in word.items:
-        if exp == 1:
-            parts.append(gen.value)
-        else:
-            parts.append(f"{gen.value}^{exp}")
-    return " ".join(parts)
+    return " ".join([_NAMES[gen] if exp == 1 else f"{_NAMES[gen]}^{exp}"
+                     for gen, exp in word.items])
 
 
 @dataclass(frozen=True)

@@ -123,6 +123,21 @@ def test_evaluate_from_unit():
         evaluate(Word(), EisensteinInt(2))
 
 
+def test_evaluate_unit_argument():
+    # evaluate takes as a unit what equals one of MU_POWERS under
+    # EisensteinInt.__eq__ (ints and bool included), and raises ValueError
+    # on anything else: unhashable, tuple-shaped or non-unit alike.
+    w = raw_word("N^2 B R A N^-1")
+    for unit in UNITS:
+        assert evaluate(w, unit) == unit_correction(unit) * generic_evaluate(w)
+    for unit in (1, -1, True):
+        assert evaluate(w, unit) == evaluate(w, EisensteinInt(int(unit)))
+    for bad in (1.0, 2, 0, None, "x", [1, 0], (1, 0), EisensteinInt(2, 0), ZERO):
+        with pytest.raises(ValueError) as info:
+            evaluate(w, bad)
+        assert str(info.value) == f"{bad!r} is not a unit of Z[w]"
+
+
 def test_evaluate_inverse_word():
     rng = random.Random(2)
     for _ in range(100):
