@@ -30,10 +30,7 @@ from .hermitian import (GroupMatrix, HeisenbergParam, HeisenbergTranslation,
                         heisenberg_corner, image_of_infinity,
                         langlands_extract)
 from .jsonutil import encode_int, encode_pair
-from .words import (DecompositionResult, Generator, Word, evaluate, normalize,
-                    serialize)
-
-_N, _A, _B, _R = Generator.N, Generator.A, Generator.B, Generator.R
+from .words import DecompositionResult, Word, evaluate, normalize, serialize
 
 
 @dataclass(frozen=True)
@@ -152,7 +149,7 @@ def reduction_step(g: GroupMatrix) -> tuple[GroupMatrix, ReductionStep]:
     t1a, t1b, t2a, t2b = tr.tau1.a, tr.tau1.b, tr.tau2.a, tr.tau2.b
     # conj(a + bw) = (a - b) - bw, and the corner ea + kw of N_(tau,k).
     u1a, u1b, u2a, u2b = t1a - t1b, -t1b, t2a - t2b, -t2b
-    ea = heisenberg_corner(tr.tau1.norm() + tr.tau2.norm(), k).a
+    ea = heisenberg_corner(tr.tau1.norm() + tr.tau2.norm(), k)[0]
 
     # Rows r1..r4 become r4, -(r2 + tau1 r4), -(r3 + tau2 r4) and
     # r1 - conj(tau1) r2 - conj(tau2) r3 + corner r4, in each column, with
@@ -221,17 +218,17 @@ def _translation_items(items, la, lb, t1a, t1b, t2a, t2b, k) -> list:
     a1, b1 = la * t1a - lb * t1b, la * t1b + lb * t1a - lb * t1b
     a2, b2 = la * t2a - lb * t2b, la * t2b + lb * t2a - lb * t2b
     if a1:
-        items.append((_N, a1))
+        items.append(("N", a1))
     if b1:
-        items += (_B, -2), (_N, b1), (_B, 2)
+        items += ("B", -2), ("N", b1), ("B", 2)
     if a2:
-        items += (_A, 1), (_N, a2), (_A, 1)
+        items += ("A", 1), ("N", a2), ("A", 1)
     if b2:
-        items += (_A, 1), (_B, -2), (_N, b2), (_B, 2), (_A, 1)
+        items += ("A", 1), ("B", -2), ("N", b2), ("B", 2), ("A", 1)
     t = (k - (a1 + b1 - a1 * b1 + a2 + b2 - a2 * b2)) // 2
     if t:
-        items += ((_N, t), (_B, 1), (_N, 1), (_B, -1), (_N, -t), (_B, 1),
-                  (_N, -1), (_B, -1))
+        items += (("N", t), ("B", 1), ("N", 1), ("B", -1), ("N", -t), ("B", 1),
+                  ("N", -1), ("B", -1))
     return items
 
 
@@ -258,7 +255,7 @@ def decompose_traced(g: GroupMatrix) -> tuple[DecompositionResult, ReductionTrac
         for step in steps:
             t1, t2 = step.tau
             _translation_items(items, la, lb, t1.a, t1.b, t2.a, t2.b, -step.k)
-            items.append((_R, 1))
+            items.append(("R", 1))
         tr = param.translation
         _translation_items(items, 1, 0, tr.tau1.a, tr.tau1.b, tr.tau2.a,
                            tr.tau2.b, tr.k)
@@ -293,8 +290,7 @@ def random_element(seed: int, max_len: int = 40) -> Word:
     Returned as generated, without normalization."""
     rng = random.Random(seed)
     length = rng.randint(1, max_len)
-    gens = tuple(Generator)
-    return Word(tuple((rng.choice(gens), rng.choice(_EXPONENTS))
+    return Word(tuple((rng.choice("NABR"), rng.choice(_EXPONENTS))
                       for _ in range(length)))
 
 

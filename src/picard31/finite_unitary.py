@@ -18,7 +18,7 @@ from __future__ import annotations
 from .eisenstein import ONE, ZERO, OMEGA
 from .errors import NotMemberError
 from .hermitian import ROTATIONS, FiniteUnitary
-from .words import Generator, Word, normalize
+from .words import Word, normalize
 
 
 U1 = FiniteUnitary(((ZERO, ONE), (ONE, ZERO)))
@@ -27,10 +27,9 @@ U2 = FiniteUnitary(((-OMEGA, ZERO), (ZERO, ONE)))
 
 def _closed_forms():
     """(element, word) for both shapes of every exponent pair (i, j)."""
-    A, B = Generator.A, Generator.B
     for i, j, u in ROTATIONS:
-        yield u, normalize(Word(((A, 1), (B, j), (A, 1), (B, i))
-                                if u.is_diagonal() else ((B, i), (A, 1), (B, j))))
+        yield u, normalize(Word((("A", 1), ("B", j), ("A", 1), ("B", i))
+                                if u.is_diagonal() else (("B", i), ("A", 1), ("B", j))))
 
 
 _WORDS = dict(sorted(_closed_forms(), key=lambda item: tuple(

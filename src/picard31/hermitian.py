@@ -233,11 +233,12 @@ def image_of_infinity(g: GroupMatrix) -> tuple:
                  for a, b in ((a1, b1), (a2, b2), (a3, b3))) + (x * x - x * y + y * y,)
 
 
-def heisenberg_corner(m: int, k: int) -> EisensteinInt:
+def heisenberg_corner(m: int, k: int) -> tuple[int, int]:
     """The corner entry e = (-m + i k sqrt(3))/2 of the translation (tau, k)
-    with m = |tau1|^2 + |tau2|^2.  Using i*sqrt(3) = 1 + 2w, e is
-    ((k - m)/2) + k w, an Eisenstein integer exactly when k = m (mod 2)."""
-    return EisensteinInt((k - m) // 2, k)
+    with m = |tau1|^2 + |tau2|^2, as the int pair (a, b) of e = a + bw.
+    Using i*sqrt(3) = 1 + 2w, e is ((k - m)/2) + k w, an Eisenstein integer
+    exactly when k = m (mod 2)."""
+    return (k - m) // 2, k
 
 
 @dataclass(frozen=True)
@@ -340,7 +341,6 @@ class HeisenbergParam:
         la, lb = self.lam.a, self.lam.b
         tr = self.translation
         t1a, t1b, t2a, t2b = tr.tau1.a, tr.tau1.b, tr.tau2.a, tr.tau2.b
-        corner = heisenberg_corner(tr.tau1.norm() + tr.tau2.norm(), tr.k)
         out = [la, lb, 0, 0, 0, 0, 0, 0]
         for xa, xb, ya, yb in (self.u.flat[:4], self.u.flat[4:]):
             # conj(tau1) x + conj(tau2) y, with conj(a + bw) = (a - b) - bw.
@@ -348,7 +348,8 @@ class HeisenbergParam:
             qa, qb = _mul(t2a - t2b, -t2b, ya, yb)
             ra, rb = _mul(la, lb, pa + qa, pb + qb)
             out += (-ra, -rb, xa, xb, ya, yb, 0, 0)
-        out += (*_mul(la, lb, corner.a, corner.b), t1a, t1b, t2a, t2b, la, lb)
+        out += (*_mul(la, lb, *heisenberg_corner(tr.tau1.norm() + tr.tau2.norm(), tr.k)),
+                t1a, t1b, t2a, t2b, la, lb)
         return GroupMatrix.from_flat(tuple(out))
 
 

@@ -2,10 +2,11 @@
 
 Generators: N (the basic Heisenberg translation by ((1,0), sqrt(3))),
 A and B (rotations by the two generators of U(2; Z[w])), and R (the
-inversion).  A word is a sequence of generator powers; evaluation
-multiplies the corresponding matrices.  Normal form merges adjacent equal
-generators and reduces exponents by the generator orders (A^2 = R^2 = I,
-B^6 = I, N of infinite order).
+inversion).  A word is a sequence of generator powers, each item a pair
+(letter, exponent) whose letter is the string "N", "A", "B" or "R" that
+the word text uses; evaluation multiplies the corresponding matrices.
+Normal form merges adjacent equal generators and reduces exponents by the
+generator orders (A^2 = R^2 = I, B^6 = I, N of infinite order).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
-from enum import Enum
 
 from .eisenstein import MU_POWERS, ONE, EisensteinInt
 from .errors import WordParseError
@@ -21,16 +21,9 @@ from .hermitian import GroupMatrix, heisenberg_corner
 from .jsonutil import decode_pair, encode_pair
 
 
-class Generator(Enum):
-    N = "N"
-    A = "A"
-    B = "B"
-    R = "R"
-
-
 class Word:
-    """Immutable sequence of (Generator, int) items, stored as given; parse
-    is what validates outside text."""
+    """Immutable sequence of (letter, exponent) items, letter one of "N",
+    "A", "B", "R", stored as given; parse is what validates outside text."""
 
     __slots__ = ("items",)
 
@@ -77,14 +70,13 @@ def normalize(word: Word) -> Word:
     generators, so one merge per incoming item is enough.  Exponents of B
     reduce to {-2, ..., 3}, of A and R to {0, 1}; N keeps its exponent.
     """
-    N, B = Generator.N, Generator.B
-    stack: list[tuple[Generator, int]] = []
+    stack: list[tuple[str, int]] = []
     for gen, exp in word.items:
-        if stack and stack[-1][0] is gen:
+        if stack and stack[-1][0] == gen:
             exp += stack.pop()[1]
-        if gen is B:
+        if gen == "B":
             exp = (exp + 2) % 6 - 2
-        elif gen is not N:
+        elif gen != "N":
             exp %= 2
         if exp:
             stack.append((gen, exp))
@@ -125,10 +117,9 @@ def evaluate(word: Word, unit: EisensteinInt = ONE) -> GroupMatrix:
     # column and mu^d2 in its second, on the diagonal or, if anti, off it.
     t1a = t1b = t2a = t2b = k = d1 = d2 = 0
     anti = False
-    N, A, B = Generator.N, Generator.A, Generator.B
     # (None, 1) marks the end of the word, where P is applied once more.
     for gen, e in word.items + ((None, 1),):
-        if gen is N:
+        if gen == "N":
             # u (e, 0) = e mu^d1 in coordinate 2 if anti, else 1; k gains e
             # and the w-coefficient of conj(u (e, 0)) times that tau_j.
             p, q = _MU[d1]
@@ -141,9 +132,9 @@ def evaluate(word: Word, unit: EisensteinInt = ONE) -> GroupMatrix:
                 k += e + va * t1b - vb * t1a
                 t1a += va
                 t1b += vb
-        elif gen is B:
+        elif gen == "B":
             d1 = (d1 + e) % 6
-        elif gen is A:
+        elif gen == "A":
             if e % 2:
                 d1, d2, anti = d2, d1, not anti
         elif e % 2:
@@ -158,10 +149,9 @@ def evaluate(word: Word, unit: EisensteinInt = ONE) -> GroupMatrix:
                 s1b = p2 * t1b + q2 * (t1a - t1b)
                 s2a = p3 * t2a - q3 * t2b
                 s2b = p3 * t2b + q3 * (t2a - t2b)
-                corner = heisenberg_corner(
+                ea, eb = heisenberg_corner(
                     s1a * s1a - s1a * s1b + s1b * s1b
                     + s2a * s2a - s2a * s2b + s2b * s2b, k)
-                ea, eb = corner.a, corner.b
                 ed, s1c, s2c = ea - eb, s1a - s1b, s2a - s2b
                 a1, b1, a2, b2, a3, b3, a4, b4 = c1
                 x1, y1, x2, y2, x3, y3, x4, y4 = c2
@@ -205,8 +195,6 @@ def evaluate(word: Word, unit: EisensteinInt = ONE) -> GroupMatrix:
 
 # --- text format ------------------------------------------------------------
 
-_LETTERS = {g.value: g for g in Generator}
-_NAMES = {g: letter for letter, g in _LETTERS.items()}  # no enum .value per item
 # The word grammar.  [0-9], as \d also takes digits such as '²' and '٣';
 # \s is exactly str.isspace.  A letter with '^' but no integer stops it.
 _WORD = re.compile(r"\s*(?:[NABR](?:\^[+-]?[0-9]+|(?!\^))\s*)*")
@@ -230,7 +218,7 @@ def parse(text: str) -> Word:
             message, end = "expected integer exponent after '^'", bad_exponent.end()
     else:
         try:
-            return normalize(Word([(_LETTERS[g], int(e) if e else 1)
+            return normalize(Word([(g, int(e) if e else 1)
                                    for g, e in _ITEM.findall(text)]))
         except ValueError:  # an exponent past Python's int/str digit limit
             limit = sys.get_int_max_str_digits()
@@ -241,7 +229,7 @@ def parse(text: str) -> Word:
 
 def serialize(word: Word) -> str:
     """Inverse of parse on normalized words."""
-    return " ".join([_NAMES[gen] if exp == 1 else f"{_NAMES[gen]}^{exp}"
+    return " ".join([gen if exp == 1 else f"{gen}^{exp}"
                      for gen, exp in word.items])
 
 

@@ -20,7 +20,7 @@ from picard31.hermitian import (HeisenbergTranslation, check_membership,
 from picard31.decomposer import (decompose_translation, random_element,
                                  reduction_step, step_bound,
                                  translation_data, verify)
-from picard31.words import Generator, evaluate, parse
+from picard31.words import evaluate, parse
 
 
 @contextmanager

@@ -19,7 +19,7 @@ from picard31.hermitian import (GroupMatrix, HeisenbergParam,
                                 langlands_extract, matrix_from_json_text,
                                 matrix_to_json_text, rotation_matrix,
                                 translation_matrix, unit_correction)
-from picard31.words import Generator, Word, evaluate, normalize, parse, serialize
+from picard31.words import Word, evaluate, normalize, parse, serialize
 
 _SETTINGS = dict(derandomize=True, database=None, deadline=None)
 _BIG = 2 ** 70
@@ -89,16 +89,16 @@ _EXPONENT = st.one_of(
     st.integers(-10 ** 5, 10 ** 5).map(lambda e: 2 * e),
     st.integers(-10 ** 5, 10 ** 5).map(lambda e: 6 * e))
 _RAW_WORDS = st.lists(
-    st.tuples(st.sampled_from(tuple(Generator)), _EXPONENT),
+    st.tuples(st.sampled_from(tuple("NABR")), _EXPONENT),
     max_size=60).map(Word)
 
 
 # The generator matrices from their own constructors, multiplied through
 # GroupMatrix.__mul__/__pow__: no code shared with evaluate's columns.
-_GENERATOR_MATRICES = {Generator.N: translation_matrix((ONE, ZERO), 1),
-                       Generator.A: rotation_matrix(U1),
-                       Generator.B: rotation_matrix(U2),
-                       Generator.R: inversion()}
+_GENERATOR_MATRICES = {"N": translation_matrix((ONE, ZERO), 1),
+                       "A": rotation_matrix(U1),
+                       "B": rotation_matrix(U2),
+                       "R": inversion()}
 
 
 def _generic_product(word, lam):
@@ -109,7 +109,7 @@ def _generic_product(word, lam):
 
 
 @settings(max_examples=200, **_SETTINGS)
-@given(st.lists(st.tuples(st.sampled_from(tuple(Generator)), _EXPONENT),
+@given(st.lists(st.tuples(st.sampled_from(tuple("NABR")), _EXPONENT),
                 max_size=40).map(Word),
        st.sampled_from(UNITS))
 def test_evaluate_matches_generic_product(word, lam):
@@ -117,7 +117,7 @@ def test_evaluate_matches_generic_product(word, lam):
 
 
 _STABILIZER_ITEM = st.tuples(
-    st.sampled_from((Generator.N, Generator.A, Generator.B)), _EXPONENT)
+    st.sampled_from(("N", "A", "B")), _EXPONENT)
 
 
 @st.composite
@@ -128,7 +128,7 @@ def r_sparse_words(draw):
     items = []
     for i in range(draw(st.integers(1, 5))):
         if i:
-            items.append((Generator.R, 1))
+            items.append(("R", 1))
         n = draw(st.integers(0, 30))
         items += draw(st.lists(_STABILIZER_ITEM, min_size=n, max_size=n))
     return Word(items)
@@ -141,7 +141,7 @@ def test_evaluate_matches_generic_product_on_long_runs(word, lam):
 
 
 @settings(max_examples=200, **_SETTINGS)
-@given(st.lists(st.tuples(st.sampled_from(tuple(Generator)), _EXPONENT),
+@given(st.lists(st.tuples(st.sampled_from(tuple("NABR")), _EXPONENT),
                 max_size=40).map(Word))
 def test_reduction_step_matches_generic_product(word):
     # Exponents up to 10^6 give entries of hundreds of bits.  A g fixing
