@@ -275,7 +275,8 @@ class HeisenbergTranslation:
         return HeisenbergTranslation(-self.tau1, -self.tau2, -self.k)
 
     def matrix(self) -> GroupMatrix:
-        """Upper triangular, with e = heisenberg_corner(|tau|^2, k) at (1, 4)."""
+        """Upper triangular, with e = a + bw at (1, 4) for the pair
+        (a, b) = heisenberg_corner(|tau|^2, k)."""
         return HeisenbergParam(ONE, self, _NO_ROTATION).matrix()
 
 
@@ -336,8 +337,8 @@ class HeisenbergParam:
     def matrix(self) -> GroupMatrix:
         """Column 1 is (lam, 0, 0, 0), columns 2-3 stack -lam tau* u over u
         over zeros, and column 4 is (lam e, tau, lam), with
-        e = heisenberg_corner(|tau|^2, k): the one place the entries of an
-        element fixing infinity are written."""
+        e = a + bw for the pair (a, b) = heisenberg_corner(|tau|^2, k): the
+        one place the entries of an element fixing infinity are written."""
         la, lb = self.lam.a, self.lam.b
         tr = self.translation
         t1a, t1b, t2a, t2b = tr.tau1.a, tr.tau1.b, tr.tau2.a, tr.tau2.b

@@ -21,6 +21,16 @@ from .hermitian import GroupMatrix, heisenberg_corner
 from .jsonutil import decode_pair, encode_pair
 
 
+class _Letter(str):
+    """A letter as normalize writes it: equal to and hashed as its string,
+    which value gives back (bench/run.py reads item.value of the words
+    verify evaluates)."""
+    value = property(str.__str__)
+
+
+_LETTER = {c: _Letter(c) for c in "NABR"}
+
+
 class Word:
     """Immutable sequence of (letter, exponent) items, letter one of "N",
     "A", "B", "R", stored as given; parse is what validates outside text."""
@@ -69,6 +79,7 @@ def normalize(word: Word) -> Word:
     the raw neighbor pairs.  The stack never holds two adjacent equal
     generators, so one merge per incoming item is enough.  Exponents of B
     reduce to {-2, ..., 3}, of A and R to {0, 1}; N keeps its exponent.
+    Each kept letter is written as its _Letter.
     """
     stack: list[tuple[str, int]] = []
     for gen, exp in word.items:
@@ -79,7 +90,7 @@ def normalize(word: Word) -> Word:
         elif gen != "N":
             exp %= 2
         if exp:
-            stack.append((gen, exp))
+            stack.append((_LETTER.get(gen, gen), exp))
     return Word(stack)
 
 
