@@ -193,6 +193,9 @@ def test_letters_compared_by_value():
         copy = Word((Letter(g), e) for g, e in w)
         assert all(g is not h for (g, _), (h, _) in zip(copy, w))
         assert normalize(copy) == normalize(w)
+        # Merged: both sides could fail to merge alike, so check the form.
+        merged = normalize(copy).items
+        assert all(g != h for (g, _), (h, _) in zip(merged, merged[1:]))
         assert evaluate(copy) == generic_evaluate(w)
         assert serialize(copy) == serialize(w)
         assert serialize(normalize(copy)) == serialize(normalize(w))
