@@ -45,7 +45,7 @@ print()
 
 print("unit:", result.unit)
 print("word:", serialize(result.word))
-print("word length:", result.word.syllable_length(), "letters")
+print("word length:", result.word.letters(), "letters")
 rebuilt = unit_correction(result.unit) * evaluate(result.word)
 print("exact rebuild matches:", rebuilt == g)
 print("verify():", verify(g, result))

@@ -154,7 +154,7 @@ def _cmd_fuzz(args) -> int:
             return 1
         max_steps = max(max_steps, len(trace.steps))
         total_steps += len(trace.steps)
-        word_len = result.word.syllable_length()
+        word_len = result.word.letters()
         max_word_len = max(max_word_len, word_len)
         total_word_len += word_len
         for step in trace.steps:

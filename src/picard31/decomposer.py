@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import isqrt
 
 from .eisenstein import UNITS, EisensteinInt, lattice_corners
 # The traced benchmark run wraps round_nearest by this module's name.
@@ -199,12 +200,21 @@ def decompose_translation(tau, k: int) -> Word:
     The four lattice directions come from conjugating N by rotations:
       (1, 0)  : N            (w, 0)  : B^-2 N B^2
       (0, 1)  : A N A        (0, w)  : A B^-2 N B^2 A
-    and the vertical direction from the commutator of N with B N B^-1,
-    which climbs by 2 sqrt(3) per unit.  The four horizontal factors
-    compose to the right tau; their accumulated vertical offset k_word is
-    corrected through the commutator power.  Raises ParityError unless
-    k = |tau|^2 (mod 2).  The residual k - k_word is then even, because
+    and the vertical direction from commutators of powers of N with
+    B N B^-1: [N^a, B N^b B^-1] climbs by 2ab sqrt(3) with 2|a| + 2|b| + 4
+    letters.  The horizontal factors compose to the right tau; their
+    accumulated vertical offset k_word is corrected by commutators worth
+    t = (k - k_word)/2 in all.  Raises ParityError unless
+    k = |tau|^2 (mod 2); then k - k_word is even, because
     a^2 - ab + b^2 = a + b - ab (mod 2).
+
+    Within a coordinate tau_j = a + bw, putting N^a before or after its
+    w-factor changes k_word by 2ab, and the two coordinates commute; of
+    the four orders, the one of least |t| is taken (the first on a tie).
+    t is then written as ab + c with a = isqrt(|t|) and b the integer
+    nearest t/a, and c in the same way, unless the single commutator
+    [N^t, B N B^-1] (2|t| + 6 letters) is no longer.  So the vertical part
+    costs O(sqrt|t|) letters and never more than 2|t| + 6.
     """
     tr = HeisenbergTranslation(*tau, k)
     return Word(_translation_items([], 1, 0, tr.tau1.a, tr.tau1.b, tr.tau2.a,
@@ -217,19 +227,50 @@ def _translation_items(items, la, lb, t1a, t1b, t2a, t2b, k) -> list:
     # lam tau_j by (p + qw)(c + dw) = (pc - qd) + (pd + qc - qd)w.
     a1, b1 = la * t1a - lb * t1b, la * t1b + lb * t1a - lb * t1b
     a2, b2 = la * t2a - lb * t2b, la * t2b + lb * t2a - lb * t2b
-    if a1:
+    # N^a before B^-2 N^b B^2 gives k_word a + b - ab, after it a + b + ab;
+    # take the orders of least |2t| = |k - k_word|, the i-th of `orders`:
+    # N^a1 first for i < 2, N^a2 first for even i.  All four agree when
+    # both products are 0.
+    two_t, p1, p2 = k - a1 - b1 - a2 - b2, a1 * b1, a2 * b2
+    i = 0
+    if p1 or p2:
+        orders = (two_t + p1 + p2, two_t + p1 - p2, two_t - p1 + p2,
+                  two_t - p1 - p2)
+        two_t = min(orders, key=abs)
+        i = orders.index(two_t)
+    if a1 and i < 2:
         items.append(("N", a1))
     if b1:
         items += ("B", -2), ("N", b1), ("B", 2)
-    if a2:
-        items += ("A", 1), ("N", a2), ("A", 1)
-    if b2:
-        items += ("A", 1), ("B", -2), ("N", b2), ("B", 2), ("A", 1)
-    t = (k - (a1 + b1 - a1 * b1 + a2 + b2 - a2 * b2)) // 2
-    if t:
-        items += (("N", t), ("B", 1), ("N", 1), ("B", -1), ("N", -t), ("B", 1),
-                  ("N", -1), ("B", -1))
+    if a1 and i > 1:
+        items.append(("N", a1))
+    if a2 or b2:
+        items.append(("A", 1))
+        if a2 and i % 2 == 0:
+            items.append(("N", a2))
+        if b2:
+            items += ("B", -2), ("N", b2), ("B", 2)
+        if a2 and i % 2:
+            items.append(("N", a2))
+        items.append(("A", 1))
+    for a, b in _commutators(two_t // 2):
+        items += (("N", a), ("B", 1), ("N", b), ("B", -1), ("N", -a), ("B", 1),
+                  ("N", -b), ("B", -1))
     return items
+
+
+def _commutators(t: int) -> list:
+    """Pairs (a, b) with sum(a*b) = t, for the commutators
+    [N^a, B N^b B^-1] of decompose_translation's vertical part."""
+    if -4 < t < 4:  # no split beats the single commutator here
+        return [(t, 1)] if t else []
+    a = isqrt(abs(t))
+    b = (2 * t + a) // (2 * a)  # |t - ab| <= a/2
+    pairs = [(a, b), *_commutators(t - a * b)]
+    # Half the letters: |x| + |y| + 2 per pair, against |t| + 3 for (t, 1).
+    if sum(abs(x) + abs(y) + 2 for x, y in pairs) < abs(t) + 3:
+        return pairs
+    return [(t, 1)]
 
 
 def decompose_traced(g: GroupMatrix) -> tuple[DecompositionResult, ReductionTrace]:

@@ -52,7 +52,7 @@ class Word:
     def inverse(self) -> Word:
         return normalize(Word(tuple((g, -e) for g, e in reversed(self.items))))
 
-    def syllable_length(self) -> int:
+    def letters(self) -> int:
         """Total letter count: the sum of absolute exponents."""
         return sum(abs(e) for _, e in self.items)
 

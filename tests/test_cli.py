@@ -251,7 +251,7 @@ def test_fuzz(tmp_path, capsys, monkeypatch):
     for i in range(25):
         result, trace = decompose_traced(evaluate(random_element(20 + i, 15)))
         steps += len(trace.steps)
-        letters += result.word.syllable_length()
+        letters += result.word.letters()
     assert obj["total_steps"] == steps >= obj["max_steps"]
     assert obj["total_word_length"] == letters >= obj["max_word_length"]
     assert sum(rec["count"] for rec in obj["contraction_histogram"]) > 0

@@ -341,6 +341,31 @@ def test_round_items_match_decompose_translation():
                 assert evaluate(Word(items)) == translation_matrix(tau, -k)
 
 
+def _single_commutator_letters(tau, k):
+    """Letters of the synthesis with N^a before each w-factor and the whole
+    vertical remainder t0 in one commutator [N^t0, B N B^-1]."""
+    (a1, b1), (a2, b2) = ((t.a, t.b) for t in tau)
+    t0 = (k - (a1 + b1 - a1 * b1 + a2 + b2 - a2 * b2)) // 2
+    return (abs(a1) + (abs(b1) + 4 if b1 else 0)
+            + (abs(a2) + 2 if a2 else 0) + (abs(b2) + 6 if b2 else 0)
+            + (2 * abs(t0) + 6 if t0 else 0))
+
+
+def test_translation_words_exact_and_never_longer():
+    # A box of tau with k near 0, near +-10^6 and near +-2^140, so the order
+    # choice and the factored commutators (nested, of both signs) all run.
+    centers = (0, 10 ** 6, -10 ** 6, 2 ** 140, -2 ** 140)
+    for t1a, t1b, t2a, t2b in itertools.product(range(-2, 3), repeat=4):
+        tau = (EisensteinInt(t1a, t1b), EisensteinInt(t2a, t2b))
+        m = tau[0].norm() + tau[1].norm()
+        for k in {c + d + (c + d + m) % 2 for c in centers for d in (-4, 1)}:
+            w = decompose_translation(tau, k)
+            assert evaluate(w) == translation_matrix(tau, k)
+            assert w.letters() <= _single_commutator_letters(tau, k)
+            # The vertical part costs O(sqrt|k|), not |k|.
+            assert max(abs(e) for _, e in w.items) <= 3 * math.isqrt(abs(k)) + 40
+
+
 def test_decompose_translation_uses_only_nab():
     w = decompose_translation((EisensteinInt(2, -1), EisensteinInt(0, 3)), 6)
     assert all(g != "R" for g, _ in w.items)

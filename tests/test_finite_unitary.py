@@ -75,7 +75,7 @@ def test_u_decompose_is_shortest():
     dist = bfs_distances()
     assert len(dist) == 72
     for u in enumerate_group():
-        assert u_decompose(u).syllable_length() == dist[rotation_matrix(u)]
+        assert u_decompose(u).letters() == dist[rotation_matrix(u)]
 
 
 def test_word_table_covers_group():

@@ -4,6 +4,7 @@ the generic matrix product, the form check's first defect, the word
 normalizer, and the matrix JSON boundary."""
 
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +82,13 @@ def test_large_stabilizer_round_trips(param):
     assert trace.steps == ()
     assert trace.stabilizer == param
     assert verify(h, result)
+    # With tau's coefficients up to M, the vertical remainder t has
+    # 2|t| <= |k| + 4M + 2M^2, so its commutator exponents, about sqrt|t|,
+    # and the rotation word's (at most 3) stay within 3 (max(M, sqrt|k|) + 1).
+    tr = param.translation
+    size = max(abs(c) for t in tr.tau for c in (t.a, t.b))
+    size = max(size, math.isqrt(abs(tr.k))) + 1
+    assert max((abs(e) for _, e in result.word.items), default=0) <= 3 * size
 
 
 _EXPONENT = st.one_of(

@@ -336,9 +336,9 @@ def test_word_multiplication():
     assert serialize(x * y) == "N^2 B"
 
 
-def test_syllable_length():
-    assert parse("N^-3 A B^2").syllable_length() == 6
-    assert Word().syllable_length() == 0
+def test_letters():
+    assert parse("N^-3 A B^2").letters() == 6
+    assert Word().letters() == 0
 
 
 def test_decomposition_result_json():
