@@ -77,10 +77,11 @@ def translation_data(g: GroupMatrix):
 
     Everything is in Z[w] over the one integer n = |g41|^2 that
     image_of_infinity returns: g(infinity) = (c1/n, p1/n, p2/n).  Returns
-    (translation, s, zb, n) with s = N(p1 + n tau1) + N(p2 + n tau2) and
-    zb the w-coefficient of c1 - p1 conj(tau1) - p2 conj(tau2).  In the
-    paper's terms i1 = s / (2 n^2) is half the squared distance of
-    (q1, q2) to -tau, and e = zb / n is twice the sqrt(3)-coefficient of
+    (tau, k, s, zb, n), tau = (tau1, tau2) and k as ReductionStep keeps
+    them, s = N(p1 + n tau1) + N(p2 + n tau2) and zb the w-coefficient of
+    c1 - p1 conj(tau1) - p2 conj(tau2).  In the paper's terms
+    i1 = s / (2 n^2) is half the squared distance of (q1, q2) to -tau, and
+    e = zb / n is twice the sqrt(3)-coefficient of
     Im(z - q1 conj(tau1) - q2 conj(tau2)); the bottom-left norm after the
     round is n' = n (i1^2 + (3/4)(e + k)^2), that is
     4 n^3 n' = s^2 + 3 n^2 (zb + k n)^2.
@@ -107,7 +108,8 @@ def translation_data(g: GroupMatrix):
     parts = [[(d, ua, ub, ua * pb - ub * pa, ua * ua - ua * ub + ub * ub)
               for d, ua, ub in lattice_corners(pa, pb, n) if 3 * d <= top]
              for pa, pb in ((p1.a, p1.b), (p2.a, p2.b))]
-    choices = []
+    n3 = 3 * n * n
+    best = None
     for s1, u1a, u1b, z1, m1 in parts[0]:
         for s2, u2a, u2b, z2, m2 in parts[1]:
             s = s1 + s2
@@ -127,13 +129,11 @@ def translation_data(g: GroupMatrix):
             if e < -n or e == -n and k < -1:
                 k += 2
                 e += 2 * n
-            choices.append((s, zb, k, e, -u1a, -u1b, -u2a, -u2b))
-    n3 = 3 * n * n
-    s, zb, k, _, t1a, t1b, t2a, t2b = min(
-        choices, key=lambda c: (c[0] * c[0] + n3 * c[3] * c[3],
-                                abs(c[2]), c[2], c[4:]))
-    return (HeisenbergTranslation(EisensteinInt(t1a, t1b),
-                                  EisensteinInt(t2a, t2b), k), s, zb, n)
+            key = (s * s + n3 * e * e, abs(k), k, -u1a, -u1b, -u2a, -u2b)
+            if best is None or key < best[0]:
+                best = key, s, zb
+    (_, _, k, t1a, t1b, t2a, t2b), s, zb = best
+    return (EisensteinInt(t1a, t1b), EisensteinInt(t2a, t2b)), k, s, zb, n
 
 
 def reduction_step(g: GroupMatrix) -> tuple[GroupMatrix, ReductionStep]:
@@ -145,12 +145,12 @@ def reduction_step(g: GroupMatrix) -> tuple[GroupMatrix, ReductionStep]:
     4 n^3 n' = s^2 + 3 n^2 (zb + k n)^2 of translation_data are asserted
     in integers.
     """
-    tr, s, zb, n = translation_data(g)
-    k = tr.k
-    t1a, t1b, t2a, t2b = tr.tau1.a, tr.tau1.b, tr.tau2.a, tr.tau2.b
+    tau, k, s, zb, n = translation_data(g)
+    t1, t2 = tau
+    t1a, t1b, t2a, t2b = t1.a, t1.b, t2.a, t2.b
     # conj(a + bw) = (a - b) - bw, and the corner ea + kw of N_(tau,k).
     u1a, u1b, u2a, u2b = t1a - t1b, -t1b, t2a - t2b, -t2b
-    ea = heisenberg_corner(tr.tau1.norm() + tr.tau2.norm(), k)[0]
+    ea = heisenberg_corner(t1.norm() + t2.norm(), k)[0]
 
     # Rows r1..r4 become r4, -(r2 + tau1 r4), -(r3 + tau2 r4) and
     # r1 - conj(tau1) r2 - conj(tau2) r3 + corner r4, in each column, with
@@ -175,7 +175,7 @@ def reduction_step(g: GroupMatrix) -> tuple[GroupMatrix, ReductionStep]:
         raise InternalError(f"norm {n} -> {n_after} does not match the "
                             f"predicted ratio (s={s}, zb={zb}, k={k})")
     return GroupMatrix.from_flat(tuple(out)), ReductionStep(
-        tau=tr.tau, k=k, n_before=n, n_after=n_after)
+        tau=tau, k=k, n_before=n, n_after=n_after)
 
 
 def step_bound(n0: int) -> int:

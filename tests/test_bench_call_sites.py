@@ -8,6 +8,7 @@ from pathlib import Path
 
 import picard31
 import picard31.words
+from picard31.hermitian import inversion, translation_matrix
 from picard31.words import evaluate, parse
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -40,6 +41,15 @@ def test_bench_entry_points():
     for step in trace.steps:
         for field in ("tau", "k", "n_before", "n_after"):
             assert hasattr(step, field), field
+        # The replay reads (t.a, t.b) for t in step.tau and calls
+        # R.translation(t1, t2, step.k) on plain ints.
+        assert len(step.tau) == 2
+        assert all(type(t.a) is int and type(t.b) is int for t in step.tau)
+        assert type(step.k) is int
+        assert g.rows[3][0].norm() == step.n_before
+        g = inversion() * translation_matrix(step.tau, step.k) * g
+        assert g.rows[3][0].norm() == step.n_after
+    assert g.fixes_infinity()
 
 
 def test_traced_ops_pass_through(monkeypatch):

@@ -11,9 +11,8 @@ from fraction_pairs import add, as_num_den, conj, div, mul, norm, qw, sub
 from picard31.eisenstein import (OMEGA, ONE, UNITS, ZERO, EisensteinInt,
                                  round_nearest)
 from picard31.errors import DomainError, InternalError, ParityError
-from picard31.hermitian import (GroupMatrix, HeisenbergTranslation, identity,
-                                inversion, translation_matrix,
-                                unit_correction)
+from picard31.hermitian import (GroupMatrix, identity, inversion,
+                                translation_matrix, unit_correction)
 from picard31.decomposer import (_translation_items, decompose,
                                  decompose_traced,
                                  decompose_translation, langlands_extract,
@@ -38,12 +37,12 @@ def non_stabilizers(seed, count, max_len=20):
 def test_translation_data_invariants():
     for g in non_stabilizers(100, 200):
         # i1 = s / (2 n^2) <= 1/3 and |e + k| = |zb + k n| / n <= 1.
-        tr, s, zb, n = translation_data(g)
+        tau, k, s, zb, n = translation_data(g)
         assert all(type(x) is int for x in (s, zb, n))
         assert 3 * s <= 2 * n * n
-        assert abs(zb + tr.k * n) <= n
+        assert abs(zb + k * n) <= n
         # Parity of k agrees with |tau|^2 by construction.
-        assert (tr.k - tr.tau1.norm() - tr.tau2.norm()) % 2 == 0
+        assert (k - tau[0].norm() - tau[1].norm()) % 2 == 0
     # A stabilizer has no finite g(infinity), hence no translation to choose.
     with pytest.raises(DomainError):
         translation_data(identity())
@@ -79,7 +78,7 @@ def nearest_translation_data(g):
     base = math.floor(-e)
     candidates = [k for k in range(base - 3, base + 4) if (k - m) % 2 == 0]
     k = min(candidates, key=lambda c: (abs(e + c), abs(c), c))
-    return HeisenbergTranslation(tau1, tau2, k), i1, e
+    return ((tau1, tau2), k), i1, e
 
 
 def reference_translation_data(g):
@@ -116,7 +115,7 @@ def reference_translation_data(g):
                 n_after = n * (i1 * i1 + Fraction(3, 4) * (e + k) ** 2)
                 key = (n_after, abs(k), k, tau1.a, tau1.b, tau2.a, tau2.b)
                 if best is None or key < best[0]:
-                    best = key, HeisenbergTranslation(tau1, tau2, k), i1, e
+                    best = key, ((tau1, tau2), k), i1, e
     return best[1:]
 
 
@@ -135,20 +134,20 @@ def test_translation_data_matches_reference():
     for w in words:
         g = evaluate(w)
         while not g.fixes_infinity():
-            tr, s, zb, n = translation_data(g)
+            tau, k, s, zb, n = translation_data(g)
             ref = reference_translation_data(g)
-            assert (tr, Fraction(s, 2 * n * n), Fraction(zb, n)) == ref
+            assert ((tau, k), Fraction(s, 2 * n * n), Fraction(zb, n)) == ref
             assert n == g.rows[3][0].norm()
             # The paper's rational form of the contraction, on the
             # reference's i1 and e: n' = n (i1^2 + (3/4)(e + k)^2).
             _, i1, e = ref
-            near, near_i1, near_e = nearest_translation_data(g)
+            (_, near_k), near_i1, near_e = nearest_translation_data(g)
             g, step = reduction_step(g)
             assert step.n_after == n * (i1 * i1
-                                        + Fraction(3, 4) * (e + tr.k) ** 2)
+                                        + Fraction(3, 4) * (e + k) ** 2)
             # Never worse than the nearest-point rule, and often better.
             near_n = n * (near_i1 * near_i1
-                          + Fraction(3, 4) * (near_e + near.k) ** 2)
+                          + Fraction(3, 4) * (near_e + near_k) ** 2)
             assert step.n_after <= near_n
             shorter += step.n_after < near_n
             states += 1
@@ -160,9 +159,20 @@ def test_translation_data_k_tie():
     # g(infinity) has lattice coordinates, so s = 0, and zb = 0 with |tau|^2
     # odd: k = -1 and k = 1 both give |zb + k n| = n, and the smaller k wins.
     g = evaluate(parse("R N^-2 B^2 N^-2 R"))
-    tr, s, zb, n = translation_data(g)
-    assert (s, zb, n, tr.k) == (0, 0, 4, -1)
-    assert tr == reference_translation_data(g)[0]
+    tau, k, s, zb, n = translation_data(g)
+    assert (s, zb, n, k) == (0, 0, 4, -1)
+    assert (tau, k) == reference_translation_data(g)[0]
+
+
+def test_translation_data_takes_i1_at_its_bound():
+    # The paper's bound i1 <= 1/3 includes its end: after one round of this
+    # seeded word the best choice has 3 s = 2 n^2 exactly, and a strict
+    # bound would take a worse one.
+    g = reduction_step(evaluate(random_element(2148, 60)))[0]
+    tau, k, s, zb, n = translation_data(g)
+    assert (3 * s, n) == (2 * n * n, 9)
+    ref = reference_translation_data(g)
+    assert ((tau, k), Fraction(1, 3), Fraction(zb, n)) == ref
 
 
 @pytest.mark.parametrize("bump", [(1, 0), (0, 1)], ids=["s", "zb"])
@@ -170,8 +180,8 @@ def test_reduction_ratio_check_is_live(monkeypatch, bump):
     # A translation_data that misreports s or zb must trip reduction_step's
     # integer ratio check; the contraction check alone would not notice.
     def skewed(g):
-        tr, s, zb, n = translation_data(g)
-        return tr, s + bump[0], zb + bump[1], n
+        tau, k, s, zb, n = translation_data(g)
+        return tau, k, s + bump[0], zb + bump[1], n
 
     monkeypatch.setattr("picard31.decomposer.translation_data", skewed)
     for g in non_stabilizers(700, 20):
@@ -183,8 +193,8 @@ def test_reduction_contraction_check_is_live(monkeypatch):
     # k moved by 10 keeps its parity, and s and zb stay true to it, so the
     # ratio identity still holds; only the contraction check can object.
     def far(g):
-        tr, s, zb, n = translation_data(g)
-        return HeisenbergTranslation(tr.tau1, tr.tau2, tr.k + 10), s, zb, n
+        tau, k, s, zb, n = translation_data(g)
+        return tau, k + 10, s, zb, n
 
     monkeypatch.setattr("picard31.decomposer.translation_data", far)
     cases = [evaluate(parse("N^3 R B N^-2 R A N R N^2"))]
