@@ -73,8 +73,7 @@ IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
 def run_suite(tree: Path) -> tuple[bool, str, float]:
     """Run pytest -x -q in tree; return (passed, the first FAILED or ERROR
     line, else the last line, seconds)."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"),
-               PYTHONDONTWRITEBYTECODE="1")
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     start = time.perf_counter()
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
