@@ -11,7 +11,6 @@ group member, failed verification), 2 for I/O, parse, or flag problems.
 from __future__ import annotations
 
 import argparse
-import os
 import random as _random
 import sys
 
@@ -37,12 +36,6 @@ def _read_input(path: str) -> str:
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    env = os.environ.get("PICARD_SEED")
-    if env is not None:
-        try:
-            return decode_int(env)
-        except ValueError:
-            raise ValueError(f"PICARD_SEED must be an integer, got {env!r}") from None
     return _random.SystemRandom().randrange(2 ** 32)
 
 
@@ -233,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("random", help="emit a seeded random group element")
     add_common(p, with_input=False)
     p.add_argument("--seed", type=_int_flag(), default=None,
-                   help="RNG seed (default: PICARD_SEED or system entropy)")
+                   help="RNG seed (default: system entropy)")
     p.add_argument("--max-len", type=_int_flag(1), default=40,
                    help="maximum word length (default 40)")
     p.set_defaults(func=_cmd_random)
@@ -242,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="decompose many random elements and report stats")
     add_common(p, with_input=False)
     p.add_argument("--seed", type=_int_flag(), default=None,
-                   help="base RNG seed (default: PICARD_SEED or system entropy)")
+                   help="base RNG seed (default: system entropy)")
     p.add_argument("--iterations", type=_int_flag(1), default=100,
                    help="number of random elements (default 100)")
     p.add_argument("--max-len", type=_int_flag(1), default=40,

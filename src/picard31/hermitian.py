@@ -196,21 +196,6 @@ class GroupMatrix:
         return {"matrix": [[v[c:c + 2] for c in range(i, i + 32, 8)]
                            for i in (0, 2, 4, 6)]}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> GroupMatrix:
-        if not isinstance(obj, dict) or "matrix" not in obj:
-            raise ValueError('expected an object with a "matrix" key')
-        entries = obj["matrix"]
-        if not isinstance(entries, list) or len(entries) != 4:
-            raise ValueError("matrix must have 4 rows")
-        if not all(isinstance(row, list) and len(row) == 4 for row in entries):
-            raise ValueError("each matrix row must have 4 entries")
-        # Decoded in reading order, so the first bad entry is the one reported.
-        rows = [[decode_coeffs(e) for e in row] for row in entries]
-        flat = tuple(x for col in zip(*rows) for pair in col for x in pair)
-        _require_member(flat)
-        return cls.from_flat(flat)
-
 
 def identity() -> GroupMatrix:
     return HeisenbergParam(ONE, _NO_TRANSLATION, _NO_ROTATION).matrix()
@@ -447,4 +432,15 @@ def matrix_from_json_text(text: str) -> GroupMatrix:
         raise ValueError(f"invalid JSON: {exc}") from exc
     except RecursionError:
         raise ValueError("invalid JSON: nesting too deep") from None
-    return GroupMatrix.from_json(obj)
+    if not isinstance(obj, dict) or "matrix" not in obj:
+        raise ValueError('expected an object with a "matrix" key')
+    entries = obj["matrix"]
+    if not isinstance(entries, list) or len(entries) != 4:
+        raise ValueError("matrix must have 4 rows")
+    if not all(isinstance(row, list) and len(row) == 4 for row in entries):
+        raise ValueError("each matrix row must have 4 entries")
+    # Decoded in reading order, so the first bad entry is the one reported.
+    rows = [[decode_coeffs(e) for e in row] for row in entries]
+    flat = tuple(x for col in zip(*rows) for pair in col for x in pair)
+    _require_member(flat)
+    return GroupMatrix.from_flat(flat)

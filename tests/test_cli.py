@@ -187,24 +187,6 @@ def test_random_text_through_module_entry_point(capsys):
         [str(EisensteinInt(*e)) for e in row] for row in obj["matrix"]]
 
 
-def test_random_env_seed(capsys, monkeypatch):
-    monkeypatch.setenv("PICARD_SEED", "99")
-    code, out, _ = run(capsys, ["random", "--json"])
-    assert code == 0
-    assert json.loads(out)["seed"] == 99
-    # Flag wins over the environment.
-    code, out, _ = run(capsys, ["random", "--seed", "5", "--json"])
-    assert json.loads(out)["seed"] == 5
-
-
-def test_random_bad_env_seed(capsys, monkeypatch):
-    for bad in ("yes", " 1_0"):
-        monkeypatch.setenv("PICARD_SEED", bad)
-        code, _, err = run(capsys, ["random", "--json"])
-        assert code == 2
-        assert "PICARD_SEED" in err
-
-
 def test_bad_count_and_seed_flags(capsys):
     # Counts must be at least 1 and seeds ASCII decimals; argparse exits 2
     # with a message that names the flag.
@@ -222,8 +204,7 @@ def test_bad_count_and_seed_flags(capsys):
         assert f"argument {flag}:" in err
 
 
-def test_random_entropy_seed(capsys, monkeypatch):
-    monkeypatch.delenv("PICARD_SEED", raising=False)
+def test_random_entropy_seed(capsys):
     code, out, _ = run(capsys, ["random", "--json"])
     assert code == 0
     assert "seed" in json.loads(out)

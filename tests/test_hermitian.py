@@ -366,6 +366,18 @@ def test_json_rejects_malformed():
             matrix_from_json_text(json.dumps({"matrix": rows}))
 
 
+def test_json_reports_first_bad_entry_in_reading_order():
+    # Entries are decoded row by row: (0, 3) comes before (1, 0), although
+    # (1, 0) comes first column by column or bottom-up.
+    rows = [[encode_pair(e) for e in row] for row in identity().rows]
+    rows[0][3] = ["bad03", 0]
+    rows[1][0] = ["bad10", 0]
+    with pytest.raises(ValueError) as info:
+        matrix_from_json_text(json.dumps({"matrix": rows}))
+    assert "bad03" in str(info.value)
+    assert "bad10" not in str(info.value)
+
+
 def test_json_rejects_non_member():
     rows = [[encode_pair(e) for e in row] for row in identity().rows]
     rows[0][0] = [2, 0]

@@ -31,6 +31,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DECOMPOSER = "src/picard31/decomposer.py"
 HERMITIAN = "src/picard31/hermitian.py"
+WORDS = "src/picard31/words.py"
 
 # (name, file, old text, new text)
 MUTANTS = [
@@ -64,6 +65,61 @@ MUTANTS = [
     ("langlands_extract: rebuild check dropped", HERMITIAN,
      "    if param.matrix() != p:",
      "    if False:"),
+    ("evaluate: the anti swap takes d1 and d2 crosswise", WORDS,
+     "c2, c3, f2, f3 = c3, c2, (f3 + d1) % 6, (f2 + d2) % 6",
+     "c2, c3, f2, f3 = c3, c2, (f3 + d2) % 6, (f2 + d1) % 6"),
+    ("evaluate: sign of N's cross term vb * t1a flipped", WORDS,
+     "k += e + va * t1b - vb * t1a",
+     "k += e + va * t1b + vb * t1a"),
+    ("evaluate: k dropped from the pass guard", WORDS,
+     "if t1a or t1b or t2a or t2b or k:",
+     "if t1a or t1b or t2a or t2b:"),
+    ("evaluate: B turns d1 the wrong way", WORDS,
+     "d1 = (d1 + e) % 6",
+     "d1 = (d1 - e) % 6"),
+    ("evaluate: the closing twist drops f from rows 1 and 4", WORDS,
+     "_MU[(d0 + f) % 6]",
+     "_MU[d0]"),
+    ("normalize: B reduced to {0, ..., 5}", WORDS,
+     "exp = (exp + 2) % 6 - 2",
+     "exp = exp % 6"),
+    ("normalize: the merge dropped", WORDS,
+     "        if stack and stack[-1][0] == gen:\n"
+     "            exp += stack.pop()[1]\n",
+     ""),
+    # The A wrapper of the second coordinate, ("A", 1) made ("A", -1), is
+    # an equivalent mutant: normalize reduces A's exponent mod 2.
+    ("parse: a letter followed by a bare '^' taken without exponent", WORDS,
+     "|(?!\\^))",
+     ")?"),
+    ("_form_defect: the imaginary part ignored", HERMITIAN,
+     "if im or re != _J_ENTRIES[j][k]:",
+     "if re != _J_ENTRIES[j][k]:"),
+    ("_form_defect: the diagonal skipped", HERMITIAN,
+     "for k in range(j, 4):",
+     "for k in range(j + 1, 4):"),
+    ("FiniteUnitary.flat: b and c swapped", HERMITIAN,
+     "(a.a, a.b, c.a, c.b, b.a, b.b, d.a, d.b)",
+     "(a.a, a.b, b.a, b.b, c.a, c.b, d.a, d.b)"),
+    ("matrix_from_json_text: the form check dropped", HERMITIAN,
+     "    _require_member(flat)\n    return GroupMatrix.from_flat(flat)",
+     "    return GroupMatrix.from_flat(flat)"),
+    ("matrix_from_json_text: rows decoded bottom-up", HERMITIAN,
+     "for row in entries]",
+     "for row in entries[::-1]][::-1]"),
+    ("_translation_items: N^a1 first only for i < 1", DECOMPOSER,
+     "if a1 and i < 2:",
+     "if a1 and i < 1:"),
+    ("_translation_items: ties go to the last order", DECOMPOSER,
+     "two_t = min(orders, key=abs)",
+     "two_t = min(reversed(orders), key=abs)"),
+    # Two equivalent mutants of _commutators: the base case -4 < t < 4
+    # made -3 < t < 3 (t = +-3 splits into 6 half-letters, not fewer than
+    # |t| + 3), and `< abs(t) + 3` made `<=` (a search found no tie for
+    # 4 <= |t| <= 200,000).
+    ("_commutators: b = t // a, not the nearest", DECOMPOSER,
+     "b = (2 * t + a) // (2 * a)",
+     "b = t // a"),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
