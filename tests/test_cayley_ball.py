@@ -59,10 +59,10 @@ def search(radius):
     """The spheres of radius 1..radius around the identity, each a list of
     (element, word) for the elements first reached at that distance, and
     the set of canonical relators met on the way."""
-    gens = [parse(text) for text in GENERATORS]
-    steps = [(s, evaluate(s)) for s in gens]
-    frontier = [(identity(), Word())]
-    words = {frontier[0][0].flat: Word()}
+    steps = [(s, evaluate(s)) for s in map(parse, GENERATORS)]
+    start = identity()
+    frontier = [(start, Word())]
+    words = {start.flat: Word()}
     out, relators = [], set()
     for _ in range(radius):
         sphere = []
