@@ -24,10 +24,10 @@ print()
 # |e + k| <= 1, the round takes the one that leaves the smallest norm
 # n' = n (i1^2 + (3/4)(e + k)^2), which need not be the nearest lattice
 # point.  The quality figures are integers over n = |g41|^2:
-# i1 = s / (2 n^2) and |e + k| = |zb + k n| / n.
+# i1 = s / (2 n) and |e + k| = |zb + k n| / n.
 tau, k, s, zb, n = translation_data(g)
 print("first round picks tau =", (str(tau[0]), str(tau[1])), " k =", k)
-print(f"  quality: i1 = {Fraction(s, 2 * n * n)} (<= 1/3),  "
+print(f"  quality: i1 = {Fraction(s, 2 * n)} (<= 1/3),  "
       f"|e + k| = {Fraction(abs(zb + k * n), n)} (<= 1)")
 print()
 

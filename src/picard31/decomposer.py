@@ -25,11 +25,10 @@ from math import isqrt
 from .eisenstein import UNITS, EisensteinInt, lattice_corners
 # The traced benchmark run wraps round_nearest by this module's name.
 from .eisenstein import round_nearest  # noqa: F401
-from .errors import InternalError
+from .errors import DomainError, InternalError
 from .finite_unitary import enumerate_group, u_decompose
 from .hermitian import (GroupMatrix, HeisenbergParam, HeisenbergTranslation,
-                        heisenberg_corner, image_of_infinity,
-                        langlands_extract)
+                        heisenberg_corner, langlands_extract)
 from .jsonutil import encode_int, encode_pair
 from .words import DecompositionResult, Word, evaluate, normalize, serialize
 
@@ -75,47 +74,52 @@ class ReductionTrace:
 def translation_data(g: GroupMatrix):
     """Choose the reduction translation for g: the (tau, k) of least n'.
 
-    Everything is in Z[w] over the one integer n = |g41|^2 that
-    image_of_infinity returns: g(infinity) = (c1/n, p1/n, p2/n).  Returns
-    (tau, k, s, zb, n), tau = (tau1, tau2) and k as ReductionStep keeps
-    them, s = N(p1 + n tau1) + N(p2 + n tau2) and zb the w-coefficient of
-    c1 - p1 conj(tau1) - p2 conj(tau2).  In the paper's terms
-    i1 = s / (2 n^2) is half the squared distance of (q1, q2) to -tau, and
-    e = zb / n is twice the sqrt(3)-coefficient of
+    Everything is in Z[w], read from g's first column: n = |g41|^2 and
+    g(infinity) = (c1/n, p1/n, p2/n), p_j = g_(j+1)1 conj(g41) as in
+    image_of_infinity.  Returns (tau, k, s, zb, n), tau = (tau1, tau2) and
+    k as ReductionStep keeps them, s = N(g21 + tau1 g41) + N(g31 + tau2 g41)
+    and zb the w-coefficient of c1 - p1 conj(tau1) - p2 conj(tau2).  In the
+    paper's terms i1 = s / (2 n) is half the squared distance of (q1, q2)
+    to -tau, and e = zb / n is twice the sqrt(3)-coefficient of
     Im(z - q1 conj(tau1) - q2 conj(tau2)); the bottom-left norm after the
     round is n' = n (i1^2 + (3/4)(e + k)^2), that is
-    4 n^3 n' = s^2 + 3 n^2 (zb + k n)^2.
+    4 n n' = s^2 + 3 (zb + k n)^2.
 
     The rule: among all tau in Z[w]^2 and k = |tau|^2 (mod 2) within the
-    paper's bounds 3 s <= 2 n^2 (i1 <= 1/3) and |zb + k n| <= n
+    paper's bounds 3 s <= 2 n (i1 <= 1/3) and |zb + k n| <= n
     (|e + k| <= 1), take the one of least n'; ties go to the smaller |k|,
     then the smaller k, then the lexicographically smallest
     (tau1.a, tau1.b, tau2.a, tau2.b).  The nearest lattice points
     -tau_j to q_j meet both bounds, so 36 n' <= 31 n holds as in the paper.
     The search is exhaustive: both parts of s are >= 0, so each -tau_j has
-    3 N(p_j + n tau_j) <= 2 n^2, and by the corner lemma of
+    3 N(g_(j+1)1 + tau_j g41) <= 2 n, and by the corner lemma of
     eisenstein.lattice_corners it is one of the at most three corners
     around q_j that pass; for each tau, only the two same-parity k around
     -zb/n can meet |zb + k n| <= n.  s and zb split by coordinate, so each
     corner's parts are computed once and each pair is scored by sums.
     Raises DomainError when g fixes infinity, as image_of_infinity does.
     """
-    c1, p1, p2, n = image_of_infinity(g)
-    top = 2 * n * n
+    a1, b1, a2, b2, a3, b3, x, y = g.flat[0:8]
+    if not (x or y):
+        raise DomainError("matrix fixes infinity; its image has no affine coordinates")
+    n = x * x - x * y + y * y
+    top = 2 * n
     # Per coordinate, each admissible corner u = -tau in plain ints with its
-    # parts of s, zb and |tau|^2: N(p - u n), the w-coefficient
-    # ua pb - ub pa of -p conj(tau), and N(u).
+    # parts of s, zb and |tau|^2: N(g_j1 - u g41), the w-coefficient
+    # ua pb - ub pa of -p conj(tau), p = pa + pb w, and N(u).
+    rows = [(a, b, a * (x - y) + b * y, b * x - a * y)
+            for a, b in ((a2, b2), (a3, b3))]
     parts = [[(d, ua, ub, ua * pb - ub * pa, ua * ua - ua * ub + ub * ub)
-              for d, ua, ub in lattice_corners(pa, pb, n) if 3 * d <= top]
-             for pa, pb in ((p1.a, p1.b), (p2.a, p2.b))]
-    n3 = 3 * n * n
+              for d, ua, ub in lattice_corners(a, b, x, y) if 3 * d <= top]
+             for a, b, pa, pb in rows]
+    c1b = b1 * x - a1 * y
     best = None
     for s1, u1a, u1b, z1, m1 in parts[0]:
         for s2, u2a, u2b, z2, m2 in parts[1]:
             s = s1 + s2
             if 3 * s > top:
                 continue
-            zb = c1.b + z1 + z2
+            zb = c1b + z1 + z2
             # k must match the parity of m = |tau|^2 and minimize
             # |e| = |zb + k n|.  That is convex in k with its minimum at
             # -zb/n, so over the same-parity integers it is least at the
@@ -129,7 +133,7 @@ def translation_data(g: GroupMatrix):
             if e < -n or e == -n and k < -1:
                 k += 2
                 e += 2 * n
-            key = (s * s + n3 * e * e, abs(k), k, -u1a, -u1b, -u2a, -u2b)
+            key = (s * s + 3 * e * e, abs(k), k, -u1a, -u1b, -u2a, -u2b)
             if best is None or key < best[0]:
                 best = key, s, zb
     (_, _, k, t1a, t1b, t2a, t2b), s, zb = best
@@ -142,8 +146,8 @@ def reduction_step(g: GroupMatrix) -> tuple[GroupMatrix, ReductionStep]:
     Computed by direct row operations on each column of GroupMatrix's
     layout; a generic product would redo the structure of R and N.  Both
     the contraction 36 n' <= 31 n and the exact ratio
-    4 n^3 n' = s^2 + 3 n^2 (zb + k n)^2 of translation_data are asserted
-    in integers.
+    4 n n' = s^2 + 3 (zb + k n)^2 of translation_data are asserted in
+    integers.
     """
     tau, k, s, zb, n = translation_data(g)
     t1, t2 = tau
@@ -171,7 +175,7 @@ def reduction_step(g: GroupMatrix) -> tuple[GroupMatrix, ReductionStep]:
     n_after = x * x - x * y + y * y
     if 36 * n_after > 31 * n:
         raise InternalError(f"reduction failed to contract: {n} -> {n_after}")
-    if 4 * n ** 3 * n_after != s * s + 3 * n * n * (zb + k * n) ** 2:
+    if 4 * n * n_after != s * s + 3 * (zb + k * n) ** 2:
         raise InternalError(f"norm {n} -> {n_after} does not match the "
                             f"predicted ratio (s={s}, zb={zb}, k={k})")
     return GroupMatrix.from_flat(tuple(out)), ReductionStep(

@@ -4,8 +4,8 @@ Here w = (-1 + i*sqrt(3))/2 is a primitive cube root of unity, so w^2 = -1 - w.
 Elements are stored as integer pairs (a, b) meaning a + b*w; all arithmetic is
 exact on arbitrary-precision integers.  There is no rational number type: a
 point of Q(w) is written as a numerator in Z[w] over a positive integer
-denominator, which is the form rounding takes, so the reduction and the
-boundary action never leave Z[w].
+denominator, or over a nonzero one in Z[w], the forms rounding takes, so
+the reduction and the boundary action never leave Z[w].
 """
 
 from __future__ import annotations
@@ -120,30 +120,36 @@ UNITS = (
 MU_POWERS = tuple((-OMEGA) ** d for d in range(6))
 
 
-def lattice_corners(a: int, b: int, d: int) -> list[tuple[int, int, int]]:
-    """The four lattice points u = p + q*w, p in {a//d, a//d + 1} and
-    q in {b//d, b//d + 1}, around z = (a + b*w)/d (d >= 1), as triples
-    (d^2 |z - u|^2, p, q) in ascending lex order of (p, q).
+def lattice_corners(a: int, b: int, c: int, e: int) -> list[tuple[int, int, int]]:
+    """The four lattice points u = p + q*w, p in {p0, p0 + 1} and
+    q in {q0, q0 + 1}, around z = (a + b*w)/(c + e*w) (c + e*w != 0), as
+    triples (N(a + b*w - u (c + e*w)), p, q) = (n |z - u|^2, p, q) in
+    ascending lex order of (p, q).  Here n = N(c + e*w), and p0, q0 are the
+    floors of the coefficients of z = (a + b*w) conj(c + e*w) / n.
 
     Corner lemma: they hold the nearest lattice point and every u with
-    |z - u|^2 <= 2/3, and at most three of them are that close.  The
-    diagonal from (a//d, b//d) to the opposite corner has length 1 and
-    splits their parallelogram into two unit equilateral triangles; let T
-    be a closed one holding z.  T is the meet of three strips, each between
-    an edge line and the parallel lattice line through the opposite vertex,
-    sqrt(3)/2 apart.  A lattice point other than T's vertices, the fourth
-    corner among them, lies outside some strip, so |z - u|^2 >= 3/4 > 2/3.
+    3 N(a + b*w - u (c + e*w)) <= 2 n, that is |z - u|^2 <= 2/3, and at
+    most three of them are that close.  The diagonal from (p0, q0) to the
+    opposite corner has length 1 and splits their parallelogram into two
+    unit equilateral triangles; let T be a closed one holding z.  T is the
+    meet of three strips, each between an edge line and the parallel
+    lattice line through the opposite vertex, sqrt(3)/2 apart.  A lattice
+    point other than T's vertices, the fourth corner among them, lies
+    outside some strip, so |z - u|^2 >= 3/4 > 2/3.
     """
-    p0, q0 = a // d, b // d
-    # N(x - i d, y - j d) for the remainders x, y in [0, d), expanded so
-    # that the four norms share six products.
-    x, y = a - p0 * d, b - q0 * d
-    base = x * x - x * y + y * y
-    xd, yd, dd = x * d, y * d, d * d
+    n = c * c - c * e + e * e
+    # (a + bw) conj(c + ew) = (a(c - e) + be) + (bc - ae)w
+    pn, qn = a * (c - e) + b * e, b * c - a * e
+    p0, q0 = pn // n, qn // n
+    # w00 = a + bw - (p0 + q0 w)(c + ew) times conj(c + ew) is x + yw, so n
+    # times the distance at (p0 + i, q0 + j) is N(x - i n, y - j n).
+    x, y = pn - p0 * n, qn - q0 * n
+    wa, wb = a - p0 * c + q0 * e, b - p0 * e - q0 * c + q0 * e
+    base = wa * wa - wa * wb + wb * wb
     return [(base, p0, q0),
-            (base + xd - 2 * yd + dd, p0, q0 + 1),
-            (base - 2 * xd + yd + dd, p0 + 1, q0),
-            (base - xd - yd + dd, p0 + 1, q0 + 1)]
+            (base + x - 2 * y + n, p0, q0 + 1),
+            (base - 2 * x + y + n, p0 + 1, q0),
+            (base - x - y + n, p0 + 1, q0 + 1)]
 
 
 def round_nearest(num: EisensteinInt, den: int) -> EisensteinInt:
@@ -156,5 +162,5 @@ def round_nearest(num: EisensteinInt, den: int) -> EisensteinInt:
     by a common factor changes neither the result nor the tie-break, so den
     need not be reduced.  The minimizer is one of lattice_corners.
     """
-    _, p, q = min(lattice_corners(num.a, num.b, den))
+    _, p, q = min(lattice_corners(num.a, num.b, den, 0))
     return EisensteinInt(p, q)

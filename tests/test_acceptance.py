@@ -81,9 +81,9 @@ def test_criterion_03_reduction_invariants(capsys):
             while not g.fixes_infinity():
                 if n0 is None:
                     n0 = g.rows[3][0].norm()
-                # i1 = s / (2 n^2) <= 1/3 and |e + k| = |zb + k n| / n <= 1.
+                # i1 = s / (2 n) <= 1/3 and |e + k| = |zb + k n| / n <= 1.
                 tau, k, s, zb, n = translation_data(g)
-                assert 3 * s <= 2 * n * n
+                assert 3 * s <= 2 * n
                 assert abs(zb + k * n) <= n
                 g, step = reduction_step(g)
                 assert 36 * step.n_after <= 31 * step.n_before

@@ -36,13 +36,19 @@ def non_stabilizers(seed, count, max_len=20):
 
 def test_translation_data_invariants():
     for g in non_stabilizers(100, 200):
-        # i1 = s / (2 n^2) <= 1/3 and |e + k| = |zb + k n| / n <= 1.
+        # i1 = s / (2 n) <= 1/3 and |e + k| = |zb + k n| / n <= 1.
         tau, k, s, zb, n = translation_data(g)
         assert all(type(x) is int for x in (s, zb, n))
-        assert 3 * s <= 2 * n * n
+        assert 3 * s <= 2 * n
         assert abs(zb + k * n) <= n
         # Parity of k agrees with |tau|^2 by construction.
         assert (k - tau[0].norm() - tau[1].norm()) % 2 == 0
+        # s is at the scale of g's entries: the round turns rows 2 and 3 of
+        # column 1 into -(g21 + tau1 g41) and -(g31 + tau2 g41), and
+        # 4 n n' = s^2 + 3 (zb + k n)^2 holds with no factor of n^2.
+        out, step = reduction_step(g)
+        assert s == out.rows[1][0].norm() + out.rows[2][0].norm()
+        assert 4 * n * step.n_after == s * s + 3 * (zb + k * n) ** 2
     # A stabilizer has no finite g(infinity), hence no translation to choose.
     with pytest.raises(DomainError):
         translation_data(identity())
@@ -136,7 +142,7 @@ def test_translation_data_matches_reference():
         while not g.fixes_infinity():
             tau, k, s, zb, n = translation_data(g)
             ref = reference_translation_data(g)
-            assert ((tau, k), Fraction(s, 2 * n * n), Fraction(zb, n)) == ref
+            assert ((tau, k), Fraction(s, 2 * n), Fraction(zb, n)) == ref
             assert n == g.rows[3][0].norm()
             # The paper's rational form of the contraction, on the
             # reference's i1 and e: n' = n (i1^2 + (3/4)(e + k)^2).
@@ -166,11 +172,11 @@ def test_translation_data_k_tie():
 
 def test_translation_data_takes_i1_at_its_bound():
     # The paper's bound i1 <= 1/3 includes its end: after one round of this
-    # seeded word the best choice has 3 s = 2 n^2 exactly, and a strict
+    # seeded word the best choice has 3 s = 2 n exactly, and a strict
     # bound would take a worse one.
     g = reduction_step(evaluate(random_element(2148, 60)))[0]
     tau, k, s, zb, n = translation_data(g)
-    assert (3 * s, n) == (2 * n * n, 9)
+    assert (3 * s, n) == (2 * n, 9)
     ref = reference_translation_data(g)
     assert ((tau, k), Fraction(1, 3), Fraction(zb, n)) == ref
 

@@ -261,21 +261,52 @@ _BIG_HOLE = st.builds(
 _BIG_INTEGRAL = st.tuples(_BIG_ZW, st.just(1))
 
 
-@settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(st.one_of(_BIG_GENERIC, _BIG_EDGE, _BIG_HOLE, _BIG_INTEGRAL))
-def test_lattice_corners_hold_every_admissible_point(case):
-    num, den = case
-    corners = lattice_corners(num.a, num.b, den)
-    p0, q0 = num.a // den, num.b // den
+def _check_corners(num, den, p0, q0):
+    """The corner lemma for z = num/den, den in Z[w] nonzero, whose floor
+    (coefficient by coefficient) is p0 + q0 w: the corners in lex order,
+    their distances N(num - u den), and every lattice point of the 7x7
+    window with 3 N(num - u den) <= 2 N(den) among them, 1 to 3 of them."""
+    n = den.norm()
+    corners = lattice_corners(num.a, num.b, den.a, den.b)
     assert [(p, q) for _, p, q in corners] == [
         (p0, q0), (p0, q0 + 1), (p0 + 1, q0), (p0 + 1, q0 + 1)]
     for dist, p, q in corners:
         assert dist == (num - EisensteinInt(p, q) * den).norm()
-    # Every lattice point of the 7x7 window with 3 N(num - u den) <= 2 den^2
-    # is a corner, and at most three of the four corners pass.
     window = [EisensteinInt(p, q) for p in range(p0 - 3, p0 + 4)
               for q in range(q0 - 3, q0 + 4)]
     admissible = {(u.a, u.b) for u in window
-                  if 3 * (num - u * den).norm() <= 2 * den * den}
+                  if 3 * (num - u * den).norm() <= 2 * n}
     assert admissible <= {(p, q) for _, p, q in corners}
     assert 1 <= len(admissible) <= 3
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.one_of(_BIG_GENERIC, _BIG_EDGE, _BIG_HOLE, _BIG_INTEGRAL))
+def test_lattice_corners_hold_every_admissible_point(case):
+    # An integer denominator d, passed as d + 0w: the corners sit at the
+    # floors of num.a / d and num.b / d.
+    num, den = case
+    _check_corners(num, EisensteinInt(den), num.a // den, num.b // den)
+
+
+# The same over Z[w] denominators: the ties and lattice points above with
+# the scale c any nonzero element of Z[w], large or small (units among
+# them).
+_DEN = st.one_of(_BIG_ZW, st.builds(EisensteinInt, _coeffs(3), _coeffs(3))
+                 ).filter(bool)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.one_of(
+    st.tuples(_BIG_ZW, _DEN),
+    st.builds(lambda u, v, c: ((u * 2 + v) * c, c * 2),
+              _BIG_ZW, st.sampled_from(UNITS), _DEN),
+    st.builds(lambda u, h, c: ((u * 3 + h) * c, c * 3), _BIG_ZW,
+              st.sampled_from((EisensteinInt(2, 1), EisensteinInt(1, 2))),
+              _DEN),
+    st.builds(lambda u, c: (u * c, c), _BIG_ZW, _DEN)))
+def test_lattice_corners_over_eisenstein_denominators(case):
+    # The corners sit at the floors of num conj(den) / N(den).
+    num, den = case
+    z, n = num * den.conj(), den.norm()
+    _check_corners(num, den, z.a // n, z.b // n)

@@ -8,7 +8,9 @@ copied to a temporary directory (without .git and caches), the mutant is
 applied there, and `python -m pytest -x -q` runs in the copy with its
 own src/ first on PYTHONPATH.  A mutant the suite lets pass survives.
 The unmutated copy runs first, so a suite that already fails judges
-nothing.
+nothing, and its time bounds the others: a mutant's run is stopped after
+five times as long and reported as timed out, which counts as a kill (a
+mutant that makes the suite loop cannot hang the check).
 
 Exit status: 0 when every mutant dies, 1 when one survives, 2 when the
 unmutated suite fails or a triple does not match exactly once.
@@ -30,31 +32,32 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 DECOMPOSER = "src/picard31/decomposer.py"
+EISENSTEIN = "src/picard31/eisenstein.py"
 HERMITIAN = "src/picard31/hermitian.py"
 WORDS = "src/picard31/words.py"
 
 # (name, file, old text, new text)
 MUTANTS = [
     ("translation_data: |k| dropped from the choice key", DECOMPOSER,
-     "key = (s * s + n3 * e * e, abs(k), k,",
-     "key = (s * s + n3 * e * e, 0, k,"),
+     "key = (s * s + 3 * e * e, abs(k), k,",
+     "key = (s * s + 3 * e * e, 0, k,"),
     ("translation_data: tie at e = -n moves up from k = -1", DECOMPOSER,
      "if e < -n or e == -n and k < -1:",
      "if e < -n or e == -n and k <= -1:"),
-    ("translation_data: pair bound 3 s <= 2 n^2 dropped", DECOMPOSER,
+    ("translation_data: pair bound 3 s <= 2 n dropped", DECOMPOSER,
      "            if 3 * s > top:\n                continue\n",
      ""),
     ("translation_data: pair bound made strict", DECOMPOSER,
      "if 3 * s > top:",
      "if 3 * s >= top:"),
-    # Making this bound strict is an equivalent mutant: 3 d = 2 n^2 has no
-    # solution, since an Eisenstein norm has an even power of 2 and
-    # 2 n^2 / 3 = 6 (n / 3)^2 an odd one.
+    # Making this bound strict is an equivalent mutant: 3 d = 2 n has no
+    # solution, since an Eisenstein norm, d and n here, has an even power
+    # of 2, so 3 d has an even one and 2 n an odd one.
     ("translation_data: corner bound halved", DECOMPOSER,
      "if 3 * d <= top]",
-     "if 3 * d <= n * n]"),
+     "if 3 * d <= n]"),
     ("reduction_step: ratio check dropped", DECOMPOSER,
-     "    if 4 * n ** 3 * n_after != s * s + 3 * n * n * (zb + k * n) ** 2:",
+     "    if 4 * n * n_after != s * s + 3 * (zb + k * n) ** 2:",
      "    if False:"),
     ("reduction_step: contraction check dropped", DECOMPOSER,
      "    if 36 * n_after > 31 * n:",
@@ -62,6 +65,14 @@ MUTANTS = [
     ("reduction_step: sign of tau1.b flipped in row 2", DECOMPOSER,
      "-(a2 + t1a * x - t1b * y)",
      "-(a2 + t1a * x + t1b * y)"),
+    # The first is equivalent for an integer denominator (e = 0), so only
+    # the rounds and the Z[w]-denominator corner test can kill it.
+    ("lattice_corners: q0 e dropped from w00's first coefficient", EISENSTEIN,
+     "wa, wb = a - p0 * c + q0 * e,",
+     "wa, wb = a - p0 * c,"),
+    ("lattice_corners: n dropped from the corner (p0, q0 + 1)", EISENSTEIN,
+     "(base + x - 2 * y + n, p0, q0 + 1)",
+     "(base + x - 2 * y, p0, q0 + 1)"),
     ("langlands_extract: rebuild check dropped", HERMITIAN,
      "    if param.matrix() != p:",
      "    if False:"),
@@ -126,27 +137,33 @@ IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
                                 ".hypothesis", "*.egg-info", "out")
 
 
-def run_suite(tree: Path) -> tuple[bool, str, float]:
-    """Run pytest -x -q in tree; return (passed, the first FAILED or ERROR
-    line, else the last line, seconds)."""
+def run_suite(tree: Path, timeout=None) -> tuple[bool, str, float]:
+    """Run pytest -x -q in tree, stopped after timeout seconds; return
+    (passed, the first FAILED or ERROR line, else the last line, seconds).
+    A run that is stopped has not passed."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"],
-        cwd=tree, env=env, capture_output=True, text=True)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p",
+             "no:cacheprovider"],
+            cwd=tree, env=env, capture_output=True, text=True,
+            timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return False, "timed out", time.perf_counter() - start
     lines = proc.stdout.strip().splitlines() or [proc.stderr.strip()]
     failed = [x for x in lines if x.startswith(("FAILED", "ERROR"))]
     shown = failed[0] if failed else lines[-1]
     return proc.returncode == 0, shown, time.perf_counter() - start
 
 
-def in_copy(apply) -> tuple[bool, str, float]:
+def in_copy(apply, timeout=None) -> tuple[bool, str, float]:
     """Copy the tree, let apply(copy) edit it, and run the suite there."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tree = Path(tmp) / "tree"
         shutil.copytree(ROOT, tree, ignore=IGNORE)
         apply(tree)
-        return run_suite(tree)
+        return run_suite(tree, timeout)
 
 
 def main() -> int:
@@ -161,12 +178,13 @@ def main() -> int:
           f"{last}", flush=True)
     if not passed:
         return 2
+    timeout = 5 * secs
     survivors = []
     for name, path, old, new in MUTANTS:
         def apply(tree, path=path, old=old, new=new):
             target = tree / path
             target.write_text(target.read_text().replace(old, new))
-        passed, last, secs = in_copy(apply)
+        passed, last, secs = in_copy(apply, timeout)
         print(f"{'SURVIVED' if passed else 'killed'} ({secs:.0f} s) {name}: "
               f"{last}", flush=True)
         if passed:
