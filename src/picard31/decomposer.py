@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 
 from .eisenstein import UNITS, EisensteinInt, lattice_corners
@@ -105,13 +106,11 @@ def translation_data(g: GroupMatrix):
     n = x * x - x * y + y * y
     top = 2 * n
     # Per coordinate, each admissible corner u = -tau in plain ints with its
-    # parts of s, zb and |tau|^2: N(g_j1 - u g41), the w-coefficient
-    # ua pb - ub pa of -p conj(tau), p = pa + pb w, and N(u).
-    rows = [(a, b, a * (x - y) + b * y, b * x - a * y)
-            for a, b in ((a2, b2), (a3, b3))]
-    parts = [[(d, ua, ub, ua * pb - ub * pa, ua * ua - ua * ub + ub * ub)
-              for d, ua, ub in lattice_corners(a, b, x, y) if 3 * d <= top]
-             for a, b, pa, pb in rows]
+    # parts of s, zb and |tau|^2: N(g_j1 - u g41), the w-coefficient of
+    # -p conj(tau) = conj(u) g_j1 conj(g41), and N(u).
+    parts = [[(d, ua, ub, z, ua * ua - ua * ub + ub * ub)
+              for d, ua, ub, z in lattice_corners(a, b, x, y) if 3 * d <= top]
+             for a, b in ((a2, b2), (a3, b3))]
     c1b = b1 * x - a1 * y
     best = None
     for s1, u1a, u1b, z1, m1 in parts[0]:
@@ -201,24 +200,35 @@ def step_bound(n0: int) -> int:
 def decompose_translation(tau, k: int) -> Word:
     """Word for the translation by (tau, k*sqrt(3)) over N, A, B.
 
-    The four lattice directions come from conjugating N by rotations:
-      (1, 0)  : N            (w, 0)  : B^-2 N B^2
-      (0, 1)  : A N A        (0, w)  : A B^-2 N B^2 A
-    and the vertical direction from commutators of powers of N with
-    B N B^-1: [N^a, B N^b B^-1] climbs by 2ab sqrt(3) with 2|a| + 2|b| + 4
-    letters.  The horizontal factors compose to the right tau; their
-    accumulated vertical offset k_word is corrected by commutators worth
-    t = (k - k_word)/2 in all.  Raises ParityError unless
-    k = |tau|^2 (mod 2); then k - k_word is even, because
-    a^2 - ab + b^2 = a + b - ab (mod 2).
+    A coordinate steps along the hexagonal directions 1, w and 1 + w, each
+    a conjugate of N by a power of B.  x steps along a direction d make
+    the translation T(x d, s x) of the first coordinate:
+      1     : N^x                                   s = 1
+      w     : B^-2 N^x B^2 (s = 1)  or  B N^-x B^-1  (s = -1)
+      1 + w : B^-1 N^x B                            s = 1
+    and the second coordinate's word is the first's between A and A.
+    T(v, k) T(v', k') = T(v + v', k + k' + c), c the w-coefficient of
+    conj(v') v, so each of the 10 forms of a coordinate a + bw, two of
+    the directions in either order, has a closed-form vertical offset.
+    The vertical remainder t = (k - offset1 - offset2)/2 is paid in
+    commutators of powers of N with B N B^-1: [N^a, B N^b B^-1] climbs by
+    2ab sqrt(3) with 2|a| + 2|b| + 4 letters.  t is written as ab + c with
+    a = isqrt(|t|) and b the integer nearest t/a, and c in the same way,
+    unless the single commutator [N^t, B N B^-1] (2|t| + 6 letters) is no
+    longer.  Raises ParityError unless k = |tau|^2 (mod 2); then k minus
+    the offsets is even, since a form of a + bw has an offset of the
+    parity of a^2 - ab + b^2.
 
-    Within a coordinate tau_j = a + bw, putting N^a before or after its
-    w-factor changes k_word by 2ab, and the two coordinates commute; of
-    the four orders, the one of least |t| is taken (the first on a tie).
-    t is then written as ab + c with a = isqrt(|t|) and b the integer
-    nearest t/a, and c in the same way, unless the single commutator
-    [N^t, B N B^-1] (2|t| + 6 letters) is no longer.  So the vertical part
-    costs O(sqrt|t|) letters and never more than 2|t| + 6.
+    Of all pairs of forms, the one of least letters in all is taken.  The
+    count is exact for the word normalize makes: a form's own merges are
+    counted, and with no second coordinate a last N^x of the first merges
+    with the first commutator's N.  Ties go to the first pair with each
+    coordinate's forms in order of letters, equal ones in a fixed order
+    that lists N^a before and after B^-2 N^b B^2 first.  Those two forms
+    are candidates, so no word is longer after normalize than with them
+    alone, and the vertical part costs O(sqrt|t|) letters.  Each
+    coordinate's forms and each t's commutators are memoized on first
+    use, in bounded caches.
     """
     tr = HeisenbergTranslation(*tau, k)
     return Word(_translation_items([], 1, 0, tr.tau1.a, tr.tau1.b, tr.tau2.a,
@@ -231,50 +241,114 @@ def _translation_items(items, la, lb, t1a, t1b, t2a, t2b, k) -> list:
     # lam tau_j by (p + qw)(c + dw) = (pc - qd) + (pd + qc - qd)w.
     a1, b1 = la * t1a - lb * t1b, la * t1b + lb * t1a - lb * t1b
     a2, b2 = la * t2a - lb * t2b, la * t2b + lb * t2a - lb * t2b
-    # N^a before B^-2 N^b B^2 gives k_word a + b - ab, after it a + b + ab;
-    # take the orders of least |2t| = |k - k_word|, the i-th of `orders`:
-    # N^a1 first for i < 2, N^a2 first for even i.  All four agree when
-    # both products are 0.
-    two_t, p1, p2 = k - a1 - b1 - a2 - b2, a1 * b1, a2 * b2
-    i = 0
-    if p1 or p2:
-        orders = (two_t + p1 + p2, two_t + p1 - p2, two_t - p1 + p2,
-                  two_t - p1 - p2)
-        two_t = min(orders, key=abs)
-        i = orders.index(two_t)
-    if a1 and i < 2:
-        items.append(("N", a1))
-    if b1:
-        items += ("B", -2), ("N", b1), ("B", 2)
-    if a1 and i > 1:
-        items.append(("N", a1))
+    # Each coordinate's forms come in order of letters, so a pair of forms
+    # costing no less than the best total ends its loop: commutators cost
+    # more than the N^x N^c merge saves.
+    best = None
     if a2 or b2:
+        second = _coordinate_forms(a2, b2)
+        for n1, o1, _, w1 in _coordinate_forms(a1, b1):
+            for n2, o2, _, w2 in second:
+                if best is not None and n1 + n2 >= best:
+                    break
+                v = (k - o1 - o2) // 2
+                n = n1 + n2 + _commutators(v)[0]
+                if best is None or n < best:
+                    best, t, f1, f2 = n, v, w1, w2
+        items += f1
         items.append(("A", 1))
-        if a2 and i % 2 == 0:
-            items.append(("N", a2))
-        if b2:
-            items += ("B", -2), ("N", b2), ("B", 2)
-        if a2 and i % 2:
-            items.append(("N", a2))
+        items += f2
         items.append(("A", 1))
-    for a, b in _commutators(two_t // 2):
-        items += (("N", a), ("B", 1), ("N", b), ("B", -1), ("N", -a), ("B", 1),
-                  ("N", -b), ("B", -1))
+    else:
+        for n1, o1, x, w1 in _coordinate_forms(a1, b1):
+            if best is not None and n1 >= best:
+                break
+            v = (k - o1) // 2
+            n, vertical = _commutators(v)
+            n += n1
+            if x and vertical:  # its last N^x merges with the first N^c
+                c = vertical[0][1]
+                n -= abs(x) + abs(c) - abs(x + c)
+            if best is None or n < best:
+                best, t, f1 = n, v, w1
+        items += f1
+    vertical = _commutators(t)[1]
+    if vertical and items and items[-1][0] == "N":
+        c = items.pop()[1] + vertical[0][1]
+        if c:
+            items.append(("N", c))
+        vertical = vertical[1:]
+    items += vertical
     return items
 
 
-def _commutators(t: int) -> list:
-    """Pairs (a, b) with sum(a*b) = t, for the commutators
-    [N^a, B N^b B^-1] of decompose_translation's vertical part."""
-    if -4 < t < 4:  # no split beats the single commutator here
-        return [(t, 1)] if t else []
-    a = isqrt(abs(t))
-    b = (2 * t + a) // (2 * a)  # |t - ab| <= a/2
-    pairs = [(a, b), *_commutators(t - a * b)]
-    # Half the letters: |x| + |y| + 2 per pair, against |t| + 3 for (t, 1).
-    if sum(abs(x) + abs(y) + 2 for x, y in pairs) < abs(t) + 3:
-        return pairs
-    return [(t, 1)]
+# One coordinate's hexagonal directions d = p + qw as (p, q, c, s): x steps
+# along d are B^c N^(s x) B^-c, the translation T(x d, s x).
+_DIRECTIONS = ((1, 0, 0, 1), (0, 1, -2, 1), (0, 1, 1, -1), (1, 1, -1, 1))
+# A form writes a coordinate along two directions, in the order given;
+# N and B^-2 N B^2 come first.
+_FORMS = ((0, 1), (1, 0), (0, 2), (2, 0), (0, 3), (3, 0), (2, 3), (3, 2),
+          (1, 3), (3, 1))
+# The powers of B a form writes, one shared item each.
+_B = {e: ("B", e) for e in (-2, -1, 1, 2)}
+
+
+@lru_cache(maxsize=1024)
+def _coordinate_forms(a: int, b: int) -> tuple:
+    """The forms of the coordinate a + bw that can win, in order of letters
+    (then of _FORMS): of those with the same offset and tail, the first of
+    least letters."""
+    forms = {}
+    for i, j in _FORMS:
+        form = _form(a, b, i, j)
+        key = form[1:3]
+        if key not in forms or form[0] < forms[key][0]:
+            forms[key] = form
+    return tuple(sorted(forms.values(), key=lambda form: form[0]))
+
+
+def _form(a: int, b: int, i: int, j: int) -> tuple:
+    """The coordinate a + bw along the directions i, then j, as
+    (letters, offset, tail, items): the items, as normalize leaves them,
+    make T(a + bw, offset), and tail is the exponent of a last N, else 0."""
+    pi, qi, ci, si = _DIRECTIONS[i]
+    pj, qj, cj, sj = _DIRECTIONS[j]
+    # x d_i + y d_j = a + bw, and det = +-1 is its own inverse.
+    det = pi * qj - pj * qi
+    x, y = (a * qj - b * pj) * det, (b * pi - a * qi) * det
+    items, letters = [], abs(x) + abs(y)
+    pending = 0  # the power of B not yet written
+    for c, e in ((ci, si * x), (cj, sj * y)):
+        if e:
+            if pending + c:
+                items.append(_B[pending + c])
+                letters += abs(pending + c)
+            items.append(("N", e))
+            pending = -c
+    if pending:
+        items.append(_B[pending])
+        letters += abs(pending)
+    tail = 0 if pending or not items else items[-1][1]
+    return letters, si * x + sj * y - det * x * y, tail, tuple(items)
+
+
+@lru_cache(maxsize=1024)
+def _commutators(t: int) -> tuple:
+    """(letters, items) of decompose_translation's vertical part for t: the
+    commutators [N^a, B N^b B^-1] of pairs (a, b) with sum(a*b) = t."""
+    if not t:
+        return 0, ()
+    pair, rest = (t, 1), (0, ())  # the single commutator [N^t, B N B^-1]
+    if not -4 < t < 4:  # no split beats it below 4
+        a = isqrt(abs(t))
+        b = (2 * t + a) // (2 * a)  # |t - ab| <= a/2
+        split = _commutators(t - a * b)
+        if split[0] + 2 * (a + abs(b)) + 4 < 2 * abs(t) + 6:
+            pair, rest = (a, b), split
+    a, b = pair
+    return (rest[0] + 2 * (abs(a) + abs(b)) + 4,
+            (("N", a), ("B", 1), ("N", b), ("B", -1), ("N", -a), ("B", 1),
+             ("N", -b), ("B", -1)) + rest[1])
 
 
 def decompose_traced(g: GroupMatrix) -> tuple[DecompositionResult, ReductionTrace]:

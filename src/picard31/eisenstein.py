@@ -120,12 +120,13 @@ UNITS = (
 MU_POWERS = tuple((-OMEGA) ** d for d in range(6))
 
 
-def lattice_corners(a: int, b: int, c: int, e: int) -> list[tuple[int, int, int]]:
+def lattice_corners(a: int, b: int, c: int, e: int) -> list[tuple]:
     """The four lattice points u = p + q*w, p in {p0, p0 + 1} and
     q in {q0, q0 + 1}, around z = (a + b*w)/(c + e*w) (c + e*w != 0), as
-    triples (N(a + b*w - u (c + e*w)), p, q) = (n |z - u|^2, p, q) in
-    ascending lex order of (p, q).  Here n = N(c + e*w), and p0, q0 are the
-    floors of the coefficients of z = (a + b*w) conj(c + e*w) / n.
+    quadruples (N(a + b*w - u (c + e*w)), p, q, r) = (n |z - u|^2, p, q, r)
+    in ascending lex order of (p, q), with r the w-coefficient of
+    conj(u) (a + b*w) conj(c + e*w).  Here n = N(c + e*w), and p0, q0 are
+    the floors of the coefficients of z = (a + b*w) conj(c + e*w) / n.
 
     Corner lemma: they hold the nearest lattice point and every u with
     3 N(a + b*w - u (c + e*w)) <= 2 n, that is |z - u|^2 <= 2/3, and at
@@ -146,10 +147,12 @@ def lattice_corners(a: int, b: int, c: int, e: int) -> list[tuple[int, int, int]
     x, y = pn - p0 * n, qn - q0 * n
     wa, wb = a - p0 * c + q0 * e, b - p0 * e - q0 * c + q0 * e
     base = wa * wa - wa * wb + wb * wb
-    return [(base, p0, q0),
-            (base + x - 2 * y + n, p0, q0 + 1),
-            (base - 2 * x + y + n, p0 + 1, q0),
-            (base - x - y + n, p0 + 1, q0 + 1)]
+    # r = p qn - q pn, the w-coefficient of conj(p + qw)(pn + qn w).
+    r = p0 * y - q0 * x
+    return [(base, p0, q0, r),
+            (base + x - 2 * y + n, p0, q0 + 1, r - pn),
+            (base - 2 * x + y + n, p0 + 1, q0, r + qn),
+            (base - x - y + n, p0 + 1, q0 + 1, r + qn - pn)]
 
 
 def round_nearest(num: EisensteinInt, den: int) -> EisensteinInt:
@@ -162,5 +165,5 @@ def round_nearest(num: EisensteinInt, den: int) -> EisensteinInt:
     by a common factor changes neither the result nor the tie-break, so den
     need not be reduced.  The minimizer is one of lattice_corners.
     """
-    _, p, q = min(lattice_corners(num.a, num.b, den, 0))
+    _, p, q, _ = min(lattice_corners(num.a, num.b, den, 0))
     return EisensteinInt(p, q)

@@ -13,8 +13,8 @@ from picard31.eisenstein import (OMEGA, ONE, UNITS, ZERO, EisensteinInt,
 from picard31.errors import DomainError, InternalError, ParityError
 from picard31.hermitian import (GroupMatrix, identity, inversion,
                                 translation_matrix, unit_correction)
-from picard31.decomposer import (_translation_items, decompose,
-                                 decompose_traced,
+from picard31.decomposer import (_FORMS, _form, _translation_items,
+                                 decompose, decompose_traced,
                                  decompose_translation, langlands_extract,
                                  random_element, random_stabilizer,
                                  reduction_step, step_bound,
@@ -380,6 +380,92 @@ def test_translation_words_exact_and_never_longer():
             assert w.letters() <= _single_commutator_letters(tau, k)
             # The vertical part costs O(sqrt|k|), not |k|.
             assert max(abs(e) for _, e in w.items) <= 3 * math.isqrt(abs(k)) + 40
+
+
+def _yardstick_commutators(t):
+    """The commutator pairs of the synthesis before the hexagonal forms."""
+    if -4 < t < 4:
+        return [(t, 1)] if t else []
+    a = math.isqrt(abs(t))
+    b = (2 * t + a) // (2 * a)
+    pairs = [(a, b), *_yardstick_commutators(t - a * b)]
+    if sum(abs(x) + abs(y) + 2 for x, y in pairs) < abs(t) + 3:
+        return pairs
+    return [(t, 1)]
+
+
+def _yardstick_items(la, lb, t1a, t1b, t2a, t2b, k):
+    """The items of the synthesis before the hexagonal forms, a yardstick
+    for word length: each coordinate a + bw as N^a and B^-2 N^b B^2, in
+    the order of least vertical remainder, then factored commutators."""
+    a1, b1 = la * t1a - lb * t1b, la * t1b + lb * t1a - lb * t1b
+    a2, b2 = la * t2a - lb * t2b, la * t2b + lb * t2a - lb * t2b
+    two_t, p1, p2 = k - a1 - b1 - a2 - b2, a1 * b1, a2 * b2
+    i = 0
+    if p1 or p2:
+        orders = (two_t + p1 + p2, two_t + p1 - p2, two_t - p1 + p2,
+                  two_t - p1 - p2)
+        two_t = min(orders, key=abs)
+        i = orders.index(two_t)
+    items = []
+    if a1 and i < 2:
+        items.append(("N", a1))
+    if b1:
+        items += ("B", -2), ("N", b1), ("B", 2)
+    if a1 and i > 1:
+        items.append(("N", a1))
+    if a2 or b2:
+        items.append(("A", 1))
+        if a2 and i % 2 == 0:
+            items.append(("N", a2))
+        if b2:
+            items += ("B", -2), ("N", b2), ("B", 2)
+        if a2 and i % 2:
+            items.append(("N", a2))
+        items.append(("A", 1))
+    for a, b in _yardstick_commutators(two_t // 2):
+        items += (("N", a), ("B", 1), ("N", b), ("B", -1), ("N", -a), ("B", 1),
+                  ("N", -b), ("B", -1))
+    return items
+
+
+def test_translation_words_never_longer_than_yardstick():
+    # Every unit twist of a box of tau, with k near 0, +-10^6 and +-2^140:
+    # the word is exact, and even before normalize no longer than the
+    # yardstick's after it (the choice counts the letters normalize keeps).
+    centers = (0, 10 ** 6, -10 ** 6, 2 ** 140, -2 ** 140)
+    cases = shorter = 0
+    for lam in UNITS:
+        for t1a, t1b, t2a, t2b in itertools.product(range(-3, 4), repeat=4):
+            t1, t2 = EisensteinInt(t1a, t1b), EisensteinInt(t2a, t2b)
+            tau = (lam * t1, lam * t2)
+            m = t1.norm() + t2.norm()
+            for k in (c + (c + m) % 2 for c in centers):
+                items = _translation_items([], lam.a, lam.b, t1a, t1b, t2a,
+                                           t2b, k)
+                assert evaluate(Word(items)) == translation_matrix(tau, k)
+                old = _yardstick_items(lam.a, lam.b, t1a, t1b, t2a, t2b, k)
+                new_letters = Word(items).letters()
+                old_letters = normalize(Word(old)).letters()
+                assert new_letters <= old_letters
+                shorter += new_letters < old_letters
+                cases += 1
+    assert shorter > 0.95 * cases
+
+
+def test_every_form_makes_its_translation():
+    # Each of the 10 forms of a + bw, two hexagonal directions in either
+    # order, is T(a + bw, offset) on the first coordinate and normalized.
+    assert len(set(_FORMS)) == 10
+    for a, b in itertools.product(range(-4, 5), repeat=2):
+        v = EisensteinInt(a, b)
+        for i, j in _FORMS:
+            letters, offset, tail, items = _form(a, b, i, j)
+            word = Word(items)
+            assert evaluate(word) == translation_matrix((v, ZERO), offset)
+            assert normalize(word) == word and word.letters() == letters
+            assert tail == (items[-1][1] if items[-1:] and items[-1][0] == "N"
+                            else 0)
 
 
 def test_decompose_translation_uses_only_nab():

@@ -18,8 +18,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
-DEMOS_SHA256 = ("1954f86770caf7b752b2276ad5c95cc6"
-                "18d857610d0c4599eb6af6f63934e25f")
+DEMOS_SHA256 = ("0dd3e5dfc6090030401ee7c2b86c24ab"
+                "e40872c790abe6636b309cc98127e202")
 
 
 @pytest.fixture(scope="module")

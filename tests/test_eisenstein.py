@@ -264,19 +264,22 @@ _BIG_INTEGRAL = st.tuples(_BIG_ZW, st.just(1))
 def _check_corners(num, den, p0, q0):
     """The corner lemma for z = num/den, den in Z[w] nonzero, whose floor
     (coefficient by coefficient) is p0 + q0 w: the corners in lex order,
-    their distances N(num - u den), and every lattice point of the 7x7
-    window with 3 N(num - u den) <= 2 N(den) among them, 1 to 3 of them."""
+    their distances N(num - u den) and cross terms, the w-coefficients of
+    conj(u) num conj(den), and every lattice point of the 7x7 window with
+    3 N(num - u den) <= 2 N(den) among them, 1 to 3 of them."""
     n = den.norm()
     corners = lattice_corners(num.a, num.b, den.a, den.b)
-    assert [(p, q) for _, p, q in corners] == [
+    assert [(p, q) for _, p, q, _ in corners] == [
         (p0, q0), (p0, q0 + 1), (p0 + 1, q0), (p0 + 1, q0 + 1)]
-    for dist, p, q in corners:
-        assert dist == (num - EisensteinInt(p, q) * den).norm()
+    for dist, p, q, cross in corners:
+        u = EisensteinInt(p, q)
+        assert dist == (num - u * den).norm()
+        assert cross == (u.conj() * num * den.conj()).b
     window = [EisensteinInt(p, q) for p in range(p0 - 3, p0 + 4)
               for q in range(q0 - 3, q0 + 4)]
     admissible = {(u.a, u.b) for u in window
                   if 3 * (num - u * den).norm() <= 2 * n}
-    assert admissible <= {(p, q) for _, p, q in corners}
+    assert admissible <= {(p, q) for _, p, q, _ in corners}
     assert 1 <= len(admissible) <= 3
 
 

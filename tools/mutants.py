@@ -71,8 +71,12 @@ MUTANTS = [
      "wa, wb = a - p0 * c + q0 * e,",
      "wa, wb = a - p0 * c,"),
     ("lattice_corners: n dropped from the corner (p0, q0 + 1)", EISENSTEIN,
-     "(base + x - 2 * y + n, p0, q0 + 1)",
-     "(base + x - 2 * y, p0, q0 + 1)"),
+     "(base + x - 2 * y + n, p0, q0 + 1,",
+     "(base + x - 2 * y, p0, q0 + 1,"),
+    ("lattice_corners: the cross term of (p0 + 1, q0 + 1) adds pn",
+     EISENSTEIN,
+     "r + qn - pn)",
+     "r + qn + pn)"),
     ("langlands_extract: rebuild check dropped", HERMITIAN,
      "    if param.matrix() != p:",
      "    if False:"),
@@ -98,8 +102,6 @@ MUTANTS = [
      "        if stack and stack[-1][0] == gen:\n"
      "            exp += stack.pop()[1]\n",
      ""),
-    # The A wrapper of the second coordinate, ("A", 1) made ("A", -1), is
-    # an equivalent mutant: normalize reduces A's exponent mod 2.
     ("parse: a letter followed by a bare '^' taken without exponent", WORDS,
      "|(?!\\^))",
      ")?"),
@@ -118,16 +120,37 @@ MUTANTS = [
     ("matrix_from_json_text: rows decoded bottom-up", HERMITIAN,
      "for row in entries]",
      "for row in entries[::-1]][::-1]"),
-    ("_translation_items: N^a1 first only for i < 1", DECOMPOSER,
-     "if a1 and i < 2:",
-     "if a1 and i < 1:"),
-    ("_translation_items: ties go to the last order", DECOMPOSER,
-     "two_t = min(orders, key=abs)",
-     "two_t = min(reversed(orders), key=abs)"),
+    ("_translation_items: the first pair of forms taken, not the least",
+     DECOMPOSER,
+     "if best is None or n < best:\n                    best, t, f1, f2",
+     "if best is None:\n                    best, t, f1, f2"),
+    ("_translation_items: ties go to the last form of the first coordinate",
+     DECOMPOSER,
+     "n < best:\n                best, t, f1 = n, v, w1",
+     "n <= best:\n                best, t, f1 = n, v, w1"),
+    ("_translation_items: the N^x N^c merge left unscored", DECOMPOSER,
+     "                n -= abs(x) + abs(c) - abs(x + c)\n",
+     ""),
+    ("_form: the offset of B N^-x B^-1 taken as +x", DECOMPOSER,
+     "si * x + sj * y - det * x * y",
+     "abs(si) * x + abs(sj) * y - det * x * y"),
+    ("_form: the sign of the cross term flipped", DECOMPOSER,
+     "si * x + sj * y - det * x * y",
+     "si * x + sj * y + det * x * y"),
+    ("_form: B^-1 N^x B written as B N^x B^-1", DECOMPOSER,
+     "(1, 1, -1, 1))",
+     "(1, 1, 1, 1))"),
+    ("_coordinate_forms: forms told apart by offset alone", DECOMPOSER,
+     "key = form[1:3]",
+     "key = form[1]"),
+    # Both loops' early exits made strict (n1 + n2 > best, n1 > best) are
+    # equivalent mutants: a pair that only ties the best never replaces it.
+    # The A wrapper of the second coordinate, ("A", 1) made ("A", -1), is
+    # an equivalent mutant: normalize reduces A's exponent mod 2.
     # Two equivalent mutants of _commutators: the base case -4 < t < 4
-    # made -3 < t < 3 (t = +-3 splits into 6 half-letters, not fewer than
-    # |t| + 3), and `< abs(t) + 3` made `<=` (a search found no tie for
-    # 4 <= |t| <= 200,000).
+    # made -3 < t < 3 (t = +-3 splits into 12 letters, not fewer than
+    # 2|t| + 6), and `< 2 * abs(t) + 6` made `<=` (a search found no tie
+    # for 4 <= |t| <= 200,000).
     ("_commutators: b = t // a, not the nearest", DECOMPOSER,
      "b = (2 * t + a) // (2 * a)",
      "b = t // a"),
