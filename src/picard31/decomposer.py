@@ -109,7 +109,7 @@ def translation_data(g: GroupMatrix):
     # parts of s, zb and |tau|^2: N(g_j1 - u g41), the w-coefficient of
     # -p conj(tau) = conj(u) g_j1 conj(g41), and N(u).
     parts = [[(d, ua, ub, z, ua * ua - ua * ub + ub * ub)
-              for d, ua, ub, z in lattice_corners(a, b, x, y) if 3 * d <= top]
+              for d, ua, ub, z in lattice_corners(a, b, x, y, n) if 3 * d <= top]
              for a, b in ((a2, b2), (a3, b3))]
     c1b = b1 * x - a1 * y
     best = None

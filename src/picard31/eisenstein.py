@@ -120,13 +120,14 @@ UNITS = (
 MU_POWERS = tuple((-OMEGA) ** d for d in range(6))
 
 
-def lattice_corners(a: int, b: int, c: int, e: int) -> list[tuple]:
+def lattice_corners(a: int, b: int, c: int, e: int, n: int) -> list[tuple]:
     """The four lattice points u = p + q*w, p in {p0, p0 + 1} and
     q in {q0, q0 + 1}, around z = (a + b*w)/(c + e*w) (c + e*w != 0), as
     quadruples (N(a + b*w - u (c + e*w)), p, q, r) = (n |z - u|^2, p, q, r)
     in ascending lex order of (p, q), with r the w-coefficient of
-    conj(u) (a + b*w) conj(c + e*w).  Here n = N(c + e*w), and p0, q0 are
-    the floors of the coefficients of z = (a + b*w) conj(c + e*w) / n.
+    conj(u) (a + b*w) conj(c + e*w).  Here n = N(c + e*w), passed in as
+    every caller already holds it, and p0, q0 are the floors of the
+    coefficients of z = (a + b*w) conj(c + e*w) / n.
 
     Corner lemma: they hold the nearest lattice point and every u with
     3 N(a + b*w - u (c + e*w)) <= 2 n, that is |z - u|^2 <= 2/3, and at
@@ -138,7 +139,6 @@ def lattice_corners(a: int, b: int, c: int, e: int) -> list[tuple]:
     point other than T's vertices, the fourth corner among them, lies
     outside some strip, so |z - u|^2 >= 3/4 > 2/3.
     """
-    n = c * c - c * e + e * e
     # (a + bw) conj(c + ew) = (a(c - e) + be) + (bc - ae)w
     pn, qn = a * (c - e) + b * e, b * c - a * e
     p0, q0 = pn // n, qn // n
@@ -165,5 +165,5 @@ def round_nearest(num: EisensteinInt, den: int) -> EisensteinInt:
     by a common factor changes neither the result nor the tie-break, so den
     need not be reduced.  The minimizer is one of lattice_corners.
     """
-    _, p, q, _ = min(lattice_corners(num.a, num.b, den, 0))
+    _, p, q, _ = min(lattice_corners(num.a, num.b, den, 0, den * den))
     return EisensteinInt(p, q)

@@ -27,11 +27,13 @@ the diagonal mirrors one at (j, k), which a row-by-row scan meets first.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 
 from .eisenstein import MU_POWERS, ONE, ZERO, EisensteinInt
 from .errors import DomainError, NotMemberError, ParityError, ShapeError
-from .jsonutil import canonical_dumps, decode_coeffs, encode_int, encode_pair
+from .jsonutil import (canonical_dumps, decode_coeffs, decode_int, encode_int,
+                       encode_pair)
 
 
 def _flatten(entries) -> tuple:
@@ -420,6 +422,11 @@ def matrix_to_json_text(g: GroupMatrix) -> str:
     return canonical_dumps(g.to_json())
 
 
+# Reading order (row i, column j, part c at 8i + 2j + c) to the column layout.
+_COLUMN_ORDER = operator.itemgetter(*[8 * i + 2 * j + c for j in range(4)
+                                      for i in range(4) for c in (0, 1)])
+
+
 def matrix_from_json_text(text: str) -> GroupMatrix:
     """Parse and validate the matrix JSON format.
 
@@ -439,8 +446,13 @@ def matrix_from_json_text(text: str) -> GroupMatrix:
         raise ValueError("matrix must have 4 rows")
     if not all(isinstance(row, list) and len(row) == 4 for row in entries):
         raise ValueError("each matrix row must have 4 entries")
-    # Decoded in reading order, so the first bad entry is the one reported.
-    rows = [[decode_coeffs(e) for e in row] for row in entries]
-    flat = tuple(x for col in zip(*rows) for pair in col for x in pair)
+    # The 32 ints in reading order, each pair's shape checked before its
+    # values, so the first bad entry is the one reported; decode_coeffs
+    # raises on a bad shape, and decode_int reads the values json.loads
+    # did not make ints.
+    flat = _COLUMN_ORDER([x if type(x) is int else decode_int(x)
+                          for row in entries for e in row
+                          for x in (e if type(e) is list and len(e) == 2
+                                    else decode_coeffs(e))])
     _require_member(flat)
     return GroupMatrix.from_flat(flat)

@@ -55,6 +55,11 @@ def decode_pair(v) -> EisensteinInt:
     return EisensteinInt(*decode_coeffs(v))
 
 
+# json's defaults at indent=None: one line, separators ", " and ": ".  One
+# encoder for every call; json.dumps with any keyword builds a new one.
+_ENCODER = json.JSONEncoder()
+
+
 def canonical_dumps(obj) -> str:
     """One-line JSON with stable separators."""
-    return json.dumps(obj, separators=(", ", ": "))
+    return _ENCODER.encode(obj)

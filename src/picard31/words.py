@@ -11,9 +11,11 @@ generator orders (A^2 = R^2 = I, B^6 = I, N of infinite order).
 
 from __future__ import annotations
 
+import functools
 import re
 import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .eisenstein import MU_POWERS, ONE, EisensteinInt
 from .errors import WordParseError
@@ -206,12 +208,33 @@ def evaluate(word: Word, unit: EisensteinInt = ONE) -> GroupMatrix:
 
 # --- text format ------------------------------------------------------------
 
-# The word grammar.  [0-9], as \d also takes digits such as '²' and '٣';
-# \s is exactly str.isspace.  A letter with '^' but no integer stops it.
-_WORD = re.compile(r"\s*(?:[NABR](?:\^[+-]?[0-9]+|(?!\^))\s*)*")
-_ITEM = re.compile(r"([NABR])(?:\^([+-]?[0-9]+))?")
+# The word grammar, built from one item pattern: a generator letter with an
+# optional '^' and ASCII integer ([0-9], as \d also takes digits such as
+# '²' and '٣').  A letter with '^' but no integer stops it.  \s is exactly
+# str.isspace, the whitespace str.split splits at, so a word is its
+# str.split tokens and each token is items with nothing between them.
+_ITEM = r"([NABR])(?:\^([+-]?[0-9]+)|(?!\^))"
+_TOKEN = re.compile(rf"(?:{_ITEM})+")
+_ITEMS = re.compile(_ITEM)
+_WORD = re.compile(rf"\s*(?:{_ITEM}\s*)*")
 _EXPONENT_START = re.compile(r"[NABR]\^[+-]?")
 _DIGITS = re.compile(r"[0-9]+")  # in a word, only exponents hold digits
+_MEMO_TOKEN_CHARS = 1024
+# The int/str digit limit (0: none).  Python before 3.10.7 has neither the
+# limit nor this function, and reads any exponent.
+_digit_limit = getattr(sys, "get_int_max_str_digits", int)
+
+
+@functools.lru_cache(maxsize=256)
+def _token_items(token: str, limit: int) -> tuple:
+    """The items of one whitespace-free token, read while `limit` is the
+    int/str digit limit, so the result depends on the key alone.  A token
+    outside the grammar, with an exponent past the limit, or longer than
+    _MEMO_TOKEN_CHARS (so the memo holds no long text) raises ValueError,
+    which the memo does not keep."""
+    if len(token) > _MEMO_TOKEN_CHARS or _TOKEN.fullmatch(token) is None:
+        raise ValueError(token)
+    return tuple([(g, int(e) if e else 1) for g, e in _ITEMS.findall(token)])
 
 
 def parse(text: str) -> Word:
@@ -219,7 +242,23 @@ def parse(text: str) -> Word:
     separated by whitespace.  Returns the normalized word; WordParseError
     gives the byte offset where the grammar stops, where an exponent's
     digits should start, or where those of an exponent longer than
-    Python's int/str conversion limit start."""
+    Python's int/str conversion limit start.
+
+    Each str.split token is read through the _token_items memo; only when
+    a token is refused there (outside the grammar, past the digit limit,
+    or too long to keep) does the whole text go through _scan."""
+    limit = _digit_limit()
+    try:
+        items = tuple(chain.from_iterable(
+            map(_token_items, text.split(), repeat(limit))))
+    except ValueError:
+        return _scan(text, limit)
+    return normalize(Word(items))
+
+
+def _scan(text: str, limit: int) -> Word:
+    """parse in whole-text passes: the end of _WORD's match is the first
+    bad character; a text it matches whole is read by _ITEMS.findall."""
     end = _WORD.match(text).end()
     if end < len(text):
         bad_exponent = _EXPONENT_START.match(text, end)
@@ -230,9 +269,8 @@ def parse(text: str) -> Word:
     else:
         try:
             return normalize(Word([(g, int(e) if e else 1)
-                                   for g, e in _ITEM.findall(text)]))
+                                   for g, e in _ITEMS.findall(text)]))
         except ValueError:  # an exponent past Python's int/str digit limit
-            limit = sys.get_int_max_str_digits()
             end = next(m.start() for m in _DIGITS.finditer(text) if len(m[0]) > limit)
             message = f"exponent longer than the {limit}-digit int/str limit"
     raise WordParseError(message, len(text[:end].encode("utf-8")))

@@ -268,7 +268,7 @@ def _check_corners(num, den, p0, q0):
     conj(u) num conj(den), and every lattice point of the 7x7 window with
     3 N(num - u den) <= 2 N(den) among them, 1 to 3 of them."""
     n = den.norm()
-    corners = lattice_corners(num.a, num.b, den.a, den.b)
+    corners = lattice_corners(num.a, num.b, den.a, den.b, n)
     assert [(p, q) for _, p, q, _ in corners] == [
         (p0, q0), (p0, q0 + 1), (p0 + 1, q0), (p0 + 1, q0 + 1)]
     for dist, p, q, cross in corners:

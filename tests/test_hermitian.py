@@ -376,6 +376,29 @@ def test_json_reports_first_bad_entry_in_reading_order():
         matrix_from_json_text(json.dumps({"matrix": rows}))
     assert "bad03" in str(info.value)
     assert "bad10" not in str(info.value)
+    # Mixed errors: a bad value before a bad shape reports the value, and
+    # the reverse the shape, each with its own message; within an entry, a
+    # comes before b.
+    pair = "expected an Eisenstein integer pair [a, b]"
+    for bad, message in (
+            ({(0, 1): ["x", 0], (0, 2): [1]},
+             "expected a decimal integer string, got 'x'"),
+            ({(0, 1): [1], (0, 2): ["x", 0]}, pair),
+            ({(1, 3): [0, 2.5], (2, 0): {}}, "expected an integer, got 2.5"),
+            ({(1, 3): {}, (2, 0): [0, "y"]}, pair),
+            ({(2, 2): [True, 1.5]}, "expected an integer, got True"),
+            ({(2, 2): [0, True], (3, 0): [1.5, 0]},
+             "expected an integer, got True"),
+            ({(3, 1): [1.5, 0]}, "expected an integer, got 1.5"),
+            ({(3, 3): {}}, pair),
+            ({(0, 0): [1, 0, 99], (0, 1): [True, 0]}, pair)):
+        rows = [[encode_pair(e) for e in row] for row in identity().rows]
+        for (i, j), entry in bad.items():
+            rows[i][j] = entry
+        with pytest.raises(ValueError) as info:
+            matrix_from_json_text(json.dumps({"matrix": rows}))
+        assert type(info.value) is ValueError
+        assert str(info.value) == message, bad
 
 
 def test_json_rejects_non_member():

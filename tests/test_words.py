@@ -4,10 +4,13 @@ import collections
 import functools
 import operator
 import random
+import re
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from picard31 import words
 from picard31.eisenstein import ONE, UNITS, ZERO, EisensteinInt
 from picard31.errors import WordParseError
 from picard31.finite_unitary import U1, U2
@@ -327,6 +330,90 @@ def test_parse_matches_scanner_on_random_text():
             outcomes["exponent" if "exponent" in expected[1] else "letter"] += 1
     # Words and both kinds of error are each well represented.
     assert min(outcomes[k] for k in ("word", "letter", "exponent")) > 5_000, outcomes
+
+
+# parse as it read whole texts before the token memo, kept as a yardstick:
+# the end of the grammar's match is the first bad character, and a text it
+# matches whole is read by one findall.
+_YARD_WORD = re.compile(r"\s*(?:[NABR](?:\^[+-]?[0-9]+|(?!\^))\s*)*")
+_YARD_ITEM = re.compile(r"([NABR])(?:\^([+-]?[0-9]+))?")
+_YARD_EXPONENT_START = re.compile(r"[NABR]\^[+-]?")
+_YARD_DIGITS = re.compile(r"[0-9]+")
+
+
+def yardstick_parse(text):
+    end = _YARD_WORD.match(text).end()
+    if end < len(text):
+        bad_exponent = _YARD_EXPONENT_START.match(text, end)
+        if bad_exponent is None:
+            message = f"expected generator letter, got {text[end]!r}"
+        else:
+            message, end = "expected integer exponent after '^'", bad_exponent.end()
+    else:
+        try:
+            return normalize(Word([(g, int(e) if e else 1)
+                                   for g, e in _YARD_ITEM.findall(text)]))
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            end = next(m.start() for m in _YARD_DIGITS.finditer(text)
+                       if len(m[0]) > limit)
+            message = f"exponent longer than the {limit}-digit int/str limit"
+    raise WordParseError(message, len(text[:end].encode("utf-8")))
+
+
+# The syntax, non-ASCII digits, junk, and ASCII and Unicode whitespace:
+# U+2003 (em space), U+0085 (next line) and U+001C (file separator, which
+# str.isspace counts).
+_YARD_CHARS = "NABR^+-X0123456789²٣ \t\n\u2003\u0085\u001c"
+
+
+@settings(max_examples=1000, derandomize=True, database=None, deadline=None)
+@given(st.one_of(
+    st.text(_YARD_CHARS, max_size=24),
+    st.lists(st.sampled_from(_PIECES + ("\u0085", "\u001c", "X", "NA^2B")),
+             max_size=12).map("".join)))
+def test_parse_matches_whole_text_yardstick(text):
+    # The same Word, or the same WordParseError message and byte offset.
+    assert parse_outcome(parse, text) == parse_outcome(yardstick_parse, text)
+
+
+def test_split_and_regex_whitespace_agree_on_every_code_point():
+    # parse splits with str.split, and its error path scans with \s; both
+    # must take the same characters for whitespace.
+    text = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\S+", text) == text.split()
+
+
+def test_token_memo_is_keyed_by_the_digit_limit():
+    # A token read under one int/str limit is cached; under a lower limit
+    # the same text must still fail, where its exponent's digits start.
+    text = "B N^" + "7" * 700
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        assert parse(text) == Word((("B", 1), ("N", int("7" * 700))))
+        hits = words._token_items.cache_info().hits
+        parse(text)
+        assert words._token_items.cache_info().hits == hits + 2
+        sys.set_int_max_str_digits(640)
+        with pytest.raises(WordParseError) as info:
+            parse(text)
+        assert info.value.offset == 4
+        assert str(info.value) == ("exponent longer than the 640-digit "
+                                   "int/str limit (at byte 4)")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_token_memo_is_bounded():
+    assert words._token_items.cache_info().maxsize == 256
+    # A token longer than the memo keeps is read by the whole-text scan.
+    words._token_items.cache_clear()
+    long_token = "NA" * 600
+    assert parse(long_token) == normalize(Word([("N", 1), ("A", 1)] * 600))
+    assert words._token_items.cache_info().currsize == 0
+    assert parse("NA") == Word((("N", 1), ("A", 1)))
+    assert words._token_items.cache_info().currsize == 1
 
 
 def test_word_multiplication():

@@ -77,6 +77,9 @@ MUTANTS = [
      EISENSTEIN,
      "r + qn - pn)",
      "r + qn + pn)"),
+    ("round_nearest: den passed to lattice_corners for n = den^2", EISENSTEIN,
+     "den, 0, den * den)",
+     "den, 0, den)"),
     ("langlands_extract: rebuild check dropped", HERMITIAN,
      "    if param.matrix() != p:",
      "    if False:"),
@@ -105,6 +108,12 @@ MUTANTS = [
     ("parse: a letter followed by a bare '^' taken without exponent", WORDS,
      "|(?!\\^))",
      ")?"),
+    ("parse: the token pattern takes a trailing '^'", WORDS,
+     'rf"(?:{_ITEM})+")',
+     'rf"(?:{_ITEM})+\\^?")'),
+    ("parse: the token memo keyed without the digit limit", WORDS,
+     "repeat(limit)",
+     "repeat(0)"),
     ("_form_defect: the imaginary part ignored", HERMITIAN,
      "if im or re != _J_ENTRIES[j][k]:",
      "if re != _J_ENTRIES[j][k]:"),
@@ -117,9 +126,20 @@ MUTANTS = [
     ("matrix_from_json_text: the form check dropped", HERMITIAN,
      "    _require_member(flat)\n    return GroupMatrix.from_flat(flat)",
      "    return GroupMatrix.from_flat(flat)"),
-    ("matrix_from_json_text: rows decoded bottom-up", HERMITIAN,
-     "for row in entries]",
-     "for row in entries[::-1]][::-1]"),
+    # The same matrix, but the last bad entry is the one reported.
+    ("matrix_from_json_text: entries decoded back to front", HERMITIAN,
+     "for row in entries for e in row\n"
+     "                          for x in (e if type(e) is list and len(e) == 2\n"
+     "                                    else decode_coeffs(e))])",
+     "for row in entries[::-1] for e in row[::-1]\n"
+     "                          for x in (e[::-1] if type(e) is list and len(e) == 2\n"
+     "                                    else decode_coeffs(e))][::-1])"),
+    ("matrix_from_json_text: a pair's length left unchecked", HERMITIAN,
+     "type(e) is list and len(e) == 2",
+     "type(e) is list"),
+    ("matrix_from_json_text: the column order transposed", HERMITIAN,
+     "[8 * i + 2 * j + c for j in range(4)",
+     "[8 * j + 2 * i + c for j in range(4)"),
     ("_translation_items: the first pair of forms taken, not the least",
      DECOMPOSER,
      "if best is None or n < best:\n                    best, t, f1, f2",
