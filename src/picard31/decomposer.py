@@ -24,14 +24,17 @@ from functools import lru_cache
 from math import isqrt
 
 from .eisenstein import UNITS, EisensteinInt, lattice_corners
-# The traced benchmark run wraps round_nearest by this module's name.
+# The traced benchmark run wraps round_nearest, langlands_extract and
+# normalize by this module's name.
 from .eisenstein import round_nearest  # noqa: F401
 from .errors import DomainError, InternalError
 from .finite_unitary import enumerate_group, u_decompose
 from .hermitian import (GroupMatrix, HeisenbergParam, HeisenbergTranslation,
-                        heisenberg_corner, langlands_extract)
+                        heisenberg_corner, stabilizer_ints)
+from .hermitian import langlands_extract  # noqa: F401
 from .jsonutil import encode_int, encode_pair
-from .words import DecompositionResult, Word, evaluate, normalize, serialize
+from .words import _LETTER, DecompositionResult, Word, evaluate, join, serialize
+from .words import normalize  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -132,9 +135,11 @@ def translation_data(g: GroupMatrix):
             if e < -n or e == -n and k < -1:
                 k += 2
                 e += 2 * n
-            key = (s * s + 3 * e * e, abs(k), k, -u1a, -u1b, -u2a, -u2b)
-            if best is None or key < best[0]:
-                best = key, s, zb
+            nn = s * s + 3 * e * e
+            if best is None or nn <= best[0][0]:
+                key = (nn, abs(k), k, -u1a, -u1b, -u2a, -u2b)
+                if best is None or key < best[0]:
+                    best = key, s, zb
     (_, _, k, t1a, t1b, t2a, t2b), s, zb = best
     return (EisensteinInt(t1a, t1b), EisensteinInt(t2a, t2b)), k, s, zb, n
 
@@ -142,43 +147,51 @@ def translation_data(g: GroupMatrix):
 def reduction_step(g: GroupMatrix) -> tuple[GroupMatrix, ReductionStep]:
     """One round: g' = R * N_(tau,k) * g with the chosen translation.
 
-    Computed by direct row operations on each column of GroupMatrix's
-    layout; a generic product would redo the structure of R and N.  Both
-    the contraction 36 n' <= 31 n and the exact ratio
-    4 n n' = s^2 + 3 (zb + k n)^2 of translation_data are asserted in
-    integers.
+    Computed by direct row operations on the four columns of GroupMatrix's
+    layout, in one straight-line pass over the 32 ints; a generic product
+    would redo the structure of R and N.  Both the contraction
+    36 n' <= 31 n and the exact ratio 4 n n' = s^2 + 3 (zb + k n)^2 of
+    translation_data are asserted in integers, on column 1's new last row,
+    before the other entries are written.
     """
     tau, k, s, zb, n = translation_data(g)
     t1, t2 = tau
     t1a, t1b, t2a, t2b = t1.a, t1.b, t2.a, t2.b
-    # conj(a + bw) = (a - b) - bw, and the corner ea + kw of N_(tau,k).
-    u1a, u1b, u2a, u2b = t1a - t1b, -t1b, t2a - t2b, -t2b
+    # The a-parts of conj(tau_j), with conj(a + bw) = (a - b) - bw, and the
+    # corner ea + kw of N_(tau,k).
+    c1, c2 = t1a - t1b, t2a - t2b
     ea = heisenberg_corner(t1.norm() + t2.norm(), k)[0]
 
     # Rows r1..r4 become r4, -(r2 + tau1 r4), -(r3 + tau2 r4) and
     # r1 - conj(tau1) r2 - conj(tau2) r3 + corner r4, in each column, with
-    # (p + qw)(c + dw) = (pc - qd) + (pd + qc - qd)w.
-    v = g.flat
-    out = []
-    for c in (0, 8, 16, 24):
-        a1, b1, a2, b2, a3, b3, x, y = v[c:c + 8]
-        out += (x, y,
-                -(a2 + t1a * x - t1b * y), -(b2 + t1a * y + t1b * x - t1b * y),
-                -(a3 + t2a * x - t2b * y), -(b3 + t2a * y + t2b * x - t2b * y),
-                a1 - (u1a * a2 - u1b * b2) - (u2a * a3 - u2b * b3)
-                + ea * x - k * y,
-                b1 - (u1a * b2 + u1b * a2 - u1b * b2)
-                - (u2a * b3 + u2b * a3 - u2b * b3) + ea * y + k * x - k * y)
-
-    x, y = out[6], out[7]
+    # (p + qw)(c + dw) = (pc - qd) + (pd + qc - qd)w; d_j = (p - q) of r4.
+    (a1, b1, a2, b2, a3, b3, a4, b4, x1, y1, x2, y2, x3, y3, x4, y4,
+     u1, v1, u2, v2, u3, v3, u4, v4, g1, h1, g2, h2, g3, h3, g4, h4) = g.flat
+    d1, d2, d3, d4 = a4 - b4, x4 - y4, u4 - v4, g4 - h4
+    x = a1 - c1 * a2 - t1b * b2 - c2 * a3 - t2b * b3 + ea * a4 - k * b4
+    y = b1 - t1a * b2 + t1b * a2 - t2a * b3 + t2b * a3 + ea * b4 + k * d1
     n_after = x * x - x * y + y * y
     if 36 * n_after > 31 * n:
         raise InternalError(f"reduction failed to contract: {n} -> {n_after}")
     if 4 * n * n_after != s * s + 3 * (zb + k * n) ** 2:
         raise InternalError(f"norm {n} -> {n_after} does not match the "
                             f"predicted ratio (s={s}, zb={zb}, k={k})")
-    return GroupMatrix.from_flat(tuple(out)), ReductionStep(
-        tau=tau, k=k, n_before=n, n_after=n_after)
+    return GroupMatrix.from_flat((
+        a4, b4, -(a2 + t1a * a4 - t1b * b4), -(b2 + t1a * b4 + t1b * d1),
+        -(a3 + t2a * a4 - t2b * b4), -(b3 + t2a * b4 + t2b * d1), x, y,
+        x4, y4, -(x2 + t1a * x4 - t1b * y4), -(y2 + t1a * y4 + t1b * d2),
+        -(x3 + t2a * x4 - t2b * y4), -(y3 + t2a * y4 + t2b * d2),
+        x1 - c1 * x2 - t1b * y2 - c2 * x3 - t2b * y3 + ea * x4 - k * y4,
+        y1 - t1a * y2 + t1b * x2 - t2a * y3 + t2b * x3 + ea * y4 + k * d2,
+        u4, v4, -(u2 + t1a * u4 - t1b * v4), -(v2 + t1a * v4 + t1b * d3),
+        -(u3 + t2a * u4 - t2b * v4), -(v3 + t2a * v4 + t2b * d3),
+        u1 - c1 * u2 - t1b * v2 - c2 * u3 - t2b * v3 + ea * u4 - k * v4,
+        v1 - t1a * v2 + t1b * u2 - t2a * v3 + t2b * u3 + ea * v4 + k * d3,
+        g4, h4, -(g2 + t1a * g4 - t1b * h4), -(h2 + t1a * h4 + t1b * d4),
+        -(g3 + t2a * g4 - t2b * h4), -(h3 + t2a * h4 + t2b * d4),
+        g1 - c1 * g2 - t1b * h2 - c2 * g3 - t2b * h3 + ea * g4 - k * h4,
+        h1 - t1a * h2 + t1b * g2 - t2a * h3 + t2b * g3 + ea * h4 + k * d4,
+    )), ReductionStep(tau=tau, k=k, n_before=n, n_after=n_after)
 
 
 def step_bound(n0: int) -> int:
@@ -219,16 +232,18 @@ def decompose_translation(tau, k: int) -> Word:
     the offsets is even, since a form of a + bw has an offset of the
     parity of a^2 - ab + b^2.
 
-    Of all pairs of forms, the one of least letters in all is taken.  The
-    count is exact for the word normalize makes: a form's own merges are
-    counted, and with no second coordinate a last N^x of the first merges
-    with the first commutator's N.  Ties go to the first pair with each
-    coordinate's forms in order of letters, equal ones in a fixed order
-    that lists N^a before and after B^-2 N^b B^2 first.  Those two forms
-    are candidates, so no word is longer after normalize than with them
-    alone, and the vertical part costs O(sqrt|t|) letters.  Each
-    coordinate's forms and each t's commutators are memoized on first
-    use, in bounded caches.
+    The word is in normal form: its pieces are, and words.join merges at
+    their junctions.  Of all pairs of forms, the one of least letters in
+    all is taken.  The count takes in a form's own merges and, with no
+    second coordinate, the merge of a last N^x of the first with the first
+    commutator's N; when that merge cancels, the merges it exposes go
+    uncounted, and the word is shorter than counted.  Ties go to the first
+    pair with each coordinate's forms in order of letters, equal ones in a
+    fixed order that lists N^a before and after B^-2 N^b B^2 first.  Those
+    two forms are candidates, so no word is longer than with them alone,
+    and the vertical part costs O(sqrt|t|) letters.  Each coordinate's
+    forms and each t's commutators are memoized on first use, in bounded
+    caches.
     """
     tr = HeisenbergTranslation(*tau, k)
     return Word(_translation_items([], 1, 0, tr.tau1.a, tr.tau1.b, tr.tau2.a,
@@ -236,8 +251,13 @@ def decompose_translation(tau, k: int) -> Word:
 
 
 def _translation_items(items, la, lb, t1a, t1b, t2a, t2b, k) -> list:
-    """items extended by those of decompose_translation((lam tau1, lam tau2),
-    k) for the unit lam = la + lb w, from the ints of tau and k alone."""
+    """items, a list in normal form, joined with those of
+    decompose_translation((lam tau1, lam tau2), k) for the unit
+    lam = la + lb w, from the ints of tau and k alone; returns items.  The
+    forms, the A wrapper and the commutators are each in normal form, so
+    words.join merges only where they meet items and where the commutators
+    meet a last N^x of the first coordinate, and items stays in normal
+    form."""
     # lam tau_j by (p + qw)(c + dw) = (pc - qd) + (pd + qc - qd)w.
     a1, b1 = la * t1a - lb * t1b, la * t1b + lb * t1a - lb * t1b
     a2, b2 = la * t2a - lb * t2b, la * t2b + lb * t2a - lb * t2b
@@ -255,10 +275,7 @@ def _translation_items(items, la, lb, t1a, t1b, t2a, t2b, k) -> list:
                 n = n1 + n2 + _commutators(v)[0]
                 if best is None or n < best:
                     best, t, f1, f2 = n, v, w1, w2
-        items += f1
-        items.append(("A", 1))
-        items += f2
-        items.append(("A", 1))
+        join(items, f1 + _A + f2 + _A)
     else:
         for n1, o1, x, w1 in _coordinate_forms(a1, b1):
             if best is not None and n1 >= best:
@@ -271,15 +288,8 @@ def _translation_items(items, la, lb, t1a, t1b, t2a, t2b, k) -> list:
                 n -= abs(x) + abs(c) - abs(x + c)
             if best is None or n < best:
                 best, t, f1 = n, v, w1
-        items += f1
-    vertical = _commutators(t)[1]
-    if vertical and items and items[-1][0] == "N":
-        c = items.pop()[1] + vertical[0][1]
-        if c:
-            items.append(("N", c))
-        vertical = vertical[1:]
-    items += vertical
-    return items
+        join(items, f1)
+    return join(items, _commutators(t)[1])
 
 
 # One coordinate's hexagonal directions d = p + qw as (p, q, c, s): x steps
@@ -289,8 +299,11 @@ _DIRECTIONS = ((1, 0, 0, 1), (0, 1, -2, 1), (0, 1, 1, -1), (1, 1, -1, 1))
 # N and B^-2 N B^2 come first.
 _FORMS = ((0, 1), (1, 0), (0, 2), (2, 0), (0, 3), (3, 0), (2, 3), (3, 2),
           (1, 3), (3, 1))
-# The powers of B a form writes, one shared item each.
-_B = {e: ("B", e) for e in (-2, -1, 1, 2)}
+# The letters as words.join keeps them (see words._Letter); the powers of B
+# a form writes are one shared item each.
+_B = {e: (_LETTER["B"], e) for e in (-2, -1, 1, 2)}
+_A = ((_LETTER["A"], 1),)
+_R = ((_LETTER["R"], 1),)
 
 
 @lru_cache(maxsize=1024)
@@ -309,8 +322,8 @@ def _coordinate_forms(a: int, b: int) -> tuple:
 
 def _form(a: int, b: int, i: int, j: int) -> tuple:
     """The coordinate a + bw along the directions i, then j, as
-    (letters, offset, tail, items): the items, as normalize leaves them,
-    make T(a + bw, offset), and tail is the exponent of a last N, else 0."""
+    (letters, offset, tail, items): the items, in normal form, make
+    T(a + bw, offset), and tail is the exponent of a last N, else 0."""
     pi, qi, ci, si = _DIRECTIONS[i]
     pj, qj, cj, sj = _DIRECTIONS[j]
     # x d_i + y d_j = a + bw, and det = +-1 is its own inverse.
@@ -323,7 +336,7 @@ def _form(a: int, b: int, i: int, j: int) -> tuple:
             if pending + c:
                 items.append(_B[pending + c])
                 letters += abs(pending + c)
-            items.append(("N", e))
+            items.append((_LETTER["N"], e))
             pending = -c
     if pending:
         items.append(_B[pending])
@@ -345,21 +358,25 @@ def _commutators(t: int) -> tuple:
         split = _commutators(t - a * b)
         if split[0] + 2 * (a + abs(b)) + 4 < 2 * abs(t) + 6:
             pair, rest = (a, b), split
-    a, b = pair
+    (a, b), n = pair, _LETTER["N"]
     return (rest[0] + 2 * (abs(a) + abs(b)) + 4,
-            (("N", a), ("B", 1), ("N", b), ("B", -1), ("N", -a), ("B", 1),
-             ("N", -b), ("B", -1)) + rest[1])
+            ((n, a), _B[1], (n, b), _B[-1], (n, -a), _B[1], (n, -b), _B[-1])
+            + rest[1])
 
 
-def decompose_traced(g: GroupMatrix) -> tuple[DecompositionResult, ReductionTrace]:
-    """Full decomposition with the step-by-step reduction record.
+def _decompose(g: GroupMatrix) -> tuple:
+    """decompose's work: (result, steps, stabilizer), with the rounds'
+    ReductionSteps and the stabilizer's fields as stabilizer_ints returns
+    them.
 
     If the rounds give g_n = R N_n ... R N_1 g, then
     g = prod_i [N_(-tau_i, -k_i) R] * g_n, and g_n splits as
     unit * translation * rotation.  Pulling the unit to the front twists
     each round's tau by it, and everything right of the unit is a word in
-    the generators.  The result is verified against g before returning.
-    An InternalError leaves with steps set to the rounds done before it.
+    the generators.  Each piece is in normal form, and words.join merges
+    at every junction, so the word is assembled in normal form.  The result
+    is verified against g before returning.  An InternalError leaves with
+    steps set to the rounds done before it.
     """
     steps = []
     current = g
@@ -367,31 +384,39 @@ def decompose_traced(g: GroupMatrix) -> tuple[DecompositionResult, ReductionTrac
         while not current.fixes_infinity():
             current, step = reduction_step(current)
             steps.append(step)
-        param = langlands_extract(current)
+        stabilizer = la, lb, t1a, t1b, t2a, t2b, k, u = stabilizer_ints(current)
         # Round i contributes the items of N_(-lam tau_i, -k_i), then R.
         items = []
-        la, lb = -param.lam.a, -param.lam.b
         for step in steps:
-            t1, t2 = step.tau
-            _translation_items(items, la, lb, t1.a, t1.b, t2.a, t2.b, -step.k)
-            items.append(("R", 1))
-        tr = param.translation
-        _translation_items(items, 1, 0, tr.tau1.a, tr.tau1.b, tr.tau2.a,
-                           tr.tau2.b, tr.k)
-        items += u_decompose(param.u).items
-        word = normalize(Word(items))
+            r1, r2 = step.tau
+            _translation_items(items, -la, -lb, r1.a, r1.b, r2.a, r2.b, -step.k)
+            join(items, _R)
+        _translation_items(items, 1, 0, t1a, t1b, t2a, t2b, k)
+        join(items, u_decompose(u).items)
 
-        result = DecompositionResult(unit=param.lam, word=word)
+        result = DecompositionResult(unit=EisensteinInt(la, lb), word=Word(items))
         if not verify(g, result):
             raise InternalError("decomposition failed self-verification")
     except InternalError as exc:
         exc.steps = tuple(steps)
         raise
-    return result, ReductionTrace(steps=tuple(steps), stabilizer=param)
+    return result, steps, stabilizer
+
+
+def decompose_traced(g: GroupMatrix) -> tuple[DecompositionResult, ReductionTrace]:
+    """decompose, with the step-by-step reduction record: the rounds and
+    the stabilizer's HeisenbergParam, built from the ints of the shared
+    core.  An InternalError leaves with steps set to the rounds done
+    before it."""
+    result, steps, stabilizer = _decompose(g)
+    return result, ReductionTrace(steps=tuple(steps),
+                                  stabilizer=HeisenbergParam.from_ints(*stabilizer))
 
 
 def decompose(g: GroupMatrix) -> DecompositionResult:
-    return decompose_traced(g)[0]
+    """unit_correction(unit) * word == g, the word in normal form and
+    verified against g; decompose_traced's result without the records."""
+    return _decompose(g)[0]
 
 
 def verify(g: GroupMatrix, result: DecompositionResult) -> bool:

@@ -36,7 +36,7 @@ class WordParseError(Picard31Error):
 class InternalError(Picard31Error):
     """A mathematical guarantee that must hold for valid inputs failed at runtime.
     Always indicates a bug, never a bad input.  When raised inside
-    decomposer.decompose_traced, steps holds the ReductionSteps completed
-    before the failure; otherwise it stays None."""
+    decomposer.decompose or decompose_traced, steps holds the
+    ReductionSteps completed before the failure; otherwise it stays None."""
 
     steps = None

@@ -7,8 +7,10 @@ holds the group element type, the explicit generator matrices, the boundary
 action (g(infinity) in Z[w] over the integer |g41|^2), the matrix JSON
 format, and the stabilizer of infinity: the one Heisenberg translation record
 (tau, k) with its parity rule, corner entry and composition law, the rotation
-block FiniteUnitary, and HeisenbergParam, whose matrix() is the one formula
-for an element fixing infinity and whose inverse is langlands_extract.
+block FiniteUnitary, and HeisenbergParam.  _stabilizer_flat is the one
+formula for the entries of an element fixing infinity: HeisenbergParam's
+matrix() and the rebuild check of stabilizer_ints, the int-level reader
+that langlands_extract wraps, both use it.
 
 A GroupMatrix keeps its entries as one tuple of 32 ints, the (a, b)
 pairs of the entries a + b*w column by column: entry (i, j) (0-indexed)
@@ -51,12 +53,6 @@ def _flatten(entries) -> tuple:
     if not all(isinstance(e, EisensteinInt) for e in entries):
         raise NotMemberError("matrix entries must be Eisenstein integers")
     return tuple(x for e in entries for x in (e.a, e.b))
-
-
-def _mul(p: int, q: int, c: int, d: int) -> tuple:
-    """(p + qw)(c + dw) = (pc - qd) + (pd + qc - qd)w, as its (a, b) pair."""
-    qd = q * d
-    return p * c - qd, p * d + q * c - qd
 
 
 def _form_defect(flat: tuple) -> tuple | None:
@@ -321,24 +317,41 @@ class HeisenbergParam:
         if not self.lam.is_unit():
             raise ValueError(f"{self.lam!r} is not a unit of Z[w]")
 
+    @classmethod
+    def from_ints(cls, la, lb, t1a, t1b, t2a, t2b, k, u) -> HeisenbergParam:
+        """The record of the fields stabilizer_ints returns."""
+        return cls(EisensteinInt(la, lb),
+                   HeisenbergTranslation(EisensteinInt(t1a, t1b),
+                                         EisensteinInt(t2a, t2b), k), u)
+
     def matrix(self) -> GroupMatrix:
-        """Column 1 is (lam, 0, 0, 0), columns 2-3 stack -lam tau* u over u
-        over zeros, and column 4 is (lam e, tau, lam), with
-        e = a + bw for the pair (a, b) = heisenberg_corner(|tau|^2, k): the
-        one place the entries of an element fixing infinity are written."""
-        la, lb = self.lam.a, self.lam.b
+        """The matrix of the fields, by _stabilizer_flat."""
         tr = self.translation
-        t1a, t1b, t2a, t2b = tr.tau1.a, tr.tau1.b, tr.tau2.a, tr.tau2.b
-        out = [la, lb, 0, 0, 0, 0, 0, 0]
-        for xa, xb, ya, yb in (self.u.flat[:4], self.u.flat[4:]):
-            # conj(tau1) x + conj(tau2) y, with conj(a + bw) = (a - b) - bw.
-            pa, pb = _mul(t1a - t1b, -t1b, xa, xb)
-            qa, qb = _mul(t2a - t2b, -t2b, ya, yb)
-            ra, rb = _mul(la, lb, pa + qa, pb + qb)
-            out += (-ra, -rb, xa, xb, ya, yb, 0, 0)
-        out += (*_mul(la, lb, *heisenberg_corner(tr.tau1.norm() + tr.tau2.norm(), tr.k)),
-                t1a, t1b, t2a, t2b, la, lb)
-        return GroupMatrix.from_flat(tuple(out))
+        return GroupMatrix.from_flat(_stabilizer_flat(
+            self.lam.a, self.lam.b, tr.tau1.a, tr.tau1.b, tr.tau2.a, tr.tau2.b,
+            tr.k, self.u.flat))
+
+
+def _stabilizer_flat(la, lb, t1a, t1b, t2a, t2b, k, u) -> tuple:
+    """The 32 ints of unit_correction(lam) * T(tau, k) * Rot(u) for
+    lam = la + lb w, tau = (t1a + t1b w, t2a + t2b w) and u the 8 ints of
+    FiniteUnitary.flat: column 1 is (lam, 0, 0, 0), columns 2-3 stack
+    -lam tau* u over u over zeros, and column 4 is (lam e, tau, lam), with
+    e = a + bw for the pair (a, b) = heisenberg_corner(|tau|^2, k).  The
+    one place the entries of an element fixing infinity are written."""
+    xa, xb, ya, yb, za, zb, wa, wb = u  # u's columns (x, y) and (z, w)
+    # tau* x = conj(tau1) x + conj(tau2) y, with conj(a + bw) = (a - b) - bw,
+    # then lam times it, by (p + qw)(c + dw) = (pc - qd) + (pd + qc - qd)w.
+    c1, c2, ld = t1a - t1b, t2a - t2b, la - lb
+    pa = c1 * xa + t1b * xb + c2 * ya + t2b * yb
+    pb = t1a * xb - t1b * xa + t2a * yb - t2b * ya
+    qa = c1 * za + t1b * zb + c2 * wa + t2b * wb
+    qb = t1a * zb - t1b * za + t2a * wb - t2b * wa
+    ea, eb = heisenberg_corner(t1a * c1 + t1b * t1b + t2a * c2 + t2b * t2b, k)
+    return (la, lb, 0, 0, 0, 0, 0, 0,
+            lb * pb - la * pa, -ld * pb - lb * pa, xa, xb, ya, yb, 0, 0,
+            lb * qb - la * qa, -ld * qb - lb * qa, za, zb, wa, wb, 0, 0,
+            la * ea - lb * eb, ld * eb + lb * ea, t1a, t1b, t2a, t2b, la, lb)
 
 
 _NO_TRANSLATION = HeisenbergTranslation(ZERO, ZERO, 0)
@@ -351,36 +364,47 @@ ROTATIONS = tuple((i, j, FiniteUnitary(rows)) for i, x in enumerate(MU_POWERS)
 _BLOCKS = {u.flat: u for _, _, u in ROTATIONS}
 
 
-def langlands_extract(p: GroupMatrix) -> HeisenbergParam:
-    """Factor a stabilizer element as unit correction, translation, rotation.
+def stabilizer_ints(p: GroupMatrix) -> tuple:
+    """The fields of langlands_extract as ints: (la, lb, t1a, t1b, t2a, t2b,
+    k, u) for lam = la + lb w, tau = (t1a + t1b w, t2a + t2b w), k and the
+    rotation u, a FiniteUnitary.
 
-    The lattice admits no dilation component, so the fields are forced:
-    lam = g11, u the middle block, tau the middle of the last column, k the
-    w-coefficient of the corner over lam.  Reading them checks that lam is a
-    unit, u one of the 72 rotation blocks and the corner consistent with
-    |tau|^2; then the rebuilt matrix must equal p.  Any failure raises
-    ShapeError.
+    Reading them checks that lam is a unit, u one of the 72 rotation blocks
+    and the corner consistent with |tau|^2; then the matrix rebuilt by
+    _stabilizer_flat must equal p.  Any failure raises ShapeError.
     """
     v = p.flat  # the column layout of the module docstring
-    lam = EisensteinInt(v[0], v[1])
-    if not lam.is_unit():
-        raise ShapeError(f"corner entry {lam} is not a unit")
+    la, lb = v[0], v[1]
+    if la * la - la * lb + lb * lb != 1:
+        raise ShapeError(f"corner entry {EisensteinInt(la, lb)} is not a unit")
     u = _BLOCKS.get(v[10:14] + v[18:22])
     if u is None:
         u_rows = ((EisensteinInt(v[10], v[11]), EisensteinInt(v[18], v[19])),
                   (EisensteinInt(v[12], v[13]), EisensteinInt(v[20], v[21])))
         raise ShapeError(f"middle block {u_rows} is not in U(2; Z[w])")
-    tau1, tau2 = EisensteinInt(v[26], v[27]), EisensteinInt(v[28], v[29])
-    m = tau1.norm() + tau2.norm()
-    # corner = conj(lam) g14 = ((k - m)/2, k); this implies the parity rule.
-    ca, k = _mul(v[0] - v[1], -v[1], v[24], v[25])
+    t1a, t1b, t2a, t2b = v[26:30]
+    m = t1a * t1a - t1a * t1b + t1b * t1b + t2a * t2a - t2a * t2b + t2b * t2b
+    # corner = conj(lam) g14 = ((k - m)/2, k), with conj(a + bw) =
+    # (a - b) - bw and (p + qw)(c + dw) = (pc - qd) + (pd + qc - qd)w; this
+    # implies the parity rule.
+    ca, k = (la - lb) * v[24] + lb * v[25], la * v[25] - lb * v[24]
     if k - 2 * ca != m:
         raise ShapeError(f"corner entry {EisensteinInt(ca, k)} "
                          f"inconsistent with |tau|^2 = {m}")
-    param = HeisenbergParam(lam, HeisenbergTranslation(tau1, tau2, k), u)
-    if param.matrix() != p:
+    if _stabilizer_flat(la, lb, t1a, t1b, t2a, t2b, k, u.flat) != v:
         raise ShapeError("matrix is not unit * translation * rotation")
-    return param
+    return la, lb, t1a, t1b, t2a, t2b, k, u
+
+
+def langlands_extract(p: GroupMatrix) -> HeisenbergParam:
+    """Factor a stabilizer element as unit correction, translation, rotation.
+
+    The lattice admits no dilation component, so the fields are forced:
+    lam = g11, u the middle block, tau the middle of the last column, k the
+    w-coefficient of the corner over lam.  They are read, with every check,
+    by stabilizer_ints, which raises ShapeError on any failure.
+    """
+    return HeisenbergParam.from_ints(*stabilizer_ints(p))
 
 
 def translation_matrix(tau, k: int) -> GroupMatrix:

@@ -24,9 +24,9 @@ from .jsonutil import decode_pair, encode_pair
 
 
 class _Letter(str):
-    """A letter as normalize writes it: equal to and hashed as its string,
-    which value gives back (bench/run.py reads item.value of the words
-    verify evaluates)."""
+    """A letter as normalize and the decomposer's word assembly write it:
+    equal to and hashed as its string, which value gives back (bench/run.py
+    reads item.value of the words verify evaluates)."""
     value = property(str.__str__)
 
 
@@ -81,7 +81,9 @@ def normalize(word: Word) -> Word:
     the raw neighbor pairs.  The stack never holds two adjacent equal
     generators, so one merge per incoming item is enough.  Exponents of B
     reduce to {-2, ..., 3}, of A and R to {0, 1}; N keeps its exponent.
-    Each kept letter is written as its _Letter.
+    Each kept letter is written as its _Letter.  This is the normalizer for
+    text and Word arithmetic; a word built from pieces already in normal
+    form is kept in it by join.
     """
     stack: list[tuple[str, int]] = []
     for gen, exp in word.items:
@@ -94,6 +96,31 @@ def normalize(word: Word) -> Word:
         if exp:
             stack.append((_LETTER.get(gen, gen), exp))
     return Word(stack)
+
+
+def join(stack: list, tail) -> list:
+    """stack extended by the items of tail, both in normal form, as
+    normalize would leave their concatenation; returns stack.
+
+    Only the junction can merge: each item of tail that meets its own
+    letter on top of the stack merges with it by normalize's exponent rule,
+    and a merge that cancels exposes the item below to the next one.  At
+    the first item that does not cancel, the rest of tail is normal against
+    what is below and goes on in bulk.  Items keep the letters tail gives
+    them.
+    """
+    i = 0
+    for gen, exp in tail:
+        if not stack or stack[-1][0] != gen:
+            break
+        exp += stack.pop()[1]
+        exp = (exp + 2) % 6 - 2 if gen == "B" else exp if gen == "N" else exp % 2
+        i += 1
+        if exp:
+            stack.append((gen, exp))
+            break
+    stack += tail[i:]
+    return stack
 
 
 _MU = tuple((mu.a, mu.b) for mu in MU_POWERS)  # no EisensteinInt read per letter

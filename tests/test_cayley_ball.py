@@ -98,6 +98,14 @@ def test_word_letters_within_pinned_bounds_on_radius_5_ball():
         assert max(letters) <= max_bound, d
 
 
+def test_decompose_words_are_in_normal_form_on_radius_5_ball():
+    balls, _ = search(5)
+    for sphere in balls:
+        for g, _ in sphere:
+            word = decompose(g).word
+            assert normalize(word) == word
+
+
 def test_relators_from_radius_5_ball():
     balls, relators = search(5)
     for d, sphere in enumerate(balls, start=1):

@@ -11,6 +11,7 @@ from fraction_pairs import add, as_num_den, conj, div, mul, norm, qw, sub
 from picard31.eisenstein import (OMEGA, ONE, UNITS, ZERO, EisensteinInt,
                                  round_nearest)
 from picard31.errors import DomainError, InternalError, ParityError
+from picard31.finite_unitary import u_decompose
 from picard31.hermitian import (GroupMatrix, identity, inversion,
                                 translation_matrix, unit_correction)
 from picard31.decomposer import (_FORMS, _form, _translation_items,
@@ -210,17 +211,40 @@ def test_reduction_contraction_check_is_live(monkeypatch):
 
 
 def test_self_verification_is_live(monkeypatch):
-    # A normalize that drops the word's last item spoils the word; the
+    # A rotation word one item short spoils the assembled word; the
     # self-verification must catch it, with the rounds done attached.
     g = evaluate(parse("N^3 R B N^-2 R A N R N^2"))
-    steps = decompose_traced(g)[1].steps
-    assert steps
-    monkeypatch.setattr("picard31.decomposer.normalize",
-                        lambda word: Word(normalize(word).items[:-1]))
+    trace = decompose_traced(g)[1]
+    steps = trace.steps
+    assert steps and u_decompose(trace.stabilizer.u).items
+    monkeypatch.setattr("picard31.decomposer.u_decompose",
+                        lambda u: Word(u_decompose(u).items[:-1]))
     with pytest.raises(InternalError,
                        match="failed self-verification") as exc:
         decompose_traced(g)
     assert exc.value.steps == steps
+
+
+def test_decompose_words_are_in_normal_form():
+    # The word is assembled in normal form, with no normalize pass after.
+    members = [evaluate(random_element(seed, 40)) for seed in range(2000)]
+    members += [evaluate(random_element(seed, 1500)) for seed in range(50)]
+    members += [random_stabilizer(seed) for seed in range(200)]
+    for g in members:
+        word = decompose(g).word
+        assert normalize(word) == word
+
+
+def test_decompose_letters_read_value():
+    # The benchmark's letter counter reads (g.value, e) for the items of
+    # the words verify evaluates, so every letter the assembly writes must
+    # be a words._Letter, which normalize writes too.
+    members = [evaluate(random_element(seed, 40)) for seed in range(300)]
+    members += [random_stabilizer(seed) for seed in range(50)]
+    members += [unit_correction(lam) for lam in UNITS] + [inversion()]
+    for g in members:
+        items = decompose(g).word.items
+        assert [(gen.value, e) for gen, e in items] == list(items)
 
 
 def test_reduction_step_contracts():
@@ -341,7 +365,7 @@ def test_decompose_translation_exact():
 
 
 def test_round_items_match_decompose_translation():
-    # decompose_traced writes each round's prefix N_(-lam tau, -k) straight
+    # decompose writes each round's prefix N_(-lam tau, -k) straight
     # from ints, passing the coefficients of -lam; it must give the items of
     # decompose_translation on the twisted data, and its translation.
     box = range(-2, 3)
@@ -431,8 +455,8 @@ def _yardstick_items(la, lb, t1a, t1b, t2a, t2b, k):
 
 def test_translation_words_never_longer_than_yardstick():
     # Every unit twist of a box of tau, with k near 0, +-10^6 and +-2^140:
-    # the word is exact, and even before normalize no longer than the
-    # yardstick's after it (the choice counts the letters normalize keeps).
+    # the word is exact, and no longer than the yardstick's after normalize
+    # (the choice counts the letters of the normal form).
     centers = (0, 10 ** 6, -10 ** 6, 2 ** 140, -2 ** 140)
     cases = shorter = 0
     for lam in UNITS:

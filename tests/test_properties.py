@@ -20,7 +20,7 @@ from picard31.hermitian import (GroupMatrix, HeisenbergParam,
                                 langlands_extract, matrix_from_json_text,
                                 matrix_to_json_text, rotation_matrix,
                                 translation_matrix, unit_correction)
-from picard31.words import Word, evaluate, normalize, parse, serialize
+from picard31.words import Word, evaluate, join, normalize, parse, serialize
 
 _SETTINGS = dict(derandomize=True, database=None, deadline=None)
 _BIG = 2 ** 70
@@ -212,6 +212,16 @@ def test_normalize_idempotent(word):
     assert normalize(normal) == normal
     assert evaluate(normal) == evaluate(word)
     assert parse(serialize(normal)) == normal
+
+
+@settings(max_examples=300, **_SETTINGS)
+@given(_RAW_WORDS, _RAW_WORDS, st.integers(0, 60))
+def test_join_is_normalize_of_the_concatenation(u, w, cut):
+    # v starts by undoing the last `cut` items of u, so the junction
+    # cascades to a random depth before the rest of v meets what is left.
+    u = normalize(u)
+    v = normalize(Word(u.inverse().items[:cut] + w.items))
+    assert Word(join(list(u.items), v.items)) == normalize(Word(u.items + v.items))
 
 
 _JSON = st.recursive(

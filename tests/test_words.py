@@ -16,8 +16,8 @@ from picard31.errors import WordParseError
 from picard31.finite_unitary import U1, U2
 from picard31.hermitian import (identity, inversion, rotation_matrix,
                                 translation_matrix, unit_correction)
-from picard31.words import (DecompositionResult, Word, evaluate, normalize,
-                            parse, serialize)
+from picard31.words import (DecompositionResult, Word, evaluate, join,
+                            normalize, parse, serialize)
 
 GENS = tuple("NABR")
 EXPS = (-3, -2, -1, 1, 2, 3)
@@ -181,6 +181,32 @@ def test_normalize_canonical_exponents():
                 assert -2 <= exp <= 3
             elif gen != "N":
                 assert exp == 1
+
+
+@pytest.mark.parametrize("head, tail, joined", [
+    # A stabilizer translation's tail against the rotation word: B^-1 B^3,
+    # and A A cancelling so that B^-1 ... B merge.
+    ("N B^-1", "B^3 A B", "N B^2 A B"),
+    ("N^2 B^-1 A", "A B^2 A", "N^2 B A"),
+    ("N B A", "A B^-1 A", "N A"),
+    # A commutator's N cancelling a form's last N^x, then B^-1 B and N N^3.
+    ("R B N B^-1 N^2", "N^-2 B N^3 B^-1 N^2 B N^-3 B^-1",
+     "R B N^4 B^-1 N^2 B N^-3 B^-1"),
+    # An empty round translation leaves R R, which exposes the rounds
+    # before it.
+    ("N A N A R", "R", "N A N A"),
+    ("B^2 N R", "R N^-1 B", "B^3"),
+    ("A B N", "N^-1 B^-1 A", ""),
+    # No merge, and the empty ends.
+    ("N A", "B R", "N A B R"),
+    ("", "B^3 N", "B^3 N"),
+    ("B^3 N", "", "B^3 N"),
+])
+def test_join_cascades(head, tail, joined):
+    u, v = parse(head), parse(tail)
+    stack = list(u.items)
+    assert join(stack, v.items) is stack
+    assert Word(stack) == parse(joined) == normalize(Word(u.items + v.items))
 
 
 def test_letters_compared_by_value():

@@ -39,8 +39,11 @@ WORDS = "src/picard31/words.py"
 # (name, file, old text, new text)
 MUTANTS = [
     ("translation_data: |k| dropped from the choice key", DECOMPOSER,
-     "key = (s * s + 3 * e * e, abs(k), k,",
-     "key = (s * s + 3 * e * e, 0, k,"),
+     "key = (nn, abs(k), k,",
+     "key = (nn, 0, k,"),
+    ("translation_data: an n' tie never reaches the tie-break", DECOMPOSER,
+     "nn <= best[0][0]",
+     "nn < best[0][0]"),
     ("translation_data: tie at e = -n moves up from k = -1", DECOMPOSER,
      "if e < -n or e == -n and k < -1:",
      "if e < -n or e == -n and k <= -1:"),
@@ -62,9 +65,9 @@ MUTANTS = [
     ("reduction_step: contraction check dropped", DECOMPOSER,
      "    if 36 * n_after > 31 * n:",
      "    if False:"),
-    ("reduction_step: sign of tau1.b flipped in row 2", DECOMPOSER,
-     "-(a2 + t1a * x - t1b * y)",
-     "-(a2 + t1a * x + t1b * y)"),
+    ("reduction_step: sign of tau1.b flipped in row 2 of column 1", DECOMPOSER,
+     "-(a2 + t1a * a4 - t1b * b4)",
+     "-(a2 + t1a * a4 + t1b * b4)"),
     # The first is equivalent for an integer denominator (e = 0), so only
     # the rounds and the Z[w]-denominator corner test can kill it.
     ("lattice_corners: q0 e dropped from w00's first coefficient", EISENSTEIN,
@@ -80,9 +83,12 @@ MUTANTS = [
     ("round_nearest: den passed to lattice_corners for n = den^2", EISENSTEIN,
      "den, 0, den * den)",
      "den, 0, den)"),
-    ("langlands_extract: rebuild check dropped", HERMITIAN,
-     "    if param.matrix() != p:",
+    ("stabilizer_ints: the rebuild check dropped", HERMITIAN,
+     "    if _stabilizer_flat(la, lb, t1a, t1b, t2a, t2b, k, u.flat) != v:",
      "    if False:"),
+    ("_stabilizer_flat: tau2's b-part dropped from tau* u", HERMITIAN,
+     "c2 * ya + t2b * yb",
+     "c2 * ya"),
     ("evaluate: the anti swap takes d1 and d2 crosswise", WORDS,
      "c2, c3, f2, f3 = c3, c2, (f3 + d1) % 6, (f2 + d2) % 6",
      "c2, c3, f2, f3 = c3, c2, (f3 + d2) % 6, (f2 + d1) % 6"),
@@ -99,11 +105,20 @@ MUTANTS = [
      "_MU[(d0 + f) % 6]",
      "_MU[d0]"),
     ("normalize: B reduced to {0, ..., 5}", WORDS,
-     "exp = (exp + 2) % 6 - 2",
-     "exp = exp % 6"),
+     "exp = (exp + 2) % 6 - 2\n",
+     "exp = exp % 6\n"),
     ("normalize: the merge dropped", WORDS,
      "        if stack and stack[-1][0] == gen:\n"
      "            exp += stack.pop()[1]\n",
+     ""),
+    ("join: a cancel is not followed through", WORDS,
+     "            stack.append((gen, exp))\n            break\n",
+     "            stack.append((gen, exp))\n        break\n"),
+    ("join: B not reduced at the junction", WORDS,
+     '(exp + 2) % 6 - 2 if gen == "B"',
+     'exp if gen == "B"'),
+    ("join: the merged item also goes on with the rest of tail", WORDS,
+     "        i += 1\n",
      ""),
     ("parse: a letter followed by a bare '^' taken without exponent", WORDS,
      "|(?!\\^))",
