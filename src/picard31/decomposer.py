@@ -6,7 +6,7 @@ translations within the paper's bounds, translation_data takes the one that
 leaves the smallest bottom-left norm, by an exhaustive search over the
 lattice corners around the image.  Each round shrinks that norm by a factor
 of at least 31/36, and the norm is a nonnegative integer, so after finitely
-many rounds the element fixes infinity, where hermitian.langlands_extract
+many rounds the element fixes infinity, where hermitian.stabilizer_ints
 splits it into a unit correction, a translation, and a rotation.  Unwinding
 the rounds yields a word over the four generators; the unit correction is
 reported separately.
@@ -19,9 +19,9 @@ or more letters to about a quarter of short-word decompositions.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
+from typing import NamedTuple
 
 from .eisenstein import UNITS, EisensteinInt, lattice_corners
 # The traced benchmark run wraps round_nearest, langlands_extract and
@@ -37,8 +37,7 @@ from .words import _LETTER, DecompositionResult, Word, evaluate, join, serialize
 from .words import normalize  # noqa: F401
 
 
-@dataclass(frozen=True)
-class ReductionStep:
+class ReductionStep(NamedTuple):
     """One round: left-multiply by the translation (tau, k), then invert.
     n_before and n_after are the bottom-left entry norms around the round."""
 
@@ -54,8 +53,7 @@ class ReductionStep:
                 "n_after": encode_int(self.n_after)}
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     """Full record of a decomposition: the rounds plus the terminal
     stabilizer data."""
 
@@ -256,39 +254,32 @@ def _translation_items(items, la, lb, t1a, t1b, t2a, t2b, k) -> list:
     lam = la + lb w, from the ints of tau and k alone; returns items.  The
     forms, the A wrapper and the commutators are each in normal form, so
     words.join merges only where they meet items and where the commutators
-    meet a last N^x of the first coordinate, and items stays in normal
+    meet a last N^x of a lone first coordinate, and items stays in normal
     form."""
     # lam tau_j by (p + qw)(c + dw) = (pc - qd) + (pd + qc - qd)w.
     a1, b1 = la * t1a - lb * t1b, la * t1b + lb * t1a - lb * t1b
     a2, b2 = la * t2a - lb * t2b, la * t2b + lb * t2a - lb * t2b
-    # Each coordinate's forms come in order of letters, so a pair of forms
-    # costing no less than the best total ends its loop: commutators cost
-    # more than the N^x N^c merge saves.
+    # Each coordinate's forms come in order of letters, so a pair costing
+    # no less than the best total ends its loop: commutators cost more than
+    # the N^x N^c merge saves.  A zero second coordinate has the one empty
+    # form, and only then does a last N^x of the first meet the commutators.
+    second = _coordinate_forms(a2, b2)
     best = None
-    if a2 or b2:
-        second = _coordinate_forms(a2, b2)
-        for n1, o1, _, w1 in _coordinate_forms(a1, b1):
-            for n2, o2, _, w2 in second:
-                if best is not None and n1 + n2 >= best:
-                    break
-                v = (k - o1 - o2) // 2
-                n = n1 + n2 + _commutators(v)[0]
-                if best is None or n < best:
-                    best, t, f1, f2 = n, v, w1, w2
-        join(items, f1 + _A + f2 + _A)
-    else:
-        for n1, o1, x, w1 in _coordinate_forms(a1, b1):
-            if best is not None and n1 >= best:
+    for n1, o1, x, w1 in _coordinate_forms(a1, b1):
+        if best is not None and n1 + second[0][0] >= best:
+            break
+        for n2, o2, _, w2 in second:
+            if best is not None and n1 + n2 >= best:
                 break
-            v = (k - o1) // 2
+            v = (k - o1 - o2) // 2
             n, vertical = _commutators(v)
-            n += n1
-            if x and vertical:  # its last N^x merges with the first N^c
+            n += n1 + n2
+            if x and vertical and not w2:  # the merge of N^x with N^c
                 c = vertical[0][1]
                 n -= abs(x) + abs(c) - abs(x + c)
             if best is None or n < best:
-                best, t, f1 = n, v, w1
-        join(items, f1)
+                best, t, f1, f2 = n, v, w1, w2
+    join(items, f1 + _A + f2 + _A if f2 else f1)
     return join(items, _commutators(t)[1])
 
 

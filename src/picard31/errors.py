@@ -7,8 +7,8 @@ class Picard31Error(Exception):
 
 class DomainError(Picard31Error):
     """An operation was applied outside its mathematical domain
-    (e.g. image_of_infinity, or translation_data which starts from it, on a
-    matrix that fixes infinity: g41 = 0 leaves no affine coordinates)."""
+    (e.g. image_of_infinity or translation_data on a matrix that fixes
+    infinity: g41 = 0 leaves no affine coordinates)."""
 
 
 class ParityError(Picard31Error):

@@ -14,8 +14,8 @@ from __future__ import annotations
 import functools
 import re
 import sys
-from dataclasses import dataclass
 from itertools import chain, repeat
+from typing import NamedTuple
 
 from .eisenstein import MU_POWERS, ONE, EisensteinInt
 from .errors import WordParseError
@@ -309,8 +309,7 @@ def serialize(word: Word) -> str:
                      for gen, exp in word.items])
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(NamedTuple):
     """Outcome of a full decomposition: G = unit_correction(unit) * evaluate(word)."""
 
     unit: EisensteinInt

@@ -1,5 +1,6 @@
 """The reduction algorithm: translation choice, contraction, assembly."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -492,6 +493,28 @@ def test_every_form_makes_its_translation():
                             else 0)
 
 
+# sha256 over serialize(decompose_translation(tau, k)) + "\n" for tau in
+# [-3, 3]^4 and |k| <= 9 of the parity of |tau|^2, in itertools.product
+# and then increasing k order: 22,329 words.  Output is meant to stay
+# byte-identical; a change that alters these words on purpose re-pins the
+# digest and says so in CHANGES.md.
+TRANSLATION_WORDS_SHA256 = (
+    "1fb3010c8a03e45d8f6e9f4dee7506a38f3cd83ee583c3255084481d09a110b9")
+
+
+def test_translation_words_digest():
+    digest, count = hashlib.sha256(), 0
+    for t1a, t1b, t2a, t2b in itertools.product(range(-3, 4), repeat=4):
+        t1, t2 = EisensteinInt(t1a, t1b), EisensteinInt(t2a, t2b)
+        m = t1.norm() + t2.norm()
+        for k in range(-9 + (m + 1) % 2, 10, 2):
+            word = decompose_translation((t1, t2), k)
+            digest.update(serialize(word).encode() + b"\n")
+            count += 1
+    assert count == 22329
+    assert digest.hexdigest() == TRANSLATION_WORDS_SHA256
+
+
 def test_decompose_translation_uses_only_nab():
     w = decompose_translation((EisensteinInt(2, -1), EisensteinInt(0, 3)), 6)
     assert all(g != "R" for g, _ in w.items)
@@ -505,6 +528,14 @@ def test_trace_json():
     for rec in obj["steps"]:
         assert set(rec) == {"tau", "k", "n_before", "n_after"}
     assert set(obj["stabilizer"]) == {"unit", "tau", "k", "u_word"}
+
+
+def test_records_are_read_only():
+    res, trace = decompose_traced(evaluate(parse("N^3 R B N^-2 R A N")))
+    for record, field in ((res, "unit"), (trace, "steps"),
+                          (trace.steps[0], "k")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
 
 
 def test_random_element_deterministic():

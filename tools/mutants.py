@@ -157,15 +157,19 @@ MUTANTS = [
      "[8 * j + 2 * i + c for j in range(4)"),
     ("_translation_items: the first pair of forms taken, not the least",
      DECOMPOSER,
-     "if best is None or n < best:\n                    best, t, f1, f2",
-     "if best is None:\n                    best, t, f1, f2"),
+     "if best is None or n < best:\n                best, t, f1, f2",
+     "if best is None:\n                best, t, f1, f2"),
     ("_translation_items: ties go to the last form of the first coordinate",
      DECOMPOSER,
-     "n < best:\n                best, t, f1 = n, v, w1",
-     "n <= best:\n                best, t, f1 = n, v, w1"),
+     "n < best:\n                best, t, f1, f2 = n, v, w1, w2",
+     "n <= best:\n                best, t, f1, f2 = n, v, w1, w2"),
     ("_translation_items: the N^x N^c merge left unscored", DECOMPOSER,
      "                n -= abs(x) + abs(c) - abs(x + c)\n",
      ""),
+    ("_translation_items: the merge scored with a second coordinate too",
+     DECOMPOSER,
+     "if x and vertical and not w2:",
+     "if x and vertical:"),
     ("_form: the offset of B N^-x B^-1 taken as +x", DECOMPOSER,
      "si * x + sj * y - det * x * y",
      "abs(si) * x + abs(sj) * y - det * x * y"),
@@ -178,8 +182,10 @@ MUTANTS = [
     ("_coordinate_forms: forms told apart by offset alone", DECOMPOSER,
      "key = form[1:3]",
      "key = form[1]"),
-    # Both loops' early exits made strict (n1 + n2 > best, n1 > best) are
-    # equivalent mutants: a pair that only ties the best never replaces it.
+    # The choice loop's two early exits made strict (n1 + second[0][0] >
+    # best, n1 + n2 > best) are equivalent mutants: a pair that only ties
+    # the best never replaces it.  So is the outer exit dropped: the inner
+    # one then stops each later form at once.
     # The A wrapper of the second coordinate, ("A", 1) made ("A", -1), is
     # an equivalent mutant: normalize reduces A's exponent mod 2.
     # Two equivalent mutants of _commutators: the base case -4 < t < 4
