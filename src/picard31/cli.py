@@ -79,21 +79,23 @@ def _cmd_verify(args) -> int:
 def _cmd_decompose(args) -> int:
     g = matrix_from_json_text(_read_input(args.input))
     result, trace = decompose_traced(g)
+    # All output is built before any is written: the trace's norms have
+    # twice the digits of g's entries and can alone pass the int/str limit.
     if args.json:
-        print(canonical_dumps(result.to_json()))
+        lines = [canonical_dumps(result.to_json())]
         if args.trace:
-            print(canonical_dumps(trace.to_json()))
-        return 0
-    print(f"unit: {result.unit}")
-    print(f"word: {serialize(result.word)}")
-    if args.trace:
-        for i, step in enumerate(trace.steps, start=1):
-            print(f"step {i}: tau=({step.tau[0]}, {step.tau[1]}) k={step.k} "
-                  f"norm {step.n_before} -> {step.n_after}")
-        stab = trace.stabilizer
-        tr = stab.translation
-        print(f"stabilizer: unit={stab.lam} tau=({tr.tau1}, {tr.tau2}) "
-              f"k={tr.k} u={serialize(u_decompose(stab.u)) or '1'}")
+            lines.append(canonical_dumps(trace.to_json()))
+    else:
+        lines = [f"unit: {result.unit}", f"word: {serialize(result.word)}"]
+        if args.trace:
+            lines += [f"step {i}: tau=({step.tau[0]}, {step.tau[1]}) k={step.k} "
+                      f"norm {step.n_before} -> {step.n_after}"
+                      for i, step in enumerate(trace.steps, start=1)]
+            stab = trace.stabilizer
+            tr = stab.translation
+            lines.append(f"stabilizer: unit={stab.lam} tau=({tr.tau1}, {tr.tau2}) "
+                         f"k={tr.k} u={serialize(u_decompose(stab.u)) or '1'}")
+    print("\n".join(lines))
     return 0
 
 

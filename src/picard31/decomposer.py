@@ -24,8 +24,8 @@ from math import isqrt
 from typing import NamedTuple
 
 from .eisenstein import UNITS, EisensteinInt, lattice_corners
-# The traced benchmark run wraps round_nearest, langlands_extract and
-# normalize by this module's name.
+# The traced benchmark run wraps round_nearest and langlands_extract by
+# this module's name.
 from .eisenstein import round_nearest  # noqa: F401
 from .errors import DomainError, InternalError
 from .finite_unitary import enumerate_group, u_decompose
@@ -33,8 +33,8 @@ from .hermitian import (GroupMatrix, HeisenbergParam, HeisenbergTranslation,
                         heisenberg_corner, stabilizer_ints)
 from .hermitian import langlands_extract  # noqa: F401
 from .jsonutil import encode_int, encode_pair
-from .words import _LETTER, DecompositionResult, Word, evaluate, join, serialize
-from .words import normalize  # noqa: F401
+from .words import (DecompositionResult, Word, evaluate, join, normalize,
+                    serialize)
 
 
 class ReductionStep(NamedTuple):
@@ -290,11 +290,8 @@ _DIRECTIONS = ((1, 0, 0, 1), (0, 1, -2, 1), (0, 1, 1, -1), (1, 1, -1, 1))
 # N and B^-2 N B^2 come first.
 _FORMS = ((0, 1), (1, 0), (0, 2), (2, 0), (0, 3), (3, 0), (2, 3), (3, 2),
           (1, 3), (3, 1))
-# The letters as words.join keeps them (see words._Letter); the powers of B
-# a form writes are one shared item each.
-_B = {e: (_LETTER["B"], e) for e in (-2, -1, 1, 2)}
-_A = ((_LETTER["A"], 1),)
-_R = ((_LETTER["R"], 1),)
+# The A wrapper and R, with their letters as normalize writes them.
+_A, _R = (normalize(Word(((c, 1),))).items for c in "AR")
 
 
 @lru_cache(maxsize=1024)
@@ -320,20 +317,11 @@ def _form(a: int, b: int, i: int, j: int) -> tuple:
     # x d_i + y d_j = a + bw, and det = +-1 is its own inverse.
     det = pi * qj - pj * qi
     x, y = (a * qj - b * pj) * det, (b * pi - a * qi) * det
-    items, letters = [], abs(x) + abs(y)
-    pending = 0  # the power of B not yet written
-    for c, e in ((ci, si * x), (cj, sj * y)):
-        if e:
-            if pending + c:
-                items.append(_B[pending + c])
-                letters += abs(pending + c)
-            items.append((_LETTER["N"], e))
-            pending = -c
-    if pending:
-        items.append(_B[pending])
-        letters += abs(pending)
-    tail = 0 if pending or not items else items[-1][1]
-    return letters, si * x + sj * y - det * x * y, tail, tuple(items)
+    word = normalize(Word((("B", ci), ("N", si * x), ("B", -ci),
+                           ("B", cj), ("N", sj * y), ("B", -cj))))
+    items = word.items
+    tail = items[-1][1] if items and items[-1][0] == "N" else 0
+    return word.letters(), si * x + sj * y - det * x * y, tail, items
 
 
 @lru_cache(maxsize=1024)
@@ -349,10 +337,10 @@ def _commutators(t: int) -> tuple:
         split = _commutators(t - a * b)
         if split[0] + 2 * (a + abs(b)) + 4 < 2 * abs(t) + 6:
             pair, rest = (a, b), split
-    (a, b), n = pair, _LETTER["N"]
-    return (rest[0] + 2 * (abs(a) + abs(b)) + 4,
-            ((n, a), _B[1], (n, b), _B[-1], (n, -a), _B[1], (n, -b), _B[-1])
-            + rest[1])
+    a, b = pair
+    items = normalize(Word((("N", a), ("B", 1), ("N", b), ("B", -1),
+                            ("N", -a), ("B", 1), ("N", -b), ("B", -1)))).items
+    return rest[0] + 2 * (abs(a) + abs(b)) + 4, items + rest[1]
 
 
 def _decompose(g: GroupMatrix) -> tuple:

@@ -24,9 +24,9 @@ from .jsonutil import decode_pair, encode_pair
 
 
 class _Letter(str):
-    """A letter as normalize and the decomposer's word assembly write it:
-    equal to and hashed as its string, which value gives back (bench/run.py
-    reads item.value of the words verify evaluates)."""
+    """A letter as normalize writes it: equal to and hashed as its string,
+    which value gives back (bench/run.py reads item.value of the words
+    verify evaluates)."""
     value = property(str.__str__)
 
 
@@ -81,9 +81,9 @@ def normalize(word: Word) -> Word:
     the raw neighbor pairs.  The stack never holds two adjacent equal
     generators, so one merge per incoming item is enough.  Exponents of B
     reduce to {-2, ..., 3}, of A and R to {0, 1}; N keeps its exponent.
-    Each kept letter is written as its _Letter.  This is the normalizer for
-    text and Word arithmetic; a word built from pieces already in normal
-    form is kept in it by join.
+    Each kept letter is written as its _Letter.  It normalizes text, Word
+    arithmetic, the rotation table and the decomposer's memoized pieces;
+    join keeps a word built from pieces in normal form in it.
     """
     stack: list[tuple[str, int]] = []
     for gen, exp in word.items:

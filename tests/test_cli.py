@@ -152,6 +152,27 @@ def test_evaluate_beyond_int_str_limit(capsys):
     assert "(at byte 4)" in err
 
 
+def test_decompose_trace_beyond_int_str_limit(capsys):
+    # Entries of about 2,300 digits, inside the int/str limit, but the
+    # trace's norms |g41|^2 have about twice as many, past it: the trace
+    # fails before any output is written, in both modes.
+    from picard31.decomposer import decompose
+    from picard31.jsonutil import canonical_dumps
+
+    tau = EisensteinInt(10 ** 1150 + 7, 3)
+    g = inversion() * translation_matrix((tau, ZERO), tau.norm() % 2) * inversion()
+    text = matrix_to_json_text(g)
+    for argv in (["decompose", "--trace"], ["decompose", "--json", "--trace"]):
+        code, out, err = run(capsys, argv, stdin=text)
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert f"({sys.get_int_max_str_digits()} digits)" in err
+    code, out, _ = run(capsys, ["decompose", "--json"], stdin=text)
+    assert code == 0
+    assert out == canonical_dumps(decompose(g).to_json()) + "\n"
+
+
 def test_random_deterministic(capsys):
     code, out1, _ = run(capsys, ["random", "--seed", "12", "--json"])
     assert code == 0

@@ -238,8 +238,8 @@ def test_decompose_words_are_in_normal_form():
 
 def test_decompose_letters_read_value():
     # The benchmark's letter counter reads (g.value, e) for the items of
-    # the words verify evaluates, so every letter the assembly writes must
-    # be a words._Letter, which normalize writes too.
+    # the words verify evaluates, so every letter of the pieces the word
+    # is assembled from must be a words._Letter, as normalize writes it.
     members = [evaluate(random_element(seed, 40)) for seed in range(300)]
     members += [random_stabilizer(seed) for seed in range(50)]
     members += [unit_correction(lam) for lam in UNITS] + [inversion()]

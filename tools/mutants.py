@@ -179,6 +179,9 @@ MUTANTS = [
     ("_form: B^-1 N^x B written as B N^x B^-1", DECOMPOSER,
      "(1, 1, -1, 1))",
      "(1, 1, 1, 1))"),
+    ("_form: the tail read from the first item", DECOMPOSER,
+     'tail = items[-1][1] if items and items[-1][0] == "N" else 0',
+     'tail = items[0][1] if items and items[0][0] == "N" else 0'),
     ("_coordinate_forms: forms told apart by offset alone", DECOMPOSER,
      "key = form[1:3]",
      "key = form[1]"),
@@ -195,6 +198,12 @@ MUTANTS = [
     ("_commutators: b = t // a, not the nearest", DECOMPOSER,
      "b = (2 * t + a) // (2 * a)",
      "b = t // a"),
+    ("_commutators: items built without normalize, letters plain strings",
+     DECOMPOSER,
+     '    items = normalize(Word((("N", a), ("B", 1), ("N", b), ("B", -1),\n'
+     '                            ("N", -a), ("B", 1), ("N", -b), ("B", -1)))).items\n',
+     '    items = (("N", a), ("B", 1), ("N", b), ("B", -1),\n'
+     '             ("N", -a), ("B", 1), ("N", -b), ("B", -1))\n'),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
