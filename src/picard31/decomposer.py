@@ -2,14 +2,14 @@
 
 The algorithm repeatedly moves the image of infinity close to the origin by
 a Heisenberg translation and then applies the inversion.  Of the
-translations within the paper's bounds, translation_data takes the one that
+translations within the paper's bounds, _choose takes the one that
 leaves the smallest bottom-left norm, by an exhaustive search over the
 lattice corners around the image.  Each round shrinks that norm by a factor
 of at least 31/36, and the norm is a nonnegative integer, so after finitely
 many rounds the element fixes infinity, where hermitian.stabilizer_ints
 splits it into a unit correction, a translation, and a rotation.  Unwinding
 the rounds yields a word over the four generators; the unit correction is
-reported separately.
+reported separately.  A round builds only a 7-int tuple, no record.
 
 Every unit correction is a generator word too (tests pin words for w and
 -1, which generate the units), but folding it into the word would add 15
@@ -27,10 +27,10 @@ from .eisenstein import UNITS, EisensteinInt, lattice_corners
 # The traced benchmark run wraps round_nearest and langlands_extract by
 # this module's name.
 from .eisenstein import round_nearest  # noqa: F401
-from .errors import DomainError, InternalError
+from .errors import InternalError
 from .finite_unitary import enumerate_group, u_decompose
 from .hermitian import (GroupMatrix, HeisenbergParam, HeisenbergTranslation,
-                        heisenberg_corner, stabilizer_ints)
+                        heisenberg_corner, image_of_infinity, stabilizer_ints)
 from .hermitian import langlands_extract  # noqa: F401
 from .jsonutil import encode_int, encode_pair
 from .words import (DecompositionResult, Word, evaluate, join, normalize,
@@ -73,16 +73,17 @@ class ReductionTrace(NamedTuple):
         }
 
 
-def translation_data(g: GroupMatrix):
-    """Choose the reduction translation for g: the (tau, k) of least n'.
+def _choose(flat: tuple, n: int) -> tuple:
+    """The reduction translation for g, the (tau, k) of least n', from the
+    32 ints flat of g and n = |g41|^2 > 0.
 
-    Everything is in Z[w], read from g's first column: n = |g41|^2 and
-    g(infinity) = (c1/n, p1/n, p2/n), p_j = g_(j+1)1 conj(g41) as in
-    image_of_infinity.  Returns (tau, k, s, zb, n), tau = (tau1, tau2) and
-    k as ReductionStep keeps them, s = N(g21 + tau1 g41) + N(g31 + tau2 g41)
-    and zb the w-coefficient of c1 - p1 conj(tau1) - p2 conj(tau2).  In the
-    paper's terms i1 = s / (2 n) is half the squared distance of (q1, q2)
-    to -tau, and e = zb / n is twice the sqrt(3)-coefficient of
+    Everything is in Z[w], read from g's first column: g(infinity) =
+    (c1/n, p1/n, p2/n), p_j = g_(j+1)1 conj(g41) as in image_of_infinity.
+    Returns (t1a, t1b, t2a, t2b, k, s, zb), tau = (t1a + t1b w, t2a + t2b w),
+    s = N(g21 + tau1 g41) + N(g31 + tau2 g41) and zb the w-coefficient of
+    c1 - p1 conj(tau1) - p2 conj(tau2).  In the paper's terms i1 = s / (2 n)
+    is half the squared distance of (q1, q2) to -tau, and e = zb / n is
+    twice the sqrt(3)-coefficient of
     Im(z - q1 conj(tau1) - q2 conj(tau2)); the bottom-left norm after the
     round is n' = n (i1^2 + (3/4)(e + k)^2), that is
     4 n n' = s^2 + 3 (zb + k n)^2.
@@ -99,12 +100,8 @@ def translation_data(g: GroupMatrix):
     around q_j that pass; for each tau, only the two same-parity k around
     -zb/n can meet |zb + k n| <= n.  s and zb split by coordinate, so each
     corner's parts are computed once and each pair is scored by sums.
-    Raises DomainError when g fixes infinity, as image_of_infinity does.
     """
-    a1, b1, a2, b2, a3, b3, x, y = g.flat[0:8]
-    if not (x or y):
-        raise DomainError("matrix fixes infinity; its image has no affine coordinates")
-    n = x * x - x * y + y * y
+    a1, b1, a2, b2, a3, b3, x, y = flat[0:8]
     top = 2 * n
     # Per coordinate, each admissible corner u = -tau in plain ints with its
     # parts of s, zb and |tau|^2: N(g_j1 - u g41), the w-coefficient of
@@ -139,32 +136,31 @@ def translation_data(g: GroupMatrix):
                 if best is None or key < best[0]:
                     best = key, s, zb
     (_, _, k, t1a, t1b, t2a, t2b), s, zb = best
-    return (EisensteinInt(t1a, t1b), EisensteinInt(t2a, t2b)), k, s, zb, n
+    return t1a, t1b, t2a, t2b, k, s, zb
 
 
-def reduction_step(g: GroupMatrix) -> tuple[GroupMatrix, ReductionStep]:
-    """One round: g' = R * N_(tau,k) * g with the chosen translation.
+def _round(flat: tuple, n: int) -> tuple:
+    """g' = R N_(tau,k) g with _choose's (tau, k), from g's 32 ints flat and
+    n = |g41|^2 > 0, as (flat', (t1a, t1b, t2a, t2b, k, n, n')).
 
     Computed by direct row operations on the four columns of GroupMatrix's
     layout, in one straight-line pass over the 32 ints; a generic product
     would redo the structure of R and N.  Both the contraction
     36 n' <= 31 n and the exact ratio 4 n n' = s^2 + 3 (zb + k n)^2 of
-    translation_data are asserted in integers, on column 1's new last row,
-    before the other entries are written.
+    _choose are asserted in integers, on column 1's new last row, before
+    the other entries are written.
     """
-    tau, k, s, zb, n = translation_data(g)
-    t1, t2 = tau
-    t1a, t1b, t2a, t2b = t1.a, t1.b, t2.a, t2.b
+    t1a, t1b, t2a, t2b, k, s, zb = _choose(flat, n)
     # The a-parts of conj(tau_j), with conj(a + bw) = (a - b) - bw, and the
     # corner ea + kw of N_(tau,k).
     c1, c2 = t1a - t1b, t2a - t2b
-    ea = heisenberg_corner(t1.norm() + t2.norm(), k)[0]
+    ea = heisenberg_corner(t1a * c1 + t1b * t1b + t2a * c2 + t2b * t2b, k)[0]
 
     # Rows r1..r4 become r4, -(r2 + tau1 r4), -(r3 + tau2 r4) and
     # r1 - conj(tau1) r2 - conj(tau2) r3 + corner r4, in each column, with
     # (p + qw)(c + dw) = (pc - qd) + (pd + qc - qd)w; d_j = (p - q) of r4.
     (a1, b1, a2, b2, a3, b3, a4, b4, x1, y1, x2, y2, x3, y3, x4, y4,
-     u1, v1, u2, v2, u3, v3, u4, v4, g1, h1, g2, h2, g3, h3, g4, h4) = g.flat
+     u1, v1, u2, v2, u3, v3, u4, v4, g1, h1, g2, h2, g3, h3, g4, h4) = flat
     d1, d2, d3, d4 = a4 - b4, x4 - y4, u4 - v4, g4 - h4
     x = a1 - c1 * a2 - t1b * b2 - c2 * a3 - t2b * b3 + ea * a4 - k * b4
     y = b1 - t1a * b2 + t1b * a2 - t2a * b3 + t2b * a3 + ea * b4 + k * d1
@@ -174,7 +170,7 @@ def reduction_step(g: GroupMatrix) -> tuple[GroupMatrix, ReductionStep]:
     if 4 * n * n_after != s * s + 3 * (zb + k * n) ** 2:
         raise InternalError(f"norm {n} -> {n_after} does not match the "
                             f"predicted ratio (s={s}, zb={zb}, k={k})")
-    return GroupMatrix.from_flat((
+    return (
         a4, b4, -(a2 + t1a * a4 - t1b * b4), -(b2 + t1a * b4 + t1b * d1),
         -(a3 + t2a * a4 - t2b * b4), -(b3 + t2a * b4 + t2b * d1), x, y,
         x4, y4, -(x2 + t1a * x4 - t1b * y4), -(y2 + t1a * y4 + t1b * d2),
@@ -189,7 +185,20 @@ def reduction_step(g: GroupMatrix) -> tuple[GroupMatrix, ReductionStep]:
         -(g3 + t2a * g4 - t2b * h4), -(h3 + t2a * h4 + t2b * d4),
         g1 - c1 * g2 - t1b * h2 - c2 * g3 - t2b * h3 + ea * g4 - k * h4,
         h1 - t1a * h2 + t1b * g2 - t2a * h3 + t2b * g3 + ea * h4 + k * d4,
-    )), ReductionStep(tau=tau, k=k, n_before=n, n_after=n_after)
+    ), (t1a, t1b, t2a, t2b, k, n, n_after)
+
+
+def translation_data(g: GroupMatrix):
+    """_choose's (tau, k, s, zb, n) for g; DomainError if g fixes infinity."""
+    n = image_of_infinity(g)[3]
+    t1a, t1b, t2a, t2b, k, s, zb = _choose(g.flat, n)
+    return (EisensteinInt(t1a, t1b), EisensteinInt(t2a, t2b)), k, s, zb, n
+
+
+def reduction_step(g: GroupMatrix) -> tuple[GroupMatrix, ReductionStep]:
+    """_round on g: (g', its ReductionStep); DomainError if g fixes infinity."""
+    flat, record = _round(g.flat, image_of_infinity(g)[3])
+    return GroupMatrix.from_flat(flat), _steps([record])[0]
 
 
 def step_bound(n0: int) -> int:
@@ -290,8 +299,11 @@ _DIRECTIONS = ((1, 0, 0, 1), (0, 1, -2, 1), (0, 1, 1, -1), (1, 1, -1, 1))
 # N and B^-2 N B^2 come first.
 _FORMS = ((0, 1), (1, 0), (0, 2), (2, 0), (0, 3), (3, 0), (2, 3), (3, 2),
           (1, 3), (3, 1))
-# The A wrapper and R, with their letters as normalize writes them.
+# The A wrapper and R, and one tuple each for the items of B, A, R and N^e,
+# |e| <= 32, that memoized pieces share; letters as normalize writes them.
 _A, _R = (normalize(Word(((c, 1),))).items for c in "AR")
+_SHARED = {item: item for c in "NABR" for e in range(-32, 33)
+           for item in normalize(Word(((c, e),))).items}
 
 
 @lru_cache(maxsize=1024)
@@ -319,7 +331,7 @@ def _form(a: int, b: int, i: int, j: int) -> tuple:
     x, y = (a * qj - b * pj) * det, (b * pi - a * qi) * det
     word = normalize(Word((("B", ci), ("N", si * x), ("B", -ci),
                            ("B", cj), ("N", sj * y), ("B", -cj))))
-    items = word.items
+    items = tuple(_SHARED.get(item, item) for item in word.items)
     tail = items[-1][1] if items and items[-1][0] == "N" else 0
     return word.letters(), si * x + sj * y - det * x * y, tail, items
 
@@ -340,13 +352,14 @@ def _commutators(t: int) -> tuple:
     a, b = pair
     items = normalize(Word((("N", a), ("B", 1), ("N", b), ("B", -1),
                             ("N", -a), ("B", 1), ("N", -b), ("B", -1)))).items
+    items = tuple(_SHARED.get(item, item) for item in items)
     return rest[0] + 2 * (abs(a) + abs(b)) + 4, items + rest[1]
 
 
 def _decompose(g: GroupMatrix) -> tuple:
-    """decompose's work: (result, steps, stabilizer), with the rounds'
-    ReductionSteps and the stabilizer's fields as stabilizer_ints returns
-    them.
+    """decompose's work: (result, rounds, stabilizer), with each round as
+    _round's 7-int record and the stabilizer's fields as stabilizer_ints
+    returns them.
 
     If the rounds give g_n = R N_n ... R N_1 g, then
     g = prod_i [N_(-tau_i, -k_i) R] * g_n, and g_n splits as
@@ -355,20 +368,21 @@ def _decompose(g: GroupMatrix) -> tuple:
     the generators.  Each piece is in normal form, and words.join merges
     at every junction, so the word is assembled in normal form.  The result
     is verified against g before returning.  An InternalError leaves with
-    steps set to the rounds done before it.
+    steps set to the ReductionSteps of the rounds done before it.
     """
-    steps = []
-    current = g
+    rounds = []
+    flat = g.flat
+    n = flat[6] * (flat[6] - flat[7]) + flat[7] * flat[7]  # |g41|^2
     try:
-        while not current.fixes_infinity():
-            current, step = reduction_step(current)
-            steps.append(step)
-        stabilizer = la, lb, t1a, t1b, t2a, t2b, k, u = stabilizer_ints(current)
+        while n:
+            flat, record = _round(flat, n)
+            rounds.append(record)
+            n = record[6]
+        stabilizer = la, lb, t1a, t1b, t2a, t2b, k, u = stabilizer_ints(flat)
         # Round i contributes the items of N_(-lam tau_i, -k_i), then R.
         items = []
-        for step in steps:
-            r1, r2 = step.tau
-            _translation_items(items, -la, -lb, r1.a, r1.b, r2.a, r2.b, -step.k)
+        for r1a, r1b, r2a, r2b, rk, _, _ in rounds:
+            _translation_items(items, -la, -lb, r1a, r1b, r2a, r2b, -rk)
             join(items, _R)
         _translation_items(items, 1, 0, t1a, t1b, t2a, t2b, k)
         join(items, u_decompose(u).items)
@@ -377,18 +391,23 @@ def _decompose(g: GroupMatrix) -> tuple:
         if not verify(g, result):
             raise InternalError("decomposition failed self-verification")
     except InternalError as exc:
-        exc.steps = tuple(steps)
+        exc.steps = _steps(rounds)
         raise
-    return result, steps, stabilizer
+    return result, rounds, stabilizer
+
+
+def _steps(rounds: list) -> tuple[ReductionStep, ...]:
+    """_round's records as ReductionSteps."""
+    return tuple(ReductionStep((EisensteinInt(a, b), EisensteinInt(c, d)), k, n, n_after)
+                 for a, b, c, d, k, n, n_after in rounds)
 
 
 def decompose_traced(g: GroupMatrix) -> tuple[DecompositionResult, ReductionTrace]:
-    """decompose, with the step-by-step reduction record: the rounds and
-    the stabilizer's HeisenbergParam, built from the ints of the shared
-    core.  An InternalError leaves with steps set to the rounds done
-    before it."""
-    result, steps, stabilizer = _decompose(g)
-    return result, ReductionTrace(steps=tuple(steps),
+    """decompose, with the step-by-step reduction record: the rounds'
+    ReductionSteps and the stabilizer's HeisenbergParam.  An InternalError
+    leaves with steps set to the rounds done before it."""
+    result, rounds, stabilizer = _decompose(g)
+    return result, ReductionTrace(steps=_steps(rounds),
                                   stabilizer=HeisenbergParam.from_ints(*stabilizer))
 
 

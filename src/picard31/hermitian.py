@@ -364,16 +364,15 @@ ROTATIONS = tuple((i, j, FiniteUnitary(rows)) for i, x in enumerate(MU_POWERS)
 _BLOCKS = {u.flat: u for _, _, u in ROTATIONS}
 
 
-def stabilizer_ints(p: GroupMatrix) -> tuple:
-    """The fields of langlands_extract as ints: (la, lb, t1a, t1b, t2a, t2b,
-    k, u) for lam = la + lb w, tau = (t1a + t1b w, t2a + t2b w), k and the
-    rotation u, a FiniteUnitary.
+def stabilizer_ints(v: tuple) -> tuple:
+    """The fields of langlands_extract as ints, from the matrix's 32 ints v:
+    (la, lb, t1a, t1b, t2a, t2b, k, u) for lam = la + lb w,
+    tau = (t1a + t1b w, t2a + t2b w), k and the rotation u, a FiniteUnitary.
 
     Reading them checks that lam is a unit, u one of the 72 rotation blocks
     and the corner consistent with |tau|^2; then the matrix rebuilt by
-    _stabilizer_flat must equal p.  Any failure raises ShapeError.
+    _stabilizer_flat must equal v.  Any failure raises ShapeError.
     """
-    v = p.flat  # the column layout of the module docstring
     la, lb = v[0], v[1]
     if la * la - la * lb + lb * lb != 1:
         raise ShapeError(f"corner entry {EisensteinInt(la, lb)} is not a unit")
@@ -404,7 +403,7 @@ def langlands_extract(p: GroupMatrix) -> HeisenbergParam:
     w-coefficient of the corner over lam.  They are read, with every check,
     by stabilizer_ints, which raises ShapeError on any failure.
     """
-    return HeisenbergParam.from_ints(*stabilizer_ints(p))
+    return HeisenbergParam.from_ints(*stabilizer_ints(p.flat))
 
 
 def translation_matrix(tau, k: int) -> GroupMatrix:

@@ -292,22 +292,21 @@ def test_fuzz_failure_writes_counterexample(tmp_path, capsys, monkeypatch):
 def test_fuzz_failure_dumps_partial_trace(tmp_path, capsys, monkeypatch):
     # A round that fails leaves the rounds before it in the dump, as the
     # --trace JSON writes them.
-    from picard31.decomposer import (decompose_traced, random_element,
-                                     reduction_step)
+    from picard31.decomposer import _round, decompose_traced, random_element
     from picard31.errors import InternalError
 
     calls = []
 
-    def failing_on_third(g):
-        calls.append(g)
+    def failing_on_third(flat, n):
+        calls.append(flat)
         if len(calls) == 3:
             raise InternalError("injected round failure")
-        return reduction_step(g)
+        return _round(flat, n)
 
     g = evaluate(random_element(45, 40))
     steps = decompose_traced(g)[1].steps
     assert len(steps) >= 3
-    monkeypatch.setattr("picard31.decomposer.reduction_step", failing_on_third)
+    monkeypatch.setattr("picard31.decomposer._round", failing_on_third)
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, ["fuzz", "--seed", "45", "--iterations", "1",
                                   "--json"])

@@ -15,12 +15,12 @@ from picard31.errors import DomainError, InternalError, ParityError
 from picard31.finite_unitary import u_decompose
 from picard31.hermitian import (GroupMatrix, identity, inversion,
                                 translation_matrix, unit_correction)
-from picard31.decomposer import (_FORMS, _form, _translation_items,
-                                 decompose, decompose_traced,
-                                 decompose_translation, langlands_extract,
-                                 random_element, random_stabilizer,
-                                 reduction_step, step_bound,
-                                 translation_data, verify)
+from picard31.decomposer import (_FORMS, ReductionStep, _choose, _form,
+                                 _round, _translation_items, decompose,
+                                 decompose_traced, decompose_translation,
+                                 langlands_extract, random_element,
+                                 random_stabilizer, reduction_step,
+                                 step_bound, translation_data, verify)
 from picard31.words import (DecompositionResult, Word, evaluate, normalize,
                             parse, serialize)
 
@@ -185,30 +185,57 @@ def test_translation_data_takes_i1_at_its_bound():
 
 @pytest.mark.parametrize("bump", [(1, 0), (0, 1)], ids=["s", "zb"])
 def test_reduction_ratio_check_is_live(monkeypatch, bump):
-    # A translation_data that misreports s or zb must trip reduction_step's
-    # integer ratio check; the contraction check alone would not notice.
-    def skewed(g):
-        tau, k, s, zb, n = translation_data(g)
-        return tau, k, s + bump[0], zb + bump[1], n
+    # A _choose that misreports s or zb must trip the round's integer ratio
+    # check, through reduction_step and through decompose; the contraction
+    # check alone would not notice.
+    def skewed(flat, n):
+        t1a, t1b, t2a, t2b, k, s, zb = _choose(flat, n)
+        return t1a, t1b, t2a, t2b, k, s + bump[0], zb + bump[1]
 
-    monkeypatch.setattr("picard31.decomposer.translation_data", skewed)
+    monkeypatch.setattr("picard31.decomposer._choose", skewed)
     for g in non_stabilizers(700, 20):
         with pytest.raises(InternalError, match="predicted ratio"):
             reduction_step(g)
+        with pytest.raises(InternalError, match="predicted ratio") as exc:
+            decompose(g)
+        assert exc.value.steps == ()
 
 
 def test_reduction_contraction_check_is_live(monkeypatch):
     # k moved by 10 keeps its parity, and s and zb stay true to it, so the
     # ratio identity still holds; only the contraction check can object.
-    def far(g):
-        tau, k, s, zb, n = translation_data(g)
-        return tau, k + 10, s, zb, n
+    def far(flat, n):
+        t1a, t1b, t2a, t2b, k, s, zb = _choose(flat, n)
+        return t1a, t1b, t2a, t2b, k + 10, s, zb
 
-    monkeypatch.setattr("picard31.decomposer.translation_data", far)
+    monkeypatch.setattr("picard31.decomposer._choose", far)
     cases = [evaluate(parse("N^3 R B N^-2 R A N R N^2"))]
     for g in cases + list(non_stabilizers(700, 20)):
         with pytest.raises(InternalError, match="failed to contract"):
             reduction_step(g)
+        with pytest.raises(InternalError, match="failed to contract"):
+            decompose(g)
+
+
+def test_round_failure_keeps_earlier_steps(monkeypatch):
+    # A failure in round 3 under plain decompose leaves the two rounds
+    # before it as ReductionSteps, the same as decompose_traced records.
+    g = evaluate(random_element(45, 40))
+    steps = decompose_traced(g)[1].steps
+    assert len(steps) >= 3
+    calls = []
+
+    def failing_on_third(flat, n):
+        calls.append(flat)
+        if len(calls) == 3:
+            raise InternalError("injected round failure")
+        return _round(flat, n)
+
+    monkeypatch.setattr("picard31.decomposer._round", failing_on_third)
+    with pytest.raises(InternalError, match="injected round failure") as exc:
+        decompose(g)
+    assert exc.value.steps == steps[:2]
+    assert all(type(step) is ReductionStep for step in exc.value.steps)
 
 
 def test_self_verification_is_live(monkeypatch):

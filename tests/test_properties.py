@@ -1,7 +1,8 @@
 """Hypothesis properties: the Z[w] ring laws, the stabilizer-of-infinity
 formula on large entries, word evaluation and the reduction round against
-the generic matrix product, the form check's first defect, the word
-normalizer, and the matrix JSON boundary."""
+the generic matrix product, decompose_traced's steps against the chain of
+reduction_step calls, the form check's first defect, the word normalizer,
+and the matrix JSON boundary."""
 
 import json
 import math
@@ -159,6 +160,27 @@ def test_reduction_step_matches_generic_product(word):
         g = g * inversion()
     out, step = reduction_step(g)
     assert out == inversion() * translation_matrix(step.tau, step.k) * g
+
+
+@settings(max_examples=100, **_SETTINGS)
+@given(st.lists(st.tuples(st.sampled_from(tuple("NABR")), _EXPONENT),
+                max_size=40).map(Word))
+def test_traced_steps_match_reduction_step_chain(word):
+    # decompose's rounds run on ints, carry n from round to round and become
+    # ReductionSteps only at the edge; each record must equal, field by
+    # field, the one the public reduction_step gives on the same chain,
+    # whose norms are read off the matrices themselves.
+    g = evaluate(word)
+    steps = decompose_traced(g)[1].steps
+    chain = []
+    while not g.fixes_infinity():
+        n = g.rows[3][0].norm()
+        g, step = reduction_step(g)
+        assert (step.n_before, step.n_after) == (n, g.rows[3][0].norm())
+        chain.append(step)
+    assert len(steps) == len(chain)
+    for traced, stepped in zip(steps, chain):
+        assert traced._asdict() == stepped._asdict()
 
 
 _J_ROWS = ((0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0))

@@ -38,36 +38,43 @@ WORDS = "src/picard31/words.py"
 
 # (name, file, old text, new text)
 MUTANTS = [
-    ("translation_data: |k| dropped from the choice key", DECOMPOSER,
+    ("_choose: |k| dropped from the choice key", DECOMPOSER,
      "key = (nn, abs(k), k,",
      "key = (nn, 0, k,"),
-    ("translation_data: an n' tie never reaches the tie-break", DECOMPOSER,
+    ("_choose: an n' tie never reaches the tie-break", DECOMPOSER,
      "nn <= best[0][0]",
      "nn < best[0][0]"),
-    ("translation_data: tie at e = -n moves up from k = -1", DECOMPOSER,
+    ("_choose: tie at e = -n moves up from k = -1", DECOMPOSER,
      "if e < -n or e == -n and k < -1:",
      "if e < -n or e == -n and k <= -1:"),
-    ("translation_data: pair bound 3 s <= 2 n dropped", DECOMPOSER,
+    ("_choose: pair bound 3 s <= 2 n dropped", DECOMPOSER,
      "            if 3 * s > top:\n                continue\n",
      ""),
-    ("translation_data: pair bound made strict", DECOMPOSER,
+    ("_choose: pair bound made strict", DECOMPOSER,
      "if 3 * s > top:",
      "if 3 * s >= top:"),
     # Making this bound strict is an equivalent mutant: 3 d = 2 n has no
     # solution, since an Eisenstein norm, d and n here, has an even power
     # of 2, so 3 d has an even one and 2 n an odd one.
-    ("translation_data: corner bound halved", DECOMPOSER,
+    ("_choose: corner bound halved", DECOMPOSER,
      "if 3 * d <= top]",
      "if 3 * d <= n]"),
-    ("reduction_step: ratio check dropped", DECOMPOSER,
+    ("_round: ratio check dropped", DECOMPOSER,
      "    if 4 * n * n_after != s * s + 3 * (zb + k * n) ** 2:",
      "    if False:"),
-    ("reduction_step: contraction check dropped", DECOMPOSER,
+    ("_round: contraction check dropped", DECOMPOSER,
      "    if 36 * n_after > 31 * n:",
      "    if False:"),
-    ("reduction_step: sign of tau1.b flipped in row 2 of column 1", DECOMPOSER,
+    ("_round: sign of tau1.b flipped in row 2 of column 1", DECOMPOSER,
      "-(a2 + t1a * a4 - t1b * b4)",
      "-(a2 + t1a * a4 + t1b * b4)"),
+    ("_decompose: n carried from n_before", DECOMPOSER,
+     "            n = record[6]\n",
+     "            n = record[5]\n"),
+    ("_steps: n_before/n_after swapped in the records decompose_traced rebuilds",
+     DECOMPOSER,
+     "EisensteinInt(c, d)), k, n, n_after)",
+     "EisensteinInt(c, d)), k, n_after, n)"),
     # The first is equivalent for an integer denominator (e = 0), so only
     # the rounds and the Z[w]-denominator corner test can kill it.
     ("lattice_corners: q0 e dropped from w00's first coefficient", EISENSTEIN,
@@ -201,7 +208,8 @@ MUTANTS = [
     ("_commutators: items built without normalize, letters plain strings",
      DECOMPOSER,
      '    items = normalize(Word((("N", a), ("B", 1), ("N", b), ("B", -1),\n'
-     '                            ("N", -a), ("B", 1), ("N", -b), ("B", -1)))).items\n',
+     '                            ("N", -a), ("B", 1), ("N", -b), ("B", -1)))).items\n'
+     '    items = tuple(_SHARED.get(item, item) for item in items)\n',
      '    items = (("N", a), ("B", 1), ("N", b), ("B", -1),\n'
      '             ("N", -a), ("B", 1), ("N", -b), ("B", -1))\n'),
 ]
