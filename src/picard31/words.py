@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import re
 import sys
-from itertools import chain, repeat
+from itertools import chain
 from typing import NamedTuple
 
 from .eisenstein import MU_POWERS, ONE, EisensteinInt
@@ -246,18 +246,16 @@ _ITEMS = re.compile(_ITEM)
 _WORD = re.compile(rf"\s*(?:{_ITEM}\s*)*")
 _EXPONENT_START = re.compile(r"[NABR]\^[+-]?")
 _DIGITS = re.compile(r"[0-9]+")  # in a word, only exponents hold digits
-_MEMO_TOKEN_CHARS = 1024
-# The int/str digit limit (0: none).  Python before 3.10.7 has neither the
-# limit nor this function, and reads any exponent.
-_digit_limit = getattr(sys, "get_int_max_str_digits", int)
+# A kept token's exponents have at most 638 digits, which int() reads under
+# every int/str digit limit Python allows (0, or at least 640).
+_MEMO_TOKEN_CHARS = 640
 
 
 @functools.lru_cache(maxsize=256)
-def _token_items(token: str, limit: int) -> tuple:
-    """The items of one whitespace-free token, read while `limit` is the
-    int/str digit limit, so the result depends on the key alone.  A token
-    outside the grammar, with an exponent past the limit, or longer than
-    _MEMO_TOKEN_CHARS (so the memo holds no long text) raises ValueError,
+def _token_items(token: str) -> tuple:
+    """The items of one whitespace-free token.  A token outside the grammar
+    or longer than _MEMO_TOKEN_CHARS (so the memo holds no long text and
+    no exponent the int/str digit limit could refuse) raises ValueError,
     which the memo does not keep."""
     if len(token) > _MEMO_TOKEN_CHARS or _TOKEN.fullmatch(token) is None:
         raise ValueError(token)
@@ -272,20 +270,19 @@ def parse(text: str) -> Word:
     Python's int/str conversion limit start.
 
     Each str.split token is read through the _token_items memo; only when
-    a token is refused there (outside the grammar, past the digit limit,
-    or too long to keep) does the whole text go through _scan."""
-    limit = _digit_limit()
+    a token is refused there (outside the grammar or too long to keep)
+    does the whole text go through _scan."""
     try:
-        items = tuple(chain.from_iterable(
-            map(_token_items, text.split(), repeat(limit))))
+        items = tuple(chain.from_iterable(map(_token_items, text.split())))
     except ValueError:
-        return _scan(text, limit)
+        return _scan(text)
     return normalize(Word(items))
 
 
-def _scan(text: str, limit: int) -> Word:
+def _scan(text: str) -> Word:
     """parse in whole-text passes: the end of _WORD's match is the first
-    bad character; a text it matches whole is read by _ITEMS.findall."""
+    bad character; a text it matches whole is read by _ITEMS.findall,
+    where alone an exponent can pass the int/str digit limit."""
     end = _WORD.match(text).end()
     if end < len(text):
         bad_exponent = _EXPONENT_START.match(text, end)
@@ -298,6 +295,7 @@ def _scan(text: str, limit: int) -> Word:
             return normalize(Word([(g, int(e) if e else 1)
                                    for g, e in _ITEMS.findall(text)]))
         except ValueError:  # an exponent past Python's int/str digit limit
+            limit = sys.get_int_max_str_digits()
             end = next(m.start() for m in _DIGITS.finditer(text) if len(m[0]) > limit)
             message = f"exponent longer than the {limit}-digit int/str limit"
     raise WordParseError(message, len(text[:end].encode("utf-8")))

@@ -410,23 +410,57 @@ def test_split_and_regex_whitespace_agree_on_every_code_point():
     assert re.findall(r"\S+", text) == text.split()
 
 
-def test_token_memo_is_keyed_by_the_digit_limit():
-    # A token read under one int/str limit is cached; under a lower limit
-    # the same text must still fail, where its exponent's digits start.
+def test_token_memo_keeps_no_token_a_digit_limit_can_refuse():
+    # The memo is keyed by the token alone.  A token of 640 characters is
+    # kept, and its cached read holds under the lowest limit; a longer one
+    # is never kept, so under a lower limit it still fails where its
+    # exponent's digits start.
+    kept = "N^" + "7" * 638
     text = "B N^" + "7" * 700
     limit = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(4300)
+        words._token_items.cache_clear()
         assert parse(text) == Word((("B", 1), ("N", int("7" * 700))))
-        hits = words._token_items.cache_info().hits
-        parse(text)
-        assert words._token_items.cache_info().hits == hits + 2
+        assert words._token_items.cache_info().currsize == 1  # "B" alone
+        assert parse(kept) == Word((("N", int("7" * 638)),))
+        assert words._token_items.cache_info().currsize == 2
         sys.set_int_max_str_digits(640)
+        hits = words._token_items.cache_info().hits
+        assert parse(kept) == Word((("N", int("7" * 638)),))
+        assert words._token_items.cache_info().hits == hits + 1
         with pytest.raises(WordParseError) as info:
             parse(text)
         assert info.value.offset == 4
         assert str(info.value) == ("exponent longer than the 640-digit "
                                    "int/str limit (at byte 4)")
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+# An item whose exponent has 630-650 digits: on either side of both the
+# memo's 640-character cap and the lowest nonzero int/str digit limit.
+_EDGE_ITEMS = st.builds(
+    lambda gen, sign, digit, n: f"{gen}^{sign}{digit * n}",
+    st.sampled_from(GENS), st.sampled_from(("", "+", "-")),
+    st.sampled_from("0123456789"), st.integers(630, 650))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.one_of(_EDGE_ITEMS, st.sampled_from(_PIECES)), max_size=6)
+       .map("".join))
+def test_parse_under_lowest_digit_limit_ignores_the_memo(text):
+    # Under limit 640, a memo warmed under 4,300 and an empty one give the
+    # same outcome as the yardstick.
+    assert words._MEMO_TOKEN_CHARS <= sys.int_info.str_digits_check_threshold
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4300)
+        parse_outcome(parse, text)
+        sys.set_int_max_str_digits(640)
+        warm = parse_outcome(parse, text)
+        words._token_items.cache_clear()
+        assert warm == parse_outcome(parse, text) == parse_outcome(yardstick_parse, text)
     finally:
         sys.set_int_max_str_digits(limit)
 

@@ -133,9 +133,9 @@ MUTANTS = [
     ("parse: the token pattern takes a trailing '^'", WORDS,
      'rf"(?:{_ITEM})+")',
      'rf"(?:{_ITEM})+\\^?")'),
-    ("parse: the token memo keyed without the digit limit", WORDS,
-     "repeat(limit)",
-     "repeat(0)"),
+    ("parse: the token memo keeps tokens a digit limit can refuse", WORDS,
+     "_MEMO_TOKEN_CHARS = 640",
+     "_MEMO_TOKEN_CHARS = 1024"),
     ("_form_defect: the imaginary part ignored", HERMITIAN,
      "if im or re != _J_ENTRIES[j][k]:",
      "if re != _J_ENTRIES[j][k]:"),
