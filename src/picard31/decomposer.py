@@ -143,12 +143,11 @@ def _round(flat: tuple, n: int) -> tuple:
     """g' = R N_(tau,k) g with _choose's (tau, k), from g's 32 ints flat and
     n = |g41|^2 > 0, as (flat', (t1a, t1b, t2a, t2b, k, n, n')).
 
-    Computed by direct row operations on the four columns of GroupMatrix's
-    layout, in one straight-line pass over the 32 ints; a generic product
-    would redo the structure of R and N.  Both the contraction
+    Computed by direct row operations, one column formula applied to each
+    of the four columns of GroupMatrix's layout; a generic product would
+    redo the structure of R and N.  After the loop, both the contraction
     36 n' <= 31 n and the exact ratio 4 n n' = s^2 + 3 (zb + k n)^2 of
-    _choose are asserted in integers, on column 1's new last row, before
-    the other entries are written.
+    _choose are asserted in integers, on column 1's new last row.
     """
     t1a, t1b, t2a, t2b, k, s, zb = _choose(flat, n)
     # The a-parts of conj(tau_j), with conj(a + bw) = (a - b) - bw, and the
@@ -158,34 +157,23 @@ def _round(flat: tuple, n: int) -> tuple:
 
     # Rows r1..r4 become r4, -(r2 + tau1 r4), -(r3 + tau2 r4) and
     # r1 - conj(tau1) r2 - conj(tau2) r3 + corner r4, in each column, with
-    # (p + qw)(c + dw) = (pc - qd) + (pd + qc - qd)w; d_j = (p - q) of r4.
-    (a1, b1, a2, b2, a3, b3, a4, b4, x1, y1, x2, y2, x3, y3, x4, y4,
-     u1, v1, u2, v2, u3, v3, u4, v4, g1, h1, g2, h2, g3, h3, g4, h4) = flat
-    d1, d2, d3, d4 = a4 - b4, x4 - y4, u4 - v4, g4 - h4
-    x = a1 - c1 * a2 - t1b * b2 - c2 * a3 - t2b * b3 + ea * a4 - k * b4
-    y = b1 - t1a * b2 + t1b * a2 - t2a * b3 + t2b * a3 + ea * b4 + k * d1
+    # (p + qw)(c + dw) = (pc - qd) + (pd + qc - qd)w; d = (p - q) of r4.
+    out = []
+    for j in (0, 8, 16, 24):
+        a1, b1, a2, b2, a3, b3, a4, b4 = flat[j:j + 8]
+        d = a4 - b4
+        out += (a4, b4, -(a2 + t1a * a4 - t1b * b4), -(b2 + t1a * b4 + t1b * d),
+                -(a3 + t2a * a4 - t2b * b4), -(b3 + t2a * b4 + t2b * d),
+                a1 - c1 * a2 - t1b * b2 - c2 * a3 - t2b * b3 + ea * a4 - k * b4,
+                b1 - t1a * b2 + t1b * a2 - t2a * b3 + t2b * a3 + ea * b4 + k * d)
+    x, y = out[6:8]
     n_after = x * x - x * y + y * y
     if 36 * n_after > 31 * n:
         raise InternalError(f"reduction failed to contract: {n} -> {n_after}")
     if 4 * n * n_after != s * s + 3 * (zb + k * n) ** 2:
         raise InternalError(f"norm {n} -> {n_after} does not match the "
                             f"predicted ratio (s={s}, zb={zb}, k={k})")
-    return (
-        a4, b4, -(a2 + t1a * a4 - t1b * b4), -(b2 + t1a * b4 + t1b * d1),
-        -(a3 + t2a * a4 - t2b * b4), -(b3 + t2a * b4 + t2b * d1), x, y,
-        x4, y4, -(x2 + t1a * x4 - t1b * y4), -(y2 + t1a * y4 + t1b * d2),
-        -(x3 + t2a * x4 - t2b * y4), -(y3 + t2a * y4 + t2b * d2),
-        x1 - c1 * x2 - t1b * y2 - c2 * x3 - t2b * y3 + ea * x4 - k * y4,
-        y1 - t1a * y2 + t1b * x2 - t2a * y3 + t2b * x3 + ea * y4 + k * d2,
-        u4, v4, -(u2 + t1a * u4 - t1b * v4), -(v2 + t1a * v4 + t1b * d3),
-        -(u3 + t2a * u4 - t2b * v4), -(v3 + t2a * v4 + t2b * d3),
-        u1 - c1 * u2 - t1b * v2 - c2 * u3 - t2b * v3 + ea * u4 - k * v4,
-        v1 - t1a * v2 + t1b * u2 - t2a * v3 + t2b * u3 + ea * v4 + k * d3,
-        g4, h4, -(g2 + t1a * g4 - t1b * h4), -(h2 + t1a * h4 + t1b * d4),
-        -(g3 + t2a * g4 - t2b * h4), -(h3 + t2a * h4 + t2b * d4),
-        g1 - c1 * g2 - t1b * h2 - c2 * g3 - t2b * h3 + ea * g4 - k * h4,
-        h1 - t1a * h2 + t1b * g2 - t2a * h3 + t2b * g3 + ea * h4 + k * d4,
-    ), (t1a, t1b, t2a, t2b, k, n, n_after)
+    return tuple(out), (t1a, t1b, t2a, t2b, k, n, n_after)
 
 
 def translation_data(g: GroupMatrix):

@@ -39,24 +39,14 @@ class EisensteinInt:
             return EisensteinInt(self.a * other, self.b * other)
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return EisensteinInt(self.a * other, self.b * other)
-        return NotImplemented
+    __rmul__ = __mul__
 
     def __pow__(self, e: int) -> EisensteinInt:
         if e < 0:
             if not self.is_unit():
                 raise ZeroDivisionError("negative power of a non-unit")
             return self.conj() ** (-e)
-        result = ONE
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return times_power(ONE, self, e)
 
     def conj(self) -> EisensteinInt:
         # conj(w) = w^2 = -1 - w
@@ -100,6 +90,16 @@ class EisensteinInt:
         if self.a == 0:
             return f"{self.b}w"
         return f"{self.a}{self.b:+}w"
+
+
+def times_power(result, base, e: int):
+    """result * base ** e for e >= 0, by square and multiply."""
+    while e:
+        if e & 1:
+            result = result * base
+        base = base * base
+        e >>= 1
+    return result
 
 
 ZERO = EisensteinInt(0, 0)

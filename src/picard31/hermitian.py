@@ -32,7 +32,7 @@ import json
 import operator
 from dataclasses import dataclass
 
-from .eisenstein import MU_POWERS, ONE, ZERO, EisensteinInt
+from .eisenstein import MU_POWERS, ONE, ZERO, EisensteinInt, times_power
 from .errors import DomainError, NotMemberError, ParityError, ShapeError
 from .jsonutil import (canonical_dumps, decode_coeffs, decode_int, encode_int,
                        encode_pair)
@@ -147,14 +147,7 @@ class GroupMatrix:
     def __pow__(self, e: int) -> GroupMatrix:
         if e < 0:
             return self.inverse() ** (-e)
-        result = identity()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return times_power(identity(), self, e)
 
     def conj_transpose(self) -> GroupMatrix:
         return self._conj_permuted((0, 1, 2, 3))
@@ -276,9 +269,14 @@ class FiniteUnitary:
     rows: tuple
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.rows)
+        try:
+            rows = tuple(tuple(row) for row in self.rows)
+        except TypeError:
+            raise NotMemberError("expected a 2x2 matrix") from None
         if len(rows) != 2 or any(len(r) != 2 for r in rows):
             raise NotMemberError("expected a 2x2 matrix")
+        if not all(isinstance(e, EisensteinInt) for r in rows for e in r):
+            raise NotMemberError("matrix entries must be Eisenstein integers")
         if not _is_unitary(rows):
             raise NotMemberError(f"not in U(2; Z[w]): {rows}")
         object.__setattr__(self, "rows", rows)
@@ -339,19 +337,17 @@ def _stabilizer_flat(la, lb, t1a, t1b, t2a, t2b, k, u) -> tuple:
     -lam tau* u over u over zeros, and column 4 is (lam e, tau, lam), with
     e = a + bw for the pair (a, b) = heisenberg_corner(|tau|^2, k).  The
     one place the entries of an element fixing infinity are written."""
-    xa, xb, ya, yb, za, zb, wa, wb = u  # u's columns (x, y) and (z, w)
-    # tau* x = conj(tau1) x + conj(tau2) y, with conj(a + bw) = (a - b) - bw,
-    # then lam times it, by (p + qw)(c + dw) = (pc - qd) + (pd + qc - qd)w.
+    # For each column (x, y) of u: tau* (x, y) = conj(tau1) x + conj(tau2) y,
+    # with conj(a + bw) = (a - b) - bw, then -lam times it, by
+    # (p + qw)(c + dw) = (pc - qd) + (pd + qc - qd)w.
     c1, c2, ld = t1a - t1b, t2a - t2b, la - lb
-    pa = c1 * xa + t1b * xb + c2 * ya + t2b * yb
-    pb = t1a * xb - t1b * xa + t2a * yb - t2b * ya
-    qa = c1 * za + t1b * zb + c2 * wa + t2b * wb
-    qb = t1a * zb - t1b * za + t2a * wb - t2b * wa
+    out = [la, lb, 0, 0, 0, 0, 0, 0]
+    for xa, xb, ya, yb in (u[0:4], u[4:8]):
+        pa = c1 * xa + t1b * xb + c2 * ya + t2b * yb
+        pb = t1a * xb - t1b * xa + t2a * yb - t2b * ya
+        out += (lb * pb - la * pa, -ld * pb - lb * pa, xa, xb, ya, yb, 0, 0)
     ea, eb = heisenberg_corner(t1a * c1 + t1b * t1b + t2a * c2 + t2b * t2b, k)
-    return (la, lb, 0, 0, 0, 0, 0, 0,
-            lb * pb - la * pa, -ld * pb - lb * pa, xa, xb, ya, yb, 0, 0,
-            lb * qb - la * qa, -ld * qb - lb * qa, za, zb, wa, wb, 0, 0,
-            la * ea - lb * eb, ld * eb + lb * ea, t1a, t1b, t2a, t2b, la, lb)
+    return (*out, la * ea - lb * eb, ld * eb + lb * ea, t1a, t1b, t2a, t2b, la, lb)
 
 
 _NO_TRANSLATION = HeisenbergTranslation(ZERO, ZERO, 0)

@@ -153,13 +153,13 @@ def test_evaluate_beyond_int_str_limit(capsys):
 
 
 def test_decompose_trace_beyond_int_str_limit(capsys):
-    # Entries of about 2,300 digits, inside the int/str limit, but the
-    # trace's norms |g41|^2 have about twice as many, past it: the trace
-    # fails before any output is written, in both modes.
+    # Entries of about 0.6 L digits, L the int/str limit in force, so inside
+    # it, but the trace's norms |g41|^2 have about twice as many, past it:
+    # the trace fails before any output is written, in both modes.
     from picard31.decomposer import decompose
     from picard31.jsonutil import canonical_dumps
 
-    tau = EisensteinInt(10 ** 1150 + 7, 3)
+    tau = EisensteinInt(10 ** (3 * sys.get_int_max_str_digits() // 10) + 7, 3)
     g = inversion() * translation_matrix((tau, ZERO), tau.norm() % 2) * inversion()
     text = matrix_to_json_text(g)
     for argv in (["decompose", "--trace"], ["decompose", "--json", "--trace"]):

@@ -100,6 +100,13 @@ def test_scalar_mul():
     x = EisensteinInt(3, -2)
     assert 2 * x == x * 2 == EisensteinInt(6, -4)
     assert -1 * x == -x
+    # An int scales from either side, a bool as the int it is; a float from
+    # neither.
+    assert True * x == x * True == x
+    with pytest.raises(TypeError):
+        2.5 * x
+    with pytest.raises(TypeError):
+        x * 2.5
 
 
 def test_int_equality():

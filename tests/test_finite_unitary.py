@@ -34,6 +34,11 @@ def test_membership_rejects():
                  ((ONE, ZERO, ZERO), (ZERO, ONE, ZERO))):
         with pytest.raises(NotMemberError):
             FiniteUnitary(rows)
+    # Plain ints and a non-iterable, as GroupMatrix rejects them.
+    with pytest.raises(NotMemberError, match="must be Eisenstein integers"):
+        FiniteUnitary(((1, 0), (0, 1)))
+    with pytest.raises(NotMemberError, match="expected a 2x2 matrix"):
+        FiniteUnitary(5)
 
 
 def test_group_order():

@@ -65,9 +65,12 @@ MUTANTS = [
     ("_round: contraction check dropped", DECOMPOSER,
      "    if 36 * n_after > 31 * n:",
      "    if False:"),
-    ("_round: sign of tau1.b flipped in row 2 of column 1", DECOMPOSER,
+    ("_round: sign of tau1.b flipped in row 2 of every column", DECOMPOSER,
      "-(a2 + t1a * a4 - t1b * b4)",
      "-(a2 + t1a * a4 + t1b * b4)"),
+    ("_round: d = (p - q) of r4 taken as p + q", DECOMPOSER,
+     "d = a4 - b4",
+     "d = a4 + b4"),
     ("_decompose: n carried from n_before", DECOMPOSER,
      "            n = record[6]\n",
      "            n = record[5]\n"),
@@ -96,6 +99,12 @@ MUTANTS = [
     ("_stabilizer_flat: tau2's b-part dropped from tau* u", HERMITIAN,
      "c2 * ya + t2b * yb",
      "c2 * ya"),
+    ("_stabilizer_flat: u's second column read as its first", HERMITIAN,
+     "(u[0:4], u[4:8])",
+     "(u[0:4], u[0:4])"),
+    ("times_power: a multiply on every bit", EISENSTEIN,
+     "        if e & 1:\n",
+     "        if True:\n"),
     ("evaluate: the anti swap takes d1 and d2 crosswise", WORDS,
      "c2, c3, f2, f3 = c3, c2, (f3 + d1) % 6, (f2 + d2) % 6",
      "c2, c3, f2, f3 = c3, c2, (f3 + d2) % 6, (f2 + d1) % 6"),
