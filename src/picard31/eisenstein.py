@@ -46,7 +46,7 @@ class EisensteinInt:
             if not self.is_unit():
                 raise ZeroDivisionError("negative power of a non-unit")
             return self.conj() ** (-e)
-        return times_power(ONE, self, e)
+        return power(self, e, ONE)
 
     def conj(self) -> EisensteinInt:
         # conj(w) = w^2 = -1 - w
@@ -92,13 +92,17 @@ class EisensteinInt:
         return f"{self.a}{self.b:+}w"
 
 
-def times_power(result, base, e: int):
-    """result * base ** e for e >= 0, by square and multiply."""
-    while e:
-        if e & 1:
+def power(base, e: int, one):
+    """base ** e for e >= 0, by square and multiply from the left: one for
+    e = 0, else from base, a squaring for each bit of e after the leading
+    one, followed by a multiply by base where that bit is set."""
+    if not e:
+        return one
+    result = base
+    for bit in bin(e)[3:]:
+        result = result * result
+        if bit == "1":
             result = result * base
-        base = base * base
-        e >>= 1
     return result
 
 

@@ -32,7 +32,7 @@ import json
 import operator
 from dataclasses import dataclass
 
-from .eisenstein import MU_POWERS, ONE, ZERO, EisensteinInt, times_power
+from .eisenstein import MU_POWERS, ONE, ZERO, EisensteinInt, power
 from .errors import DomainError, NotMemberError, ParityError, ShapeError
 from .jsonutil import (canonical_dumps, decode_coeffs, decode_int, encode_int,
                        encode_pair)
@@ -61,14 +61,17 @@ def _form_defect(flat: tuple) -> tuple | None:
     (M* J M)[j][k] = conj(M[0][j]) M[3][k] + conj(M[1][j]) M[1][k]
                    + conj(M[2][j]) M[2][k] + conj(M[3][j]) M[0][k],
     each term conj(a + bw)(c + dw) = ((a - b)c + bd) + (ad - bc)w.  Only
-    j <= k is scanned; see the module docstring.
+    j <= k is scanned; see the module docstring.  The four columns are
+    sliced once, and each entry's a - b of column j is taken once per j.
     """
+    cols = [flat[i:i + 8] for i in (0, 8, 16, 24)]
     for j in range(4):
-        a0, b0, a1, b1, a2, b2, a3, b3 = flat[8 * j:8 * j + 8]
+        a0, b0, a1, b1, a2, b2, a3, b3 = cols[j]
+        e0, e1, e2, e3 = a0 - b0, a1 - b1, a2 - b2, a3 - b3
         for k in range(j, 4):
-            c0, d0, c1, d1, c2, d2, c3, d3 = flat[8 * k:8 * k + 8]
-            re = ((a0 - b0) * c3 + b0 * d3 + (a1 - b1) * c1 + b1 * d1
-                  + (a2 - b2) * c2 + b2 * d2 + (a3 - b3) * c0 + b3 * d0)
+            c0, d0, c1, d1, c2, d2, c3, d3 = cols[k]
+            re = (e0 * c3 + b0 * d3 + e1 * c1 + b1 * d1
+                  + e2 * c2 + b2 * d2 + e3 * c0 + b3 * d0)
             im = (a0 * d3 - b0 * c3 + a1 * d1 - b1 * c1
                   + a2 * d2 - b2 * c2 + a3 * d0 - b3 * c0)
             if im or re != _J_ENTRIES[j][k]:
@@ -147,7 +150,7 @@ class GroupMatrix:
     def __pow__(self, e: int) -> GroupMatrix:
         if e < 0:
             return self.inverse() ** (-e)
-        return times_power(identity(), self, e)
+        return power(self, e, identity())
 
     def conj_transpose(self) -> GroupMatrix:
         return self._conj_permuted((0, 1, 2, 3))

@@ -15,6 +15,7 @@ import functools
 import re
 import sys
 from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 from .eisenstein import MU_POWERS, ONE, EisensteinInt
@@ -246,6 +247,7 @@ _ITEMS = re.compile(_ITEM)
 _WORD = re.compile(rf"\s*(?:{_ITEM}\s*)*")
 _EXPONENT_START = re.compile(r"[NABR]\^[+-]?")
 _DIGITS = re.compile(r"[0-9]+")  # in a word, only exponents hold digits
+_DOUBLED = re.compile("NN|AA|BB|RR")  # where normal pieces can still merge
 # A kept token's exponents have at most 638 digits, which int() reads under
 # every int/str digit limit Python allows (0, or at least 640).
 _MEMO_TOKEN_CHARS = 640
@@ -253,13 +255,15 @@ _MEMO_TOKEN_CHARS = 640
 
 @functools.lru_cache(maxsize=256)
 def _token_items(token: str) -> tuple:
-    """The items of one whitespace-free token.  A token outside the grammar
-    or longer than _MEMO_TOKEN_CHARS (so the memo holds no long text and
-    no exponent the int/str digit limit could refuse) raises ValueError,
-    which the memo does not keep."""
+    """The items of one whitespace-free token, in normal form with the
+    letters normalize writes.  A token outside the grammar or longer than
+    _MEMO_TOKEN_CHARS (so the memo holds no long text and no exponent the
+    int/str digit limit could refuse) raises ValueError, which the memo
+    does not keep."""
     if len(token) > _MEMO_TOKEN_CHARS or _TOKEN.fullmatch(token) is None:
         raise ValueError(token)
-    return tuple([(g, int(e) if e else 1) for g, e in _ITEMS.findall(token)])
+    return normalize(Word([(g, int(e) if e else 1)
+                           for g, e in _ITEMS.findall(token)])).items
 
 
 def parse(text: str) -> Word:
@@ -269,13 +273,18 @@ def parse(text: str) -> Word:
     digits should start, or where those of an exponent longer than
     Python's int/str conversion limit start.
 
-    Each str.split token is read through the _token_items memo; only when
-    a token is refused there (outside the grammar or too long to keep)
-    does the whole text go through _scan."""
+    Each str.split token is read through the _token_items memo of its
+    normal items; only when a token is refused there (outside the grammar
+    or too long to keep) does the whole text go through _scan.  Normal
+    pieces with no letter repeated across neighbours (a token that
+    cancels leaves its neighbours adjacent) already form the reduced
+    word, so normalize runs only when _DOUBLED finds such a repeat."""
     try:
         items = tuple(chain.from_iterable(map(_token_items, text.split())))
     except ValueError:
         return _scan(text)
+    if _DOUBLED.search("".join(map(itemgetter(0), items))) is None:
+        return Word(items)
     return normalize(Word(items))
 
 

@@ -134,6 +134,31 @@ def test_pow():
     assert R ** 2 == identity()
 
 
+@pytest.mark.parametrize("base, one", [
+    (N1 * R * B * N1 ** -1 * A * R, identity()),
+    (EisensteinInt(2, 1), ONE),
+], ids=["GroupMatrix", "EisensteinInt"])
+@pytest.mark.parametrize("e, products", [(0, 0), (1, 0), (2, 1), (1000, 14)])
+def test_pow_counts_products(monkeypatch, base, one, e, products):
+    # Square and multiply from the left: a squaring per bit of e after the
+    # leading one, and a multiply by base per set bit among them.
+    expected = one
+    for _ in range(e):
+        expected = expected * base
+    cls = type(base)
+    mul = cls.__mul__
+    count = 0
+
+    def counting_mul(x, y):
+        nonlocal count
+        count += 1
+        return mul(x, y)
+
+    monkeypatch.setattr(cls, "__mul__", counting_mul)
+    assert base ** e == expected
+    assert count == products
+
+
 def test_compose_heisenberg_matches_matrices():
     rng = random.Random(3)
     for _ in range(300):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from picard31 import words
+from picard31.decomposer import decompose, random_element
 from picard31.eisenstein import ONE, UNITS, ZERO, EisensteinInt
 from picard31.errors import WordParseError
 from picard31.finite_unitary import U1, U2
@@ -474,6 +475,65 @@ def test_token_memo_is_bounded():
     assert words._token_items.cache_info().currsize == 0
     assert parse("NA") == Word((("N", 1), ("A", 1)))
     assert words._token_items.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("text", [
+    "R R", "B^3 B^3", "N A^2 N", "B B^-1 N", "N^0 N", "B^6 A",
+    "N B^6 N^-1", "A^2", "", " \t\n"])
+def test_parse_merges_normal_tokens_across_neighbours(text):
+    # Each token is normal alone; its items merge or cancel with a
+    # neighbour's, or a token that cancels leaves two equal letters adjacent.
+    raw = Word([(g, int(e) if e else 1) for g, e in _YARD_ITEM.findall(text)])
+    assert parse(text) == normalize(raw) == yardstick_parse(text)
+
+
+# Tokens that are normal alone or cancel whole, and ones that merge with
+# a neighbour (B^3 B^3, AN^2A A).
+_NEIGHBOUR_TOKENS = ("N", "A", "B", "R", "N^-2", "B^-1", "B^2", "RA",
+                     "A^2", "B^6", "N^0", "R^3", "B^3", "NAB", "AN^2A")
+_SPACES = ("", " ", "  ", "\t", "\n", "\u2003")
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_SPACES[1:]),
+                          st.sampled_from(_NEIGHBOUR_TOKENS)), max_size=10),
+       st.sampled_from(_SPACES))
+def test_parse_of_merging_tokens_matches_yardstick(pieces, end):
+    text = "".join(space + token for space, token in pieces) + end
+    assert parse_outcome(parse, text) == parse_outcome(yardstick_parse, text)
+
+
+def _certificate_texts():
+    for seed in range(60):
+        yield serialize(decompose(evaluate(random_element(seed, 40))).word)
+
+
+def test_parsed_certificate_letters_read_value():
+    # As decompose's words do, for the benchmark's letter counter: from a
+    # cold memo, a warm one, and text that normalize merges.
+    words._token_items.cache_clear()
+    for text in [*_certificate_texts(), "R R N", "B^3 A B^3"]:
+        for _ in range(2):
+            items = parse(text).items
+            assert [(gen.value, e) for gen, e in items] == list(items)
+
+
+def test_parse_of_serialized_certificate_calls_no_normalize(monkeypatch):
+    # Text in normal form is returned as read: with the memo warm, parse
+    # calls normalize zero times.
+    calls = []
+    normalize_ = words.normalize
+    monkeypatch.setattr(words, "normalize",
+                        lambda word: calls.append(word) or normalize_(word))
+    for text in _certificate_texts():
+        word = parse(text)  # warms the memo
+        calls.clear()
+        assert parse(text) == word
+        assert calls == [], text
+    # Text whose letters repeat across tokens is still normalized.
+    parse("R R")
+    calls.clear()
+    assert parse("R R") == Word() and len(calls) == 1
 
 
 def test_word_multiplication():

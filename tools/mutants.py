@@ -102,8 +102,8 @@ MUTANTS = [
     ("_stabilizer_flat: u's second column read as its first", HERMITIAN,
      "(u[0:4], u[4:8])",
      "(u[0:4], u[0:4])"),
-    ("times_power: a multiply on every bit", EISENSTEIN,
-     "        if e & 1:\n",
+    ("power: a multiply on every bit", EISENSTEIN,
+     '        if bit == "1":\n',
      "        if True:\n"),
     ("evaluate: the anti swap takes d1 and d2 crosswise", WORDS,
      "c2, c3, f2, f3 = c3, c2, (f3 + d1) % 6, (f2 + d2) % 6",
@@ -145,6 +145,26 @@ MUTANTS = [
     ("parse: the token memo keeps tokens a digit limit can refuse", WORDS,
      "_MEMO_TOKEN_CHARS = 640",
      "_MEMO_TOKEN_CHARS = 1024"),
+    ("parse: a doubled R read as normal", WORDS,
+     '_DOUBLED = re.compile("NN|AA|BB|RR")',
+     '_DOUBLED = re.compile("NN|AA|BB")'),
+    ("parse: the letter test skipped", WORDS,
+     '    if _DOUBLED.search("".join(map(itemgetter(0), items))) is None:\n'
+     "        return Word(items)\n",
+     "    return Word(items)\n"),
+    # Only the call count of tests/test_words.py can tell this one apart.
+    ("parse: normal text normalized again", WORDS,
+     '    if _DOUBLED.search("".join(map(itemgetter(0), items))) is None:\n'
+     "        return Word(items)\n",
+     ""),
+    ("_token_items: a token's items kept raw", WORDS,
+     "    return normalize(Word([(g, int(e) if e else 1)\n"
+     "                           for g, e in _ITEMS.findall(token)])).items\n",
+     "    return tuple([(g, int(e) if e else 1)\n"
+     "                  for g, e in _ITEMS.findall(token)])\n"),
+    ("_form_defect: row 2's conjugate part taken as a + b", HERMITIAN,
+     "e0, e1, e2, e3 = a0 - b0, a1 - b1,",
+     "e0, e1, e2, e3 = a0 - b0, a1 + b1,"),
     ("_form_defect: the imaginary part ignored", HERMITIAN,
      "if im or re != _J_ENTRIES[j][k]:",
      "if re != _J_ENTRIES[j][k]:"),
