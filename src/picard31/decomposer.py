@@ -79,14 +79,14 @@ def _choose(flat: tuple, n: int) -> tuple:
 
     Everything is in Z[w], read from g's first column: g(infinity) =
     (c1/n, p1/n, p2/n), p_j = g_(j+1)1 conj(g41) as in image_of_infinity.
-    Returns (t1a, t1b, t2a, t2b, k, s, zb), tau = (t1a + t1b w, t2a + t2b w),
-    s = N(g21 + tau1 g41) + N(g31 + tau2 g41) and zb the w-coefficient of
-    c1 - p1 conj(tau1) - p2 conj(tau2).  In the paper's terms i1 = s / (2 n)
-    is half the squared distance of (q1, q2) to -tau, and e = zb / n is
-    twice the sqrt(3)-coefficient of
+    Returns (t1a, t1b, t2a, t2b, k, s, zb, nn), tau = (t1a + t1b w,
+    t2a + t2b w), s = N(g21 + tau1 g41) + N(g31 + tau2 g41), zb the
+    w-coefficient of c1 - p1 conj(tau1) - p2 conj(tau2) and
+    nn = s^2 + 3 (zb + k n)^2, the value the choice was ranked by.  In the
+    paper's terms i1 = s / (2 n) is half the squared distance of (q1, q2)
+    to -tau, and e = zb / n is twice the sqrt(3)-coefficient of
     Im(z - q1 conj(tau1) - q2 conj(tau2)); the bottom-left norm after the
-    round is n' = n (i1^2 + (3/4)(e + k)^2), that is
-    4 n n' = s^2 + 3 (zb + k n)^2.
+    round is n' = n (i1^2 + (3/4)(e + k)^2), that is 4 n n' = nn.
 
     The rule: among all tau in Z[w]^2 and k = |tau|^2 (mod 2) within the
     paper's bounds 3 s <= 2 n (i1 <= 1/3) and |zb + k n| <= n
@@ -96,10 +96,13 @@ def _choose(flat: tuple, n: int) -> tuple:
     -tau_j to q_j meet both bounds, so 36 n' <= 31 n holds as in the paper.
     The search is exhaustive: both parts of s are >= 0, so each -tau_j has
     3 N(g_(j+1)1 + tau_j g41) <= 2 n, and by the corner lemma of
-    eisenstein.lattice_corners it is one of the at most three corners
-    around q_j that pass; for each tau, only the two same-parity k around
-    -zb/n can meet |zb + k n| <= n.  s and zb split by coordinate, so each
-    corner's parts are computed once and each pair is scored by sums.
+    eisenstein.lattice_corners it is one of the three corners around q_j;
+    for each tau, only the two same-parity k around -zb/n can meet
+    |zb + k n| <= n.  s and zb split by coordinate, so each corner's parts
+    are computed once and each pair is scored by sums.  A pair whose s and
+    |zb + k n| are both no less than the best's so far, one of them
+    greater, has the greater n': it is skipped before anything is squared.
+    A pair equal in both reaches the tie-break.
     """
     a1, b1, a2, b2, a3, b3, x, y = flat[0:8]
     top = 2 * n
@@ -130,13 +133,16 @@ def _choose(flat: tuple, n: int) -> tuple:
             if e < -n or e == -n and k < -1:
                 k += 2
                 e += 2 * n
+            ae = abs(e)
+            if best is not None and s >= bs and ae >= be and (s > bs or ae > be):
+                continue  # dominated: its n' exceeds the best's
             nn = s * s + 3 * e * e
-            if best is None or nn <= best[0][0]:
+            if best is None or nn <= best[0]:
                 key = (nn, abs(k), k, -u1a, -u1b, -u2a, -u2b)
-                if best is None or key < best[0]:
-                    best = key, s, zb
-    (_, _, k, t1a, t1b, t2a, t2b), s, zb = best
-    return t1a, t1b, t2a, t2b, k, s, zb
+                if best is None or key < best:
+                    best, bs, be, bzb = key, s, ae, zb  # and its s, |e|, zb
+    nn, _, k, t1a, t1b, t2a, t2b = best
+    return t1a, t1b, t2a, t2b, k, bs, bzb, nn
 
 
 def _round(flat: tuple, n: int) -> tuple:
@@ -145,11 +151,13 @@ def _round(flat: tuple, n: int) -> tuple:
 
     Computed by direct row operations, one column formula applied to each
     of the four columns of GroupMatrix's layout; a generic product would
-    redo the structure of R and N.  After the loop, both the contraction
-    36 n' <= 31 n and the exact ratio 4 n n' = s^2 + 3 (zb + k n)^2 of
-    _choose are asserted in integers, on column 1's new last row.
+    redo the structure of R and N.  After the loop, on column 1's new last
+    row, the contraction 36 n' <= 31 n and the exact ratio 4 n n' = nn are
+    asserted in integers, nn being _choose's prediction
+    s^2 + 3 (zb + k n)^2, the value it ranked its choice by, from the s,
+    zb and k it returns.
     """
-    t1a, t1b, t2a, t2b, k, s, zb = _choose(flat, n)
+    t1a, t1b, t2a, t2b, k, s, zb, nn = _choose(flat, n)
     # The a-parts of conj(tau_j), with conj(a + bw) = (a - b) - bw, and the
     # corner ea + kw of N_(tau,k).
     c1, c2 = t1a - t1b, t2a - t2b
@@ -170,7 +178,7 @@ def _round(flat: tuple, n: int) -> tuple:
     n_after = x * x - x * y + y * y
     if 36 * n_after > 31 * n:
         raise InternalError(f"reduction failed to contract: {n} -> {n_after}")
-    if 4 * n * n_after != s * s + 3 * (zb + k * n) ** 2:
+    if 4 * n * n_after != nn:
         raise InternalError(f"norm {n} -> {n_after} does not match the "
                             f"predicted ratio (s={s}, zb={zb}, k={k})")
     return tuple(out), (t1a, t1b, t2a, t2b, k, n, n_after)
@@ -179,7 +187,7 @@ def _round(flat: tuple, n: int) -> tuple:
 def translation_data(g: GroupMatrix):
     """_choose's (tau, k, s, zb, n) for g; DomainError if g fixes infinity."""
     n = image_of_infinity(g)[3]
-    t1a, t1b, t2a, t2b, k, s, zb = _choose(g.flat, n)
+    t1a, t1b, t2a, t2b, k, s, zb, _ = _choose(g.flat, n)
     return (EisensteinInt(t1a, t1b), EisensteinInt(t2a, t2b)), k, s, zb, n
 
 

@@ -125,38 +125,42 @@ MU_POWERS = tuple((-OMEGA) ** d for d in range(6))
 
 
 def lattice_corners(a: int, b: int, c: int, e: int, n: int) -> list[tuple]:
-    """The four lattice points u = p + q*w, p in {p0, p0 + 1} and
-    q in {q0, q0 + 1}, around z = (a + b*w)/(c + e*w) (c + e*w != 0), as
-    quadruples (N(a + b*w - u (c + e*w)), p, q, r) = (n |z - u|^2, p, q, r)
-    in ascending lex order of (p, q), with r the w-coefficient of
-    conj(u) (a + b*w) conj(c + e*w).  Here n = N(c + e*w), passed in as
-    every caller already holds it, and p0, q0 are the floors of the
-    coefficients of z = (a + b*w) conj(c + e*w) / n.
+    """The three corners u = p + q*w of the unit triangle of the lattice
+    that holds z = (a + b*w)/(c + e*w) (c + e*w != 0), as quadruples
+    (N(a + b*w - u (c + e*w)), p, q, r) = (n |z - u|^2, p, q, r), with r
+    the w-coefficient of conj(u) (a + b*w) conj(c + e*w).  Here
+    n = N(c + e*w), passed in as every caller already holds it.  With
+    p0 + x/n and q0 + y/n (0 <= x, y < n) the coefficients of
+    z = (a + b*w) conj(c + e*w) / n, they are (p0, q0), (p0 + 1, q0) if
+    x >= y else (p0, q0 + 1), and (p0 + 1, q0 + 1): the diagonal from
+    (p0, q0) to (p0 + 1, q0 + 1) has length 1 and splits their
+    parallelogram into two unit equilateral triangles, both holding z
+    when x == y.
 
     Corner lemma: they hold the nearest lattice point and every u with
-    3 N(a + b*w - u (c + e*w)) <= 2 n, that is |z - u|^2 <= 2/3, and at
-    most three of them are that close.  The diagonal from (p0, q0) to the
-    opposite corner has length 1 and splits their parallelogram into two
-    unit equilateral triangles; let T be a closed one holding z.  T is the
-    meet of three strips, each between an edge line and the parallel
-    lattice line through the opposite vertex, sqrt(3)/2 apart.  A lattice
-    point other than T's vertices, the fourth corner among them, lies
-    outside some strip, so |z - u|^2 >= 3/4 > 2/3.
+    3 N(a + b*w - u (c + e*w)) <= 2 n, that is |z - u|^2 <= 2/3.  The
+    triangle T is the meet of three strips, each between an edge line and
+    the parallel lattice line through the opposite vertex, sqrt(3)/2
+    apart.  A lattice point other than T's vertices, the parallelogram's
+    fourth corner among them, lies outside some strip, so
+    |z - u|^2 >= 3/4 > 2/3.
     """
     # (a + bw) conj(c + ew) = (a(c - e) + be) + (bc - ae)w
-    pn, qn = a * (c - e) + b * e, b * c - a * e
-    p0, q0 = pn // n, qn // n
+    ce = c - e
+    pn, qn = a * ce + b * e, b * c - a * e
+    p0, x = divmod(pn, n)
+    q0, y = divmod(qn, n)
     # w00 = a + bw - (p0 + q0 w)(c + ew) times conj(c + ew) is x + yw, so n
     # times the distance at (p0 + i, q0 + j) is N(x - i n, y - j n).
-    x, y = pn - p0 * n, qn - q0 * n
-    wa, wb = a - p0 * c + q0 * e, b - p0 * e - q0 * c + q0 * e
+    wa, wb = a - p0 * c + q0 * e, b - p0 * e - q0 * ce
     base = wa * wa - wa * wb + wb * wb
     # r = p qn - q pn, the w-coefficient of conj(p + qw)(pn + qn w).
     r = p0 * y - q0 * x
-    return [(base, p0, q0, r),
-            (base + x - 2 * y + n, p0, q0 + 1, r - pn),
-            (base - 2 * x + y + n, p0 + 1, q0, r + qn),
-            (base - x - y + n, p0 + 1, q0 + 1, r + qn - pn)]
+    if x >= y:
+        side = (base - 2 * x + y + n, p0 + 1, q0, r + qn)
+    else:
+        side = (base + x - 2 * y + n, p0, q0 + 1, r - pn)
+    return [(base, p0, q0, r), side, (base - x - y + n, p0 + 1, q0 + 1, r + qn - pn)]
 
 
 def round_nearest(num: EisensteinInt, den: int) -> EisensteinInt:

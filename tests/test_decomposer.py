@@ -183,14 +183,21 @@ def test_translation_data_takes_i1_at_its_bound():
     assert ((tau, k), Fraction(1, 3), Fraction(zb, n)) == ref
 
 
-@pytest.mark.parametrize("bump", [(1, 0), (0, 1)], ids=["s", "zb"])
-def test_reduction_ratio_check_is_live(monkeypatch, bump):
-    # A _choose that misreports s or zb must trip the round's integer ratio
-    # check, through reduction_step and through decompose; the contraction
-    # check alone would not notice.
+@pytest.mark.parametrize("skew", ["s", "zb", "nn+1", "nn-1"])
+def test_reduction_ratio_check_is_live(monkeypatch, skew):
+    # A _choose whose prediction nn is off must trip the round's integer
+    # ratio check, through reduction_step and through decompose; the
+    # contraction check alone would not notice.  s or zb is misreported
+    # with nn recomputed from it, or nn itself is off by one.
     def skewed(flat, n):
-        t1a, t1b, t2a, t2b, k, s, zb = _choose(flat, n)
-        return t1a, t1b, t2a, t2b, k, s + bump[0], zb + bump[1]
+        t1a, t1b, t2a, t2b, k, s, zb, nn = _choose(flat, n)
+        if skew in ("s", "zb"):
+            s += skew == "s"
+            zb += skew == "zb"
+            nn = s * s + 3 * (zb + k * n) ** 2
+        else:
+            nn += 1 if skew == "nn+1" else -1
+        return t1a, t1b, t2a, t2b, k, s, zb, nn
 
     monkeypatch.setattr("picard31.decomposer._choose", skewed)
     for g in non_stabilizers(700, 20):
@@ -202,11 +209,12 @@ def test_reduction_ratio_check_is_live(monkeypatch, bump):
 
 
 def test_reduction_contraction_check_is_live(monkeypatch):
-    # k moved by 10 keeps its parity, and s and zb stay true to it, so the
-    # ratio identity still holds; only the contraction check can object.
+    # k moved by 10 keeps its parity, and s, zb and nn stay true to it, so
+    # the ratio identity still holds; only the contraction check can object.
     def far(flat, n):
-        t1a, t1b, t2a, t2b, k, s, zb = _choose(flat, n)
-        return t1a, t1b, t2a, t2b, k + 10, s, zb
+        t1a, t1b, t2a, t2b, k, s, zb, _ = _choose(flat, n)
+        k += 10
+        return t1a, t1b, t2a, t2b, k, s, zb, s * s + 3 * (zb + k * n) ** 2
 
     monkeypatch.setattr("picard31.decomposer._choose", far)
     cases = [evaluate(parse("N^3 R B N^-2 R A N R N^2"))]
@@ -215,6 +223,29 @@ def test_reduction_contraction_check_is_live(monkeypatch):
             reduction_step(g)
         with pytest.raises(InternalError, match="failed to contract"):
             decompose(g)
+
+
+@pytest.mark.parametrize("seed, other", [(694, (2, 0, 0, -1, -1)),
+                                         (1629, (5, 1, 0, 0, 9))],
+                         ids=["tau", "abs_k"])
+def test_choose_ties_in_s_and_e_reach_the_tie_break(seed, other):
+    # In the first round of these seeded words, the pair `other` is scanned
+    # before the choice and has the same s and |zb + k n|, so the same n';
+    # the choice wins only on the tie-break (tau for 694, |k| for 1629).
+    # _choose skips only pairs the best so far strictly dominates, so a
+    # skip of pairs merely equal to it would keep `other`.
+    g = evaluate(random_element(seed, 20))
+    n = g.rows[3][0].norm()
+    t1a, t1b, t2a, t2b, k, s, zb, nn = _choose(g.flat, n)
+    tau = (EisensteinInt(t1a, t1b), EisensteinInt(t2a, t2b))
+    ref = reference_translation_data(g)
+    assert ((tau, k), Fraction(s, 2 * n), Fraction(zb, n)) == ref
+    assert nn == s * s + 3 * (zb + k * n) ** 2
+    _, c1, q1, q2 = g_infinity(g)
+    o1a, o1b, o2a, o2b, ok = other
+    i1, e = quality(c1, q1, q2, EisensteinInt(o1a, o1b), EisensteinInt(o2a, o2b))
+    assert (i1, abs(e + ok)) == (ref[1], abs(ref[2] + k))
+    assert (t1a, t1b, t2a, t2b, k) != other
 
 
 def test_round_failure_keeps_earlier_steps(monkeypatch):

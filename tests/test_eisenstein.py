@@ -254,8 +254,8 @@ def test_round_nearest_minimizes_property(case):
 
 # The corner lemma behind translation_data's exhaustive search, on entries
 # up to 2^70: generic points, the exact ties above (cell-edge midpoints,
-# deep holes) with numerator and denominator scaled by up to 2^70, and
-# lattice points.
+# deep holes) with numerator and denominator scaled by up to 2^70, lattice
+# points, and points on the diagonal of their parallelogram.
 _BIG = 2 ** 70
 _BIG_ZW = st.builds(EisensteinInt, _coeffs(_BIG), _coeffs(_BIG))
 _BIG_GENERIC = st.tuples(_BIG_ZW, st.integers(1, _BIG))
@@ -266,32 +266,53 @@ _BIG_HOLE = st.builds(
     st.sampled_from((EisensteinInt(2, 1), EisensteinInt(1, 2))),
     st.integers(1, _BIG))
 _BIG_INTEGRAL = st.tuples(_BIG_ZW, st.just(1))
+# u + t (1 + w) / d with 0 <= t < d lies on the diagonal from (p0, q0) to
+# (p0 + 1, q0 + 1): z's fractional coefficients are equal, and both unit
+# triangles of the parallelogram hold z.
+_BIG_DIAGONAL = st.builds(lambda u, t, d: (u * d + EisensteinInt(t % d, t % d), d),
+                          _BIG_ZW, st.integers(0, _BIG), st.integers(1, _BIG))
 
 
 def _check_corners(num, den, p0, q0):
     """The corner lemma for z = num/den, den in Z[w] nonzero, whose floor
-    (coefficient by coefficient) is p0 + q0 w: the corners in lex order,
-    their distances N(num - u den) and cross terms, the w-coefficients of
-    conj(u) num conj(den), and every lattice point of the 7x7 window with
-    3 N(num - u den) <= 2 N(den) among them, 1 to 3 of them."""
+    (coefficient by coefficient) is p0 + q0 w: the three corners of the
+    unit triangle holding z, in the order (p0, q0), the side corner,
+    (p0 + 1, q0 + 1); their distances N(num - u den) and the w-coefficients
+    of conj(u) num conj(den); the parallelogram's fourth corner at
+    |z - u|^2 >= 3/4; and the nearest point of the 7x7 window and every
+    point of it with 3 N(num - u den) <= 2 N(den) among the corners, 1 to
+    3 of the latter."""
     n = den.norm()
+    z = num * den.conj()
+    # n times z's fractional coefficients; the side corner is (p0 + 1, q0)
+    # when x >= y, either triangle holding z on the diagonal x == y.
+    x, y = z.a - p0 * n, z.b - q0 * n
+    assert 0 <= x < n and 0 <= y < n
+    side, fourth = (p0 + 1, q0), (p0, q0 + 1)
+    if x < y:
+        side, fourth = fourth, side
     corners = lattice_corners(num.a, num.b, den.a, den.b, n)
     assert [(p, q) for _, p, q, _ in corners] == [
-        (p0, q0), (p0, q0 + 1), (p0 + 1, q0), (p0 + 1, q0 + 1)]
+        (p0, q0), side, (p0 + 1, q0 + 1)]
     for dist, p, q, cross in corners:
         u = EisensteinInt(p, q)
         assert dist == (num - u * den).norm()
         assert cross == (u.conj() * num * den.conj()).b
+    assert 4 * (num - EisensteinInt(*fourth) * den).norm() >= 3 * n
     window = [EisensteinInt(p, q) for p in range(p0 - 3, p0 + 4)
               for q in range(q0 - 3, q0 + 4)]
-    admissible = {(u.a, u.b) for u in window
-                  if 3 * (num - u * den).norm() <= 2 * n}
-    assert admissible <= {(p, q) for _, p, q, _ in corners}
+    dists = {(u.a, u.b): (num - u * den).norm() for u in window}
+    nearest = min(dists.values())
+    points = {(p, q) for _, p, q, _ in corners}
+    assert {u for u, dist in dists.items() if dist == nearest} <= points
+    admissible = {u for u, dist in dists.items() if 3 * dist <= 2 * n}
+    assert admissible <= points
     assert 1 <= len(admissible) <= 3
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(st.one_of(_BIG_GENERIC, _BIG_EDGE, _BIG_HOLE, _BIG_INTEGRAL))
+@given(st.one_of(_BIG_GENERIC, _BIG_EDGE, _BIG_HOLE, _BIG_INTEGRAL,
+                 _BIG_DIAGONAL))
 def test_lattice_corners_hold_every_admissible_point(case):
     # An integer denominator d, passed as d + 0w: the corners sit at the
     # floors of num.a / d and num.b / d.
@@ -299,9 +320,9 @@ def test_lattice_corners_hold_every_admissible_point(case):
     _check_corners(num, EisensteinInt(den), num.a // den, num.b // den)
 
 
-# The same over Z[w] denominators: the ties and lattice points above with
-# the scale c any nonzero element of Z[w], large or small (units among
-# them).
+# The same over Z[w] denominators: the ties, lattice points and diagonal
+# points above with the scale c any nonzero element of Z[w], large or
+# small (units among them).
 _DEN = st.one_of(_BIG_ZW, st.builds(EisensteinInt, _coeffs(3), _coeffs(3))
                  ).filter(bool)
 
@@ -314,9 +335,11 @@ _DEN = st.one_of(_BIG_ZW, st.builds(EisensteinInt, _coeffs(3), _coeffs(3))
     st.builds(lambda u, h, c: ((u * 3 + h) * c, c * 3), _BIG_ZW,
               st.sampled_from((EisensteinInt(2, 1), EisensteinInt(1, 2))),
               _DEN),
-    st.builds(lambda u, c: (u * c, c), _BIG_ZW, _DEN)))
+    st.builds(lambda u, c: (u * c, c), _BIG_ZW, _DEN),
+    st.builds(lambda z, c: (z[0] * c, c * z[1]), _BIG_DIAGONAL, _DEN)))
 def test_lattice_corners_over_eisenstein_denominators(case):
     # The corners sit at the floors of num conj(den) / N(den).
     num, den = case
     z, n = num * den.conj(), den.norm()
     _check_corners(num, den, z.a // n, z.b // n)
+

@@ -42,8 +42,8 @@ MUTANTS = [
      "key = (nn, abs(k), k,",
      "key = (nn, 0, k,"),
     ("_choose: an n' tie never reaches the tie-break", DECOMPOSER,
-     "nn <= best[0][0]",
-     "nn < best[0][0]"),
+     "nn <= best[0]",
+     "nn < best[0]"),
     ("_choose: tie at e = -n moves up from k = -1", DECOMPOSER,
      "if e < -n or e == -n and k < -1:",
      "if e < -n or e == -n and k <= -1:"),
@@ -59,9 +59,18 @@ MUTANTS = [
     ("_choose: corner bound halved", DECOMPOSER,
      "if 3 * d <= top]",
      "if 3 * d <= n]"),
+    ("_choose: the dominance test without strictness", DECOMPOSER,
+     " and (s > bs or ae > be)",
+     ""),
+    # Dropping the dominance test is an equivalent mutant: it only skips
+    # pairs whose n' is greater than the best's.
     ("_round: ratio check dropped", DECOMPOSER,
-     "    if 4 * n * n_after != s * s + 3 * (zb + k * n) ** 2:",
+     "    if 4 * n * n_after != nn:",
      "    if False:"),
+    # Its prediction from the last pair _choose squared, not its choice.
+    ("_round: ratio check compared with another pair's nn", DECOMPOSER,
+     "    nn, _, k, t1a, t1b, t2a, t2b = best\n",
+     "    _, _, k, t1a, t1b, t2a, t2b = best\n"),
     ("_round: contraction check dropped", DECOMPOSER,
      "    if 36 * n_after > 31 * n:",
      "    if False:"),
@@ -86,6 +95,9 @@ MUTANTS = [
     ("lattice_corners: n dropped from the corner (p0, q0 + 1)", EISENSTEIN,
      "(base + x - 2 * y + n, p0, q0 + 1,",
      "(base + x - 2 * y, p0, q0 + 1,"),
+    ("lattice_corners: the triangle test inverted", EISENSTEIN,
+     "if x >= y:",
+     "if x < y:"),
     ("lattice_corners: the cross term of (p0 + 1, q0 + 1) adds pn",
      EISENSTEIN,
      "r + qn - pn)",
