@@ -9,7 +9,10 @@ of at least 31/36, and the norm is a nonnegative integer, so after finitely
 many rounds the element fixes infinity, where hermitian.stabilizer_ints
 splits it into a unit correction, a translation, and a rotation.  Unwinding
 the rounds yields a word over the four generators; the unit correction is
-reported separately.  A round builds only a 7-int tuple, no record.
+reported separately.  A round builds only a 7-int tuple, no record.  The
+rounds read only g's first column; from a large starting norm they carry
+that column alone, and the element fixing infinity is read from the
+evaluation of the rounds' word that the self-verify multiplies out anyway.
 
 Every unit correction is a generator word too (tests pin words for w and
 -1, which generate the units), but folding it into the word would add 15
@@ -27,7 +30,7 @@ from .eisenstein import UNITS, EisensteinInt, lattice_corners
 # The traced benchmark run wraps round_nearest and langlands_extract by
 # this module's name.
 from .eisenstein import round_nearest  # noqa: F401
-from .errors import InternalError
+from .errors import InternalError, ShapeError
 from .finite_unitary import enumerate_group, u_decompose
 from .hermitian import (GroupMatrix, HeisenbergParam, HeisenbergTranslation,
                         heisenberg_corner, image_of_infinity, stabilizer_ints)
@@ -146,16 +149,18 @@ def _choose(flat: tuple, n: int) -> tuple:
 
 
 def _round(flat: tuple, n: int) -> tuple:
-    """g' = R N_(tau,k) g with _choose's (tau, k), from g's 32 ints flat and
+    """g' = R N_(tau,k) g with _choose's (tau, k), from g's ints flat and
     n = |g41|^2 > 0, as (flat', (t1a, t1b, t2a, t2b, k, n, n')).
 
-    Computed by direct row operations, one column formula applied to each
-    of the four columns of GroupMatrix's layout; a generic product would
-    redo the structure of R and N.  After the loop, on column 1's new last
-    row, the contraction 36 n' <= 31 n and the exact ratio 4 n n' = nn are
-    asserted in integers, nn being _choose's prediction
-    s^2 + 3 (zb + k n)^2, the value it ranked its choice by, from the s,
-    zb and k it returns.
+    flat holds g's leading columns in GroupMatrix's layout: all four (32
+    ints), or column 1 alone (8 ints), which is all that _choose and both
+    checks read; flat' holds the same columns of g'.  Computed by direct
+    row operations, one column formula applied to each column flat holds;
+    a generic product would redo the structure of R and N.  After the
+    loop, on column 1's new last row, the contraction 36 n' <= 31 n and
+    the exact ratio 4 n n' = nn are asserted in integers, nn being
+    _choose's prediction s^2 + 3 (zb + k n)^2, the value it ranked its
+    choice by, from the s, zb and k it returns.
     """
     t1a, t1b, t2a, t2b, k, s, zb, nn = _choose(flat, n)
     # The a-parts of conj(tau_j), with conj(a + bw) = (a - b) - bw, and the
@@ -167,7 +172,7 @@ def _round(flat: tuple, n: int) -> tuple:
     # r1 - conj(tau1) r2 - conj(tau2) r3 + corner r4, in each column, with
     # (p + qw)(c + dw) = (pc - qd) + (pd + qc - qd)w; d = (p - q) of r4.
     out = []
-    for j in (0, 8, 16, 24):
+    for j in (0, 8, 16, 24)[:len(flat) // 8]:
         a1, b1, a2, b2, a3, b3, a4, b4 = flat[j:j + 8]
         d = a4 - b4
         out += (a4, b4, -(a2 + t1a * a4 - t1b * b4), -(b2 + t1a * b4 + t1b * d),
@@ -352,6 +357,12 @@ def _commutators(t: int) -> tuple:
     return rest[0] + 2 * (abs(a) + abs(b)) + 4, items + rest[1]
 
 
+# Starting norms |g41|^2 of more bits than this take _decompose's lean
+# path.  Below it, carrying columns 2-4 through the few rounds costs less
+# than the two products that replace them.
+_LEAN_BITS = 100
+
+
 def _decompose(g: GroupMatrix) -> tuple:
     """decompose's work: (result, rounds, stabilizer), with each round as
     _round's 7-int record and the stabilizer's fields as stabilizer_ints
@@ -361,35 +372,66 @@ def _decompose(g: GroupMatrix) -> tuple:
     g = prod_i [N_(-tau_i, -k_i) R] * g_n, and g_n splits as
     unit * translation * rotation.  Pulling the unit to the front twists
     each round's tau by it, and everything right of the unit is a word in
-    the generators.  Each piece is in normal form, and words.join merges
-    at every junction, so the word is assembled in normal form.  The result
-    is verified against g before returning.  An InternalError leaves with
-    steps set to the ReductionSteps of the rounds done before it.
+    the generators: the prefix, each round's twisted translation then R,
+    and the tail, the stabilizer's translation and rotation.  Each piece
+    is in normal form, and words.join merges at every junction, so the
+    word is assembled in normal form.
+
+    The rounds read only g's column 1.  When n = |g41|^2 has at most
+    _LEAN_BITS bits, they carry all of g, the stabilizer is read from g_n,
+    and the result is verified against g by verify.  Above it, the lean
+    path: the rounds carry column 1 alone, which is (lam, 0, 0, 0) at
+    n = 0, and head = evaluate(prefix, lam) is the one product of the
+    rounds formed.  The stabilizer is read from head^-1 g, which is
+    g_n without its unit, and head * evaluate(tail) == g is the
+    self-verify.  That is evaluate(word, lam) == g taken at one split:
+    a round after the first never has a trivial translation (its R would
+    undo the one before and bring n back), so the prefix ends in R, and
+    the tail never starts with R, so join appends it whole.
+
+    A failure of the rounds, of column 1 at n = 0, of the stabilizer read
+    or of the self-verify raises InternalError, with steps set to the
+    ReductionSteps of the rounds done before it.
     """
     rounds = []
     flat = g.flat
     n = flat[6] * (flat[6] - flat[7]) + flat[7] * flat[7]  # |g41|^2
+    lean = n.bit_length() > _LEAN_BITS
+    if lean:
+        flat = flat[:8]
     try:
         while n:
             flat, record = _round(flat, n)
             rounds.append(record)
             n = record[6]
-        stabilizer = la, lb, t1a, t1b, t2a, t2b, k, u = stabilizer_ints(flat)
+        la, lb, a2, b2, a3, b3 = flat[0:6]  # (lam, 0, 0, 0) at n = 0
+        if a2 or b2 or a3 or b3 or la * la - la * lb + lb * lb != 1:
+            raise InternalError(f"column 1 at n = 0 is {flat[0:8]}, not "
+                                f"(lam, 0, 0, 0) with lam a unit")
         # Round i contributes the items of N_(-lam tau_i, -k_i), then R.
         items = []
         for r1a, r1b, r2a, r2b, rk, _, _ in rounds:
             _translation_items(items, -la, -lb, r1a, r1b, r2a, r2b, -rk)
             join(items, _R)
+        unit, split = EisensteinInt(la, lb), len(items)
+        if lean:
+            head = evaluate(Word(items), unit)
+            flat = (head.inverse() * g).flat
+        try:
+            _, _, t1a, t1b, t2a, t2b, k, u = stabilizer_ints(flat)
+        except ShapeError as exc:
+            raise InternalError(f"the reduced element is not a stabilizer: "
+                                f"{exc}") from None
         _translation_items(items, 1, 0, t1a, t1b, t2a, t2b, k)
         join(items, u_decompose(u).items)
-
-        result = DecompositionResult(unit=EisensteinInt(la, lb), word=Word(items))
-        if not verify(g, result):
+        result = DecompositionResult(unit=unit, word=Word(items))
+        if not (head * evaluate(Word(items[split:])) == g if lean
+                else verify(g, result)):
             raise InternalError("decomposition failed self-verification")
     except InternalError as exc:
         exc.steps = _steps(rounds)
         raise
-    return result, rounds, stabilizer
+    return result, rounds, (la, lb, t1a, t1b, t2a, t2b, k, u)
 
 
 def _steps(rounds: list) -> tuple[ReductionStep, ...]:

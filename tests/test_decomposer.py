@@ -15,8 +15,8 @@ from picard31.errors import DomainError, InternalError, ParityError
 from picard31.finite_unitary import u_decompose
 from picard31.hermitian import (GroupMatrix, identity, inversion,
                                 translation_matrix, unit_correction)
-from picard31.decomposer import (_FORMS, ReductionStep, _choose, _form,
-                                 _round, _translation_items, decompose,
+from picard31.decomposer import (_FORMS, _LEAN_BITS, ReductionStep, _choose,
+                                 _form, _round, _translation_items, decompose,
                                  decompose_traced, decompose_translation,
                                  langlands_extract, random_element,
                                  random_stabilizer, reduction_step,
@@ -282,6 +282,111 @@ def test_self_verification_is_live(monkeypatch):
                        match="failed self-verification") as exc:
         decompose_traced(g)
     assert exc.value.steps == steps
+
+
+def above_the_gate():
+    """A member whose starting norm takes _decompose's lean path: 137 bits,
+    21 rounds, unit -1 - w and a rotation word of 4 items."""
+    g = evaluate(random_element(6, 400))
+    assert g.rows[3][0].norm().bit_length() > _LEAN_BITS
+    return g
+
+
+def test_round_failure_keeps_earlier_steps_above_the_gate(monkeypatch):
+    # The lean path's rounds carry column 1 alone; a failure in round 3
+    # leaves the two rounds before it, as on the full path.
+    g = above_the_gate()
+    steps = decompose_traced(g)[1].steps
+    calls = []
+
+    def failing_on_third(flat, n):
+        calls.append(flat)
+        if len(calls) == 3:
+            raise InternalError("injected round failure")
+        return _round(flat, n)
+
+    monkeypatch.setattr("picard31.decomposer._round", failing_on_third)
+    with pytest.raises(InternalError, match="injected round failure") as exc:
+        decompose(g)
+    assert exc.value.steps == steps[:2]
+    assert [len(flat) for flat in calls] == [8, 8, 8]
+
+
+def test_self_verification_is_live_above_the_gate(monkeypatch):
+    # On the lean path the self-verify is head * evaluate(tail) == g; a
+    # rotation word one item short spoils the tail, and it must notice.
+    g = above_the_gate()
+    steps = decompose_traced(g)[1].steps
+    monkeypatch.setattr("picard31.decomposer.u_decompose",
+                        lambda u: Word(u_decompose(u).items[:-1]))
+    with pytest.raises(InternalError,
+                       match="failed self-verification") as exc:
+        decompose_traced(g)
+    assert exc.value.steps == steps
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (inversion(), "not a stabilizer"),  # head^-1 g does not fix infinity
+    # head^-1 g fixes infinity, but with a unit the tail leaves out.
+    (unit_correction(OMEGA), "failed self-verification"),
+], ids=["R", "unit"])
+def test_wrong_head_is_an_internal_error(monkeypatch, spoil, message):
+    # The lean path's first evaluate is head, the prefix's product; a head
+    # off by spoil on the right must end in InternalError with every
+    # round attached, never in ShapeError or ValueError.
+    g = above_the_gate()
+    steps = decompose_traced(g)[1].steps
+    calls = []
+
+    def wrong_head(word, unit=ONE):
+        calls.append(word)
+        value = evaluate(word, unit)
+        return value * spoil if len(calls) == 1 else value
+
+    monkeypatch.setattr("picard31.decomposer.evaluate", wrong_head)
+    with pytest.raises(InternalError, match=message) as exc:
+        decompose(g)
+    assert exc.value.steps == steps
+    assert calls[0].items[-1][0] == "R"
+
+
+@pytest.mark.parametrize("spoil", [(2, 0), (1, 0, 1)],
+                         ids=["non-unit", "middle-entry"])
+def test_lean_column_1_is_checked_at_n_0(monkeypatch, spoil):
+    # At n = 0 the lean path reads lam from column 1, which must be
+    # (lam, 0, 0, 0) with lam a unit; evaluate would raise ValueError on a
+    # non-unit, so the check comes first and raises InternalError.
+    g = above_the_gate()
+    steps = decompose_traced(g)[1].steps
+
+    def spoiled(flat, n):
+        flat, record = _round(flat, n)
+        if not record[6]:
+            flat = spoil + flat[len(spoil):]
+        return flat, record
+
+    monkeypatch.setattr("picard31.decomposer._round", spoiled)
+    with pytest.raises(InternalError, match="column 1 at n = 0") as exc:
+        decompose(g)
+    assert exc.value.steps == steps
+
+
+def test_lean_and_full_paths_agree(monkeypatch):
+    # The gate changes only speed: with every element on the lean path
+    # (gate 0) and with none on it, decompose_traced's results and traces
+    # are identical, on short and long words, stabilizers, the unit
+    # corrections and the inversion, whose one round has no translation.
+    members = [evaluate(random_element(seed, 40)) for seed in range(200)]
+    members += [evaluate(random_element(seed, 1500)) for seed in range(12)]
+    members += [random_stabilizer(seed) for seed in range(50)]
+    members += [unit_correction(lam) for lam in UNITS] + [inversion()]
+    for g in members:
+        outcomes = []
+        for bits in (0, 10 ** 9):
+            monkeypatch.setattr("picard31.decomposer._LEAN_BITS", bits)
+            result, trace = decompose_traced(g)
+            outcomes.append((result, trace.to_json()))
+        assert outcomes[0] == outcomes[1]
 
 
 def test_decompose_words_are_in_normal_form():

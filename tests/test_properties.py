@@ -1,7 +1,8 @@
 """Hypothesis properties: the Z[w] ring laws, the stabilizer-of-infinity
 formula on large entries, word evaluation and the reduction round against
-the generic matrix product, decompose_traced's steps against the chain of
-reduction_step calls, the form check's first defect, the word normalizer,
+the generic matrix product, the round on column 1 alone against the
+whole round, decompose_traced's steps against the chain of reduction_step
+calls, the form check's first defect, the word normalizer,
 and the matrix JSON boundary."""
 
 import json
@@ -10,7 +11,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from picard31.decomposer import (decompose_traced, random_element,
+from picard31.decomposer import (_round, decompose_traced, random_element,
                                  reduction_step, verify)
 from picard31.eisenstein import MU_POWERS, ONE, UNITS, ZERO, EisensteinInt
 from picard31.errors import NotMemberError
@@ -181,6 +182,21 @@ def test_traced_steps_match_reduction_step_chain(word):
     assert len(steps) == len(chain)
     for traced, stepped in zip(steps, chain):
         assert traced._asdict() == stepped._asdict()
+
+
+@settings(max_examples=100, **_SETTINGS)
+@given(st.lists(st.tuples(st.sampled_from(tuple("NABR")), _EXPONENT),
+                max_size=40).map(Word))
+def test_round_on_column_1_matches_the_whole_round(word):
+    # The lean path's rounds carry only g's column 1: on every round state
+    # of a reduction, _round on those 8 ints gives the first 8 ints and
+    # the record that _round on all 32 gives.
+    flat = evaluate(word).flat
+    n = EisensteinInt(flat[6], flat[7]).norm()
+    while n:
+        whole, record = _round(flat, n)
+        assert _round(flat[:8], n) == (whole[:8], record)
+        flat, n = whole, record[6]
 
 
 _J_ROWS = ((0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0), (1, 0, 0, 0))

@@ -83,6 +83,28 @@ MUTANTS = [
     ("_decompose: n carried from n_before", DECOMPOSER,
      "            n = record[6]\n",
      "            n = record[5]\n"),
+    ("_round: only column 1 updated, whatever flat holds", DECOMPOSER,
+     "for j in (0, 8, 16, 24)[:len(flat) // 8]:",
+     "for j in (0, 8, 16, 24)[:1]:"),
+    # The lean path.  Its gate inverted (`<=` for `>`) or zeroed
+    # (_LEAN_BITS = 0) is an equivalent mutant: it changes only speed, and
+    # a test holds both paths to the same results and traces.
+    ("_decompose: the lean self-verify dropped", DECOMPOSER,
+     "if not (head * evaluate(Word(items[split:])) == g if lean",
+     "if not (True if lean"),
+    ("_decompose: head^-1 g read as head g", DECOMPOSER,
+     "flat = (head.inverse() * g).flat",
+     "flat = (head * g).flat"),
+    ("_decompose: the tail split one item early", DECOMPOSER,
+     "evaluate(Word(items[split:]))",
+     "evaluate(Word(items[split - 1:]))"),
+    ("_decompose: lam dropped from head's evaluate", DECOMPOSER,
+     "head = evaluate(Word(items), unit)",
+     "head = evaluate(Word(items))"),
+    ("_decompose: the lean path's check of column 1 at n = 0 dropped",
+     DECOMPOSER,
+     "if a2 or b2 or a3 or b3 or la * la - la * lb + lb * lb != 1:",
+     "if False:"),
     ("_steps: n_before/n_after swapped in the records decompose_traced rebuilds",
      DECOMPOSER,
      "EisensteinInt(c, d)), k, n, n_after)",
