@@ -38,21 +38,27 @@ from .jsonutil import (canonical_dumps, decode_coeffs, decode_int, encode_int,
                        encode_pair)
 
 
+def _grid(entries, size: int) -> tuple:
+    """entries as size rows of size EisensteinInt, each row a tuple;
+    NotMemberError on any other shape or entry type."""
+    try:
+        rows = tuple(tuple(row) for row in entries)
+    except TypeError:
+        raise NotMemberError(f"expected a {size}x{size} matrix") from None
+    if len(rows) != size or any(len(r) != size for r in rows):
+        raise NotMemberError(f"expected a {size}x{size} matrix")
+    if not all(isinstance(e, EisensteinInt) for r in rows for e in r):
+        raise NotMemberError("matrix entries must be Eisenstein integers")
+    return rows
+
+
 def _flatten(entries) -> tuple:
     """Four rows of four EisensteinInt, or a GroupMatrix, as the 32-int
     layout; NotMemberError on any other shape or entry type."""
     if isinstance(entries, GroupMatrix):
         return entries.flat
-    try:
-        rows = tuple(tuple(row) for row in entries)
-    except TypeError:
-        raise NotMemberError("expected a 4x4 matrix") from None
-    if len(rows) != 4 or any(len(r) != 4 for r in rows):
-        raise NotMemberError("expected a 4x4 matrix")
-    entries = tuple(r[j] for j in range(4) for r in rows)
-    if not all(isinstance(e, EisensteinInt) for e in entries):
-        raise NotMemberError("matrix entries must be Eisenstein integers")
-    return tuple(x for e in entries for x in (e.a, e.b))
+    rows = _grid(entries, 4)
+    return tuple(x for j in range(4) for r in rows for x in (r[j].a, r[j].b))
 
 
 def _form_defect(flat: tuple) -> tuple | None:
@@ -272,14 +278,7 @@ class FiniteUnitary:
     rows: tuple
 
     def __post_init__(self):
-        try:
-            rows = tuple(tuple(row) for row in self.rows)
-        except TypeError:
-            raise NotMemberError("expected a 2x2 matrix") from None
-        if len(rows) != 2 or any(len(r) != 2 for r in rows):
-            raise NotMemberError("expected a 2x2 matrix")
-        if not all(isinstance(e, EisensteinInt) for r in rows for e in r):
-            raise NotMemberError("matrix entries must be Eisenstein integers")
+        rows = _grid(self.rows, 2)
         if not _is_unitary(rows):
             raise NotMemberError(f"not in U(2; Z[w]): {rows}")
         object.__setattr__(self, "rows", rows)

@@ -242,7 +242,6 @@ def evaluate(word: Word, unit: EisensteinInt = ONE) -> GroupMatrix:
 # str.isspace, the whitespace str.split splits at, so a word is its
 # str.split tokens and each token is items with nothing between them.
 _ITEM = r"([NABR])(?:\^([+-]?[0-9]+)|(?!\^))"
-_TOKEN = re.compile(rf"(?:{_ITEM})+")
 _ITEMS = re.compile(_ITEM)
 _WORD = re.compile(rf"\s*(?:{_ITEM}\s*)*")
 _EXPONENT_START = re.compile(r"[NABR]\^[+-]?")
@@ -260,7 +259,7 @@ def _token_items(token: str) -> tuple:
     _MEMO_TOKEN_CHARS (so the memo holds no long text and no exponent the
     int/str digit limit could refuse) raises ValueError, which the memo
     does not keep."""
-    if len(token) > _MEMO_TOKEN_CHARS or _TOKEN.fullmatch(token) is None:
+    if len(token) > _MEMO_TOKEN_CHARS or _WORD.fullmatch(token) is None:
         raise ValueError(token)
     return normalize(Word([(g, int(e) if e else 1)
                            for g, e in _ITEMS.findall(token)])).items

@@ -85,6 +85,13 @@ def test_malformed_grid_is_not_a_member():
             GroupMatrix(bad)
 
 
+def test_repr_and_foreign_equality():
+    assert repr(inversion()) == ("GroupMatrix([[0, 0, 0, 1], [0, -1, 0, 0], "
+                                 "[0, 0, -1, 0], [1, 0, 0, 0]])")
+    # A GroupMatrix equals only a GroupMatrix, not its 32-int layout.
+    assert identity() != identity().flat
+
+
 def test_products_stay_in_group():
     rng = random.Random(1)
     for _ in range(50):

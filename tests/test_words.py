@@ -548,6 +548,17 @@ def test_letters():
     assert Word().letters() == 0
 
 
+def test_word_protocols():
+    w = parse("N^2 A")
+    assert len(w) == 2
+    assert repr(w) == "Word('N^2 A')"
+    assert str(w) == serialize(w)
+    assert hash(w) == hash(parse(str(w)))
+    # A Word equals only a Word, not its text or its items.
+    assert w != "N^2 A"
+    assert Word(()) != ()
+
+
 def test_decomposition_result_json():
     from picard31.eisenstein import EisensteinInt
 

@@ -154,6 +154,12 @@ MUTANTS = [
     ("evaluate: the closing twist drops f from rows 1 and 4", WORDS,
      "_MU[(d0 + f) % 6]",
      "_MU[d0]"),
+    # The lean path's self-verify, head * evaluate(tail) == g, cannot see
+    # this one: the tail is read from head^-1 g, so it absorbs head's N.
+    ("evaluate: an R-terminated word comes out right-multiplied by N", WORDS,
+     "    for gen, e in word.items + ((None, 1),):\n",
+     "    for gen, e in word.items + ((\"N\", 1),) * (word.items[-1:] == ((\"R\", 1),))"
+     " + ((None, 1),):\n"),
     ("normalize: B reduced to {0, ..., 5}", WORDS,
      "exp = (exp + 2) % 6 - 2\n",
      "exp = exp % 6\n"),
@@ -174,8 +180,8 @@ MUTANTS = [
      "|(?!\\^))",
      ")?"),
     ("parse: the token pattern takes a trailing '^'", WORDS,
-     'rf"(?:{_ITEM})+")',
-     'rf"(?:{_ITEM})+\\^?")'),
+     'rf"\\s*(?:{_ITEM}\\s*)*")',
+     'rf"\\s*(?:{_ITEM}\\s*)*\\^?")'),
     ("parse: the token memo keeps tokens a digit limit can refuse", WORDS,
      "_MEMO_TOKEN_CHARS = 640",
      "_MEMO_TOKEN_CHARS = 1024"),
@@ -205,6 +211,9 @@ MUTANTS = [
     ("_form_defect: the diagonal skipped", HERMITIAN,
      "for k in range(j, 4):",
      "for k in range(j + 1, 4):"),
+    ("_grid: a grid with too few rows let through", HERMITIAN,
+     "if len(rows) != size or",
+     "if len(rows) > size or"),
     ("FiniteUnitary.flat: b and c swapped", HERMITIAN,
      "(a.a, a.b, c.a, c.b, b.a, b.b, d.a, d.b)",
      "(a.a, a.b, b.a, b.b, c.a, c.b, d.a, d.b)"),
