@@ -36,8 +36,8 @@ from .hermitian import (GroupMatrix, HeisenbergParam, HeisenbergTranslation,
                         heisenberg_corner, image_of_infinity, stabilizer_ints)
 from .hermitian import langlands_extract  # noqa: F401
 from .jsonutil import encode_int, encode_pair
-from .words import (DecompositionResult, Word, evaluate, join, normalize,
-                    serialize)
+from .words import (_TOKENS, DecompositionResult, Word, evaluate, join,
+                    normalize, serialize)
 
 
 class ReductionStep(NamedTuple):
@@ -301,10 +301,10 @@ _DIRECTIONS = ((1, 0, 0, 1), (0, 1, -2, 1), (0, 1, 1, -1), (1, 1, -1, 1))
 _FORMS = ((0, 1), (1, 0), (0, 2), (2, 0), (0, 3), (3, 0), (2, 3), (3, 2),
           (1, 3), (3, 1))
 # The A wrapper and R, and one tuple each for the items of B, A, R and N^e,
-# |e| <= 32, that memoized pieces share; letters as normalize writes them.
-_A, _R = (normalize(Word(((c, 1),))).items for c in "AR")
-_SHARED = {item: item for c in "NABR" for e in range(-32, 33)
-           for item in normalize(Word(((c, e),))).items}
+# |e| <= 32, that memoized pieces share: those of words' token table, with
+# the letters normalize writes.
+_A, _R = ((_TOKENS[c],) for c in "AR")
+_SHARED = {item: item for item in _TOKENS.values()}
 
 
 @lru_cache(maxsize=1024)

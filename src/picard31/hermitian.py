@@ -67,7 +67,8 @@ def _form_defect(flat: tuple) -> tuple | None:
     (M* J M)[j][k] = conj(M[0][j]) M[3][k] + conj(M[1][j]) M[1][k]
                    + conj(M[2][j]) M[2][k] + conj(M[3][j]) M[0][k],
     each term conj(a + bw)(c + dw) = ((a - b)c + bd) + (ad - bc)w.  Only
-    j <= k is scanned; see the module docstring.  The four columns are
+    j <= k is scanned (see the module docstring), the imaginary part only
+    for k > j, as M* J M is Hermitian for any ints.  The four columns are
     sliced once, and each entry's a - b of column j is taken once per j.
     """
     cols = [flat[i:i + 8] for i in (0, 8, 16, 24)]
@@ -78,8 +79,8 @@ def _form_defect(flat: tuple) -> tuple | None:
             c0, d0, c1, d1, c2, d2, c3, d3 = cols[k]
             re = (e0 * c3 + b0 * d3 + e1 * c1 + b1 * d1
                   + e2 * c2 + b2 * d2 + e3 * c0 + b3 * d0)
-            im = (a0 * d3 - b0 * c3 + a1 * d1 - b1 * c1
-                  + a2 * d2 - b2 * c2 + a3 * d0 - b3 * c0)
+            im = k > j and (a0 * d3 - b0 * c3 + a1 * d1 - b1 * c1
+                            + a2 * d2 - b2 * c2 + a3 * d0 - b3 * c0)
             if im or re != _J_ENTRIES[j][k]:
                 return (j + 1, k + 1)
     return None

@@ -11,11 +11,8 @@ generator orders (A^2 = R^2 = I, B^6 = I, N of infinite order).
 
 from __future__ import annotations
 
-import functools
 import re
 import sys
-from itertools import chain
-from operator import itemgetter
 from typing import NamedTuple
 
 from .eisenstein import MU_POWERS, ONE, EisensteinInt
@@ -247,22 +244,20 @@ _WORD = re.compile(rf"\s*(?:{_ITEM}\s*)*")
 _EXPONENT_START = re.compile(r"[NABR]\^[+-]?")
 _DIGITS = re.compile(r"[0-9]+")  # in a word, only exponents hold digits
 _DOUBLED = re.compile("NN|AA|BB|RR")  # where normal pieces can still merge
-# A kept token's exponents have at most 638 digits, which int() reads under
-# every int/str digit limit Python allows (0, or at least 640).
-_MEMO_TOKEN_CHARS = 640
+_EXPONENTS = str.maketrans("", "", "^-0123456789")  # leaves a token's letters
 
 
-@functools.lru_cache(maxsize=256)
-def _token_items(token: str) -> tuple:
-    """The items of one whitespace-free token, in normal form with the
-    letters normalize writes.  A token outside the grammar or longer than
-    _MEMO_TOKEN_CHARS (so the memo holds no long text and no exponent the
-    int/str digit limit could refuse) raises ValueError, which the memo
-    does not keep."""
-    if len(token) > _MEMO_TOKEN_CHARS or _WORD.fullmatch(token) is None:
-        raise ValueError(token)
-    return normalize(Word([(g, int(e) if e else 1)
-                           for g, e in _ITEMS.findall(token)])).items
+def _spelled(gen: str, exp: int) -> str:
+    """An item's text, as serialize writes it."""
+    return gen if exp == 1 else f"{gen}^{exp}"
+
+
+# Each item normalize writes with |exponent| <= 32 (N^+-1..32, B^-2..3
+# but 0, A and R), keyed by its text as a plain str, and back.
+_TOKENS = {str(_spelled(gen, exp)): (gen, exp)
+           for c in "NABR" for e in range(-32, 33)
+           for gen, exp in normalize(Word(((c, e),))).items}
+_TEXT = {item: token for token, item in _TOKENS.items()}
 
 
 def parse(text: str) -> Word:
@@ -272,17 +267,17 @@ def parse(text: str) -> Word:
     digits should start, or where those of an exponent longer than
     Python's int/str conversion limit start.
 
-    Each str.split token is read through the _token_items memo of its
-    normal items; only when a token is refused there (outside the grammar
-    or too long to keep) does the whole text go through _scan.  Normal
-    pieces with no letter repeated across neighbours (a token that
-    cancels leaves its neighbours adjacent) already form the reduced
-    word, so normalize runs only when _DOUBLED finds such a repeat."""
+    Each str.split token is looked up in _TOKENS; only when one is not
+    there does the whole text go through _scan.  Table tokens are normal
+    items that never cancel, so with no letter repeated across neighbours
+    they already form the reduced word, and normalize runs only when
+    _DOUBLED finds such a repeat among their letters."""
+    tokens = text.split()
     try:
-        items = tuple(chain.from_iterable(map(_token_items, text.split())))
-    except ValueError:
+        items = tuple(map(_TOKENS.__getitem__, tokens))
+    except KeyError:
         return _scan(text)
-    if _DOUBLED.search("".join(map(itemgetter(0), items))) is None:
+    if _DOUBLED.search("".join(tokens).translate(_EXPONENTS)) is None:
         return Word(items)
     return normalize(Word(items))
 
@@ -310,9 +305,12 @@ def _scan(text: str) -> Word:
 
 
 def serialize(word: Word) -> str:
-    """Inverse of parse on normalized words."""
-    return " ".join([gen if exp == 1 else f"{gen}^{exp}"
-                     for gen, exp in word.items])
+    """Inverse of parse on normalized words: each item as its _TEXT token,
+    or, when one item has none, each spelled out by _spelled."""
+    try:
+        return " ".join(map(_TEXT.__getitem__, word.items))
+    except (KeyError, TypeError):  # TypeError: an item that is a list
+        return " ".join([_spelled(*item) for item in word.items])
 
 
 class DecompositionResult(NamedTuple):

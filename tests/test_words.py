@@ -238,6 +238,15 @@ def test_parse_serialize_round_trip():
         assert parse(serialize(w)) == w
 
 
+def test_serialize_spells_items_outside_the_token_table():
+    # One item past the table, or not normal, or a list, and the word is
+    # spelled out item by item, as parse reads it back.
+    w = Word((("N", 40), ("B", 1), ("N", -33), ("R", 1)))
+    assert serialize(w) == "N^40 B N^-33 R" and parse(serialize(w)) == w
+    assert serialize(Word((("B", 4), ("A", 0), ("N", 1)))) == "B^4 A^0 N"
+    assert serialize(Word([["N", 2], ["A", 1]])) == "N^2 A"
+
+
 def test_parse_whitespace_and_exponents():
     assert parse("") == Word()
     assert parse("  \n") == Word()
@@ -359,9 +368,9 @@ def test_parse_matches_scanner_on_random_text():
     assert min(outcomes[k] for k in ("word", "letter", "exponent")) > 5_000, outcomes
 
 
-# parse as it read whole texts before the token memo, kept as a yardstick:
-# the end of the grammar's match is the first bad character, and a text it
-# matches whole is read by one findall.
+# parse as it read whole texts before it read token by token, kept as a
+# yardstick: the end of the grammar's match is the first bad character, and
+# a text it matches whole is read by one findall.
 _YARD_WORD = re.compile(r"\s*(?:[NABR](?:\^[+-]?[0-9]+|(?!\^))\s*)*")
 _YARD_ITEM = re.compile(r"([NABR])(?:\^([+-]?[0-9]+))?")
 _YARD_EXPONENT_START = re.compile(r"[NABR]\^[+-]?")
@@ -394,11 +403,21 @@ def yardstick_parse(text):
 _YARD_CHARS = "NABR^+-X0123456789²٣ \t\n\u2003\u0085\u001c"
 
 
+# Tokens next to those of parse's table: an exponent past it, an explicit
+# '+', a B exponent outside normal form, and two items in one token.
+_PAST_TABLE = ("N^33", "N^-33", "N^+2", "B^-3", "NA")
+_TABLE_TOKENS = tuple(sorted(words._TOKENS)) + _PAST_TABLE
+
+
 @settings(max_examples=1000, derandomize=True, database=None, deadline=None)
 @given(st.one_of(
     st.text(_YARD_CHARS, max_size=24),
-    st.lists(st.sampled_from(_PIECES + ("\u0085", "\u001c", "X", "NA^2B")),
-             max_size=12).map("".join)))
+    st.lists(st.sampled_from(_PIECES + ("\u0085", "\u001c", "X", "NA^2B")
+                             + _PAST_TABLE),
+             max_size=12).map("".join),
+    st.lists(st.tuples(st.sampled_from((" ", "\u2003", "\u0085")),
+                       st.sampled_from(_TABLE_TOKENS)),
+             max_size=10).map(lambda pieces: "".join(map("".join, pieces)))))
 def test_parse_matches_whole_text_yardstick(text):
     # The same Word, or the same WordParseError message and byte offset.
     assert parse_outcome(parse, text) == parse_outcome(yardstick_parse, text)
@@ -412,24 +431,19 @@ def test_split_and_regex_whitespace_agree_on_every_code_point():
 
 
 def test_token_memo_keeps_no_token_a_digit_limit_can_refuse():
-    # The memo is keyed by the token alone.  A token of 640 characters is
-    # kept, and its cached read holds under the lowest limit; a longer one
-    # is never kept, so under a lower limit it still fails where its
-    # exponent's digits start.
+    # Nothing parse reads under one int/str digit limit is reused under
+    # another: a 640-character token reads the same under the lowest limit,
+    # and a longer exponent read under 4,300 still fails under 640 where its
+    # digits start.
     kept = "N^" + "7" * 638
     text = "B N^" + "7" * 700
     limit = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(4300)
-        words._token_items.cache_clear()
         assert parse(text) == Word((("B", 1), ("N", int("7" * 700))))
-        assert words._token_items.cache_info().currsize == 1  # "B" alone
         assert parse(kept) == Word((("N", int("7" * 638)),))
-        assert words._token_items.cache_info().currsize == 2
         sys.set_int_max_str_digits(640)
-        hits = words._token_items.cache_info().hits
         assert parse(kept) == Word((("N", int("7" * 638)),))
-        assert words._token_items.cache_info().hits == hits + 1
         with pytest.raises(WordParseError) as info:
             parse(text)
         assert info.value.offset == 4
@@ -439,8 +453,8 @@ def test_token_memo_keeps_no_token_a_digit_limit_can_refuse():
         sys.set_int_max_str_digits(limit)
 
 
-# An item whose exponent has 630-650 digits: on either side of both the
-# memo's 640-character cap and the lowest nonzero int/str digit limit.
+# An item whose exponent has 630-650 digits: on either side of the lowest
+# nonzero int/str digit limit.
 _EDGE_ITEMS = st.builds(
     lambda gen, sign, digit, n: f"{gen}^{sign}{digit * n}",
     st.sampled_from(GENS), st.sampled_from(("", "+", "-")),
@@ -451,30 +465,43 @@ _EDGE_ITEMS = st.builds(
 @given(st.lists(st.one_of(_EDGE_ITEMS, st.sampled_from(_PIECES)), max_size=6)
        .map("".join))
 def test_parse_under_lowest_digit_limit_ignores_the_memo(text):
-    # Under limit 640, a memo warmed under 4,300 and an empty one give the
-    # same outcome as the yardstick.
-    assert words._MEMO_TOKEN_CHARS <= sys.int_info.str_digits_check_threshold
+    # Under limit 640, after a read under 4,300, parse twice gives the same
+    # outcome as the yardstick.
     limit = sys.get_int_max_str_digits()
     try:
         sys.set_int_max_str_digits(4300)
         parse_outcome(parse, text)
         sys.set_int_max_str_digits(640)
         warm = parse_outcome(parse, text)
-        words._token_items.cache_clear()
         assert warm == parse_outcome(parse, text) == parse_outcome(yardstick_parse, text)
     finally:
         sys.set_int_max_str_digits(limit)
 
 
 def test_token_memo_is_bounded():
-    assert words._token_items.cache_info().maxsize == 256
-    # A token longer than the memo keeps is read by the whole-text scan.
-    words._token_items.cache_clear()
+    # A token of many items, long or short, is outside parse's table and
+    # read by the whole-text scan.
     long_token = "NA" * 600
     assert parse(long_token) == normalize(Word([("N", 1), ("A", 1)] * 600))
-    assert words._token_items.cache_info().currsize == 0
     assert parse("NA") == Word((("N", 1), ("A", 1)))
-    assert words._token_items.cache_info().currsize == 1
+
+
+def test_token_table_agrees_with_normalize_and_serialize():
+    # Every normal item of |exponent| <= 32 is in the table once, keyed by
+    # the plain-str text serialize writes for it, with normalize's letters.
+    normal = {item for gen in GENS for e in range(-32, 33)
+              for item in normalize(Word(((gen, e),))).items}
+    assert len(words._TOKENS) == len(normal) == 71
+    assert set(words._TOKENS.values()) == normal
+    for token, item in words._TOKENS.items():
+        gen, e = item
+        assert type(token) is str
+        assert token == (gen if e == 1 else f"{gen}^{e}")
+        assert normalize(Word((item,))).items == (item,)
+        assert type(gen) is type(normalize(Word((item,))).items[0][0])
+        assert serialize(Word((item,))) == token
+        assert parse(token).items == (item,)
+    assert words._TEXT == {item: token for token, item in words._TOKENS.items()}
 
 
 @pytest.mark.parametrize("text", [
@@ -509,9 +536,8 @@ def _certificate_texts():
 
 
 def test_parsed_certificate_letters_read_value():
-    # As decompose's words do, for the benchmark's letter counter: from a
-    # cold memo, a warm one, and text that normalize merges.
-    words._token_items.cache_clear()
+    # As decompose's words do, for the benchmark's letter counter: read
+    # twice, and text that normalize merges.
     for text in [*_certificate_texts(), "R R N", "B^3 A B^3"]:
         for _ in range(2):
             items = parse(text).items
@@ -519,14 +545,14 @@ def test_parsed_certificate_letters_read_value():
 
 
 def test_parse_of_serialized_certificate_calls_no_normalize(monkeypatch):
-    # Text in normal form is returned as read: with the memo warm, parse
-    # calls normalize zero times.
+    # Text in normal form is returned as read: parse calls normalize zero
+    # times, also on a second read.
     calls = []
     normalize_ = words.normalize
     monkeypatch.setattr(words, "normalize",
                         lambda word: calls.append(word) or normalize_(word))
     for text in _certificate_texts():
-        word = parse(text)  # warms the memo
+        word = parse(text)
         calls.clear()
         assert parse(text) == word
         assert calls == [], text
@@ -534,6 +560,20 @@ def test_parse_of_serialized_certificate_calls_no_normalize(monkeypatch):
     parse("R R")
     calls.clear()
     assert parse("R R") == Word() and len(calls) == 1
+
+
+def test_serialized_certificates_reach_neither_scan_nor_normalize(monkeypatch):
+    # Every token serialize writes for a certificate is in parse's table.
+    texts = list(_certificate_texts())
+    calls = []
+    for name in ("_scan", "normalize"):
+        monkeypatch.setattr(words, name, lambda *args, name=name: calls.append(name))
+    for text in texts:
+        word = parse(text)
+        assert calls == [] and serialize(word) == text, text
+    parse("N^33")
+    parse("R R")
+    assert calls == ["_scan", "normalize"]
 
 
 def test_word_multiplication():

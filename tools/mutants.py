@@ -182,26 +182,28 @@ MUTANTS = [
     ("parse: the token pattern takes a trailing '^'", WORDS,
      'rf"\\s*(?:{_ITEM}\\s*)*")',
      'rf"\\s*(?:{_ITEM}\\s*)*\\^?")'),
-    ("parse: the token memo keeps tokens a digit limit can refuse", WORDS,
-     "_MEMO_TOKEN_CHARS = 640",
-     "_MEMO_TOKEN_CHARS = 1024"),
     ("parse: a doubled R read as normal", WORDS,
      '_DOUBLED = re.compile("NN|AA|BB|RR")',
      '_DOUBLED = re.compile("NN|AA|BB")'),
     ("parse: the letter test skipped", WORDS,
-     '    if _DOUBLED.search("".join(map(itemgetter(0), items))) is None:\n'
+     '    if _DOUBLED.search("".join(tokens).translate(_EXPONENTS)) is None:\n'
      "        return Word(items)\n",
      "    return Word(items)\n"),
     # Only the call count of tests/test_words.py can tell this one apart.
     ("parse: normal text normalized again", WORDS,
-     '    if _DOUBLED.search("".join(map(itemgetter(0), items))) is None:\n'
+     '    if _DOUBLED.search("".join(tokens).translate(_EXPONENTS)) is None:\n'
      "        return Word(items)\n",
      ""),
-    ("_token_items: a token's items kept raw", WORDS,
-     "    return normalize(Word([(g, int(e) if e else 1)\n"
-     "                           for g, e in _ITEMS.findall(token)])).items\n",
-     "    return tuple([(g, int(e) if e else 1)\n"
-     "                  for g, e in _ITEMS.findall(token)])\n"),
+    ("parse: the letter test reads the exponents' digits as letters", WORDS,
+     '_EXPONENTS = str.maketrans("", "", "^-0123456789")',
+     '_EXPONENTS = str.maketrans("", "", "^-")'),
+    ("_TOKENS: a key outside normal form, B^-3, read as its raw item", WORDS,
+     "_TEXT = {item: token for token, item in _TOKENS.items()}",
+     '_TOKENS["B^-3"] = (_TOKENS["B"][0], -3)\n'
+     "_TEXT = {item: token for token, item in _TOKENS.items()}"),
+    ("_TOKENS: items with plain-str letters", WORDS,
+     "_TOKENS = {str(_spelled(gen, exp)): (gen, exp)",
+     "_TOKENS = {str(_spelled(gen, exp)): (str(gen), exp)"),
     ("_form_defect: row 2's conjugate part taken as a + b", HERMITIAN,
      "e0, e1, e2, e3 = a0 - b0, a1 - b1,",
      "e0, e1, e2, e3 = a0 - b0, a1 + b1,"),
