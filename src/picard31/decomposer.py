@@ -36,8 +36,8 @@ from .hermitian import (GroupMatrix, HeisenbergParam, HeisenbergTranslation,
                         heisenberg_corner, image_of_infinity, stabilizer_ints)
 from .hermitian import langlands_extract  # noqa: F401
 from .jsonutil import encode_int, encode_pair
-from .words import (_TOKENS, DecompositionResult, Word, evaluate, join,
-                    normalize, serialize)
+from .words import (DecompositionResult, Word, evaluate, join, normalize,
+                    serialize)
 
 
 class ReductionStep(NamedTuple):
@@ -166,7 +166,7 @@ def _round(flat: tuple, n: int) -> tuple:
     # The a-parts of conj(tau_j), with conj(a + bw) = (a - b) - bw, and the
     # corner ea + kw of N_(tau,k).
     c1, c2 = t1a - t1b, t2a - t2b
-    ea = heisenberg_corner(t1a * c1 + t1b * t1b + t2a * c2 + t2b * t2b, k)[0]
+    ea = heisenberg_corner(t1a, t1b, t2a, t2b, k)[0]
 
     # Rows r1..r4 become r4, -(r2 + tau1 r4), -(r3 + tau2 r4) and
     # r1 - conj(tau1) r2 - conj(tau2) r3 + corner r4, in each column, with
@@ -300,11 +300,8 @@ _DIRECTIONS = ((1, 0, 0, 1), (0, 1, -2, 1), (0, 1, 1, -1), (1, 1, -1, 1))
 # N and B^-2 N B^2 come first.
 _FORMS = ((0, 1), (1, 0), (0, 2), (2, 0), (0, 3), (3, 0), (2, 3), (3, 2),
           (1, 3), (3, 1))
-# The A wrapper and R, and one tuple each for the items of B, A, R and N^e,
-# |e| <= 32, that memoized pieces share: those of words' token table, with
-# the letters normalize writes.
-_A, _R = ((_TOKENS[c],) for c in "AR")
-_SHARED = {item: item for item in _TOKENS.values()}
+# The A wrapper and R, as normalize writes them.
+_A, _R = (normalize(Word(((c, 1),))).items for c in "AR")
 
 
 @lru_cache(maxsize=1024)
@@ -332,9 +329,8 @@ def _form(a: int, b: int, i: int, j: int) -> tuple:
     x, y = (a * qj - b * pj) * det, (b * pi - a * qi) * det
     word = normalize(Word((("B", ci), ("N", si * x), ("B", -ci),
                            ("B", cj), ("N", sj * y), ("B", -cj))))
-    items = tuple(_SHARED.get(item, item) for item in word.items)
-    tail = items[-1][1] if items and items[-1][0] == "N" else 0
-    return word.letters(), si * x + sj * y - det * x * y, tail, items
+    tail = word.items[-1][1] if word.items and word.items[-1][0] == "N" else 0
+    return word.letters(), si * x + sj * y - det * x * y, tail, word.items
 
 
 @lru_cache(maxsize=1024)
@@ -353,7 +349,6 @@ def _commutators(t: int) -> tuple:
     a, b = pair
     items = normalize(Word((("N", a), ("B", 1), ("N", b), ("B", -1),
                             ("N", -a), ("B", 1), ("N", -b), ("B", -1)))).items
-    items = tuple(_SHARED.get(item, item) for item in items)
     return rest[0] + 2 * (abs(a) + abs(b)) + 4, items + rest[1]
 
 

@@ -3,14 +3,14 @@
 The form is <w, z> = z* J w with J carrying 1 at the (1,4) and (4,1) corners
 and the identity in the middle 2x2 block.  Matrices G over Z[w] with
 G* J G = J make up the modular group this package decomposes.  This module
-holds the group element type, the explicit generator matrices, the boundary
-action (g(infinity) in Z[w] over the integer |g41|^2), the matrix JSON
-format, and the stabilizer of infinity: the one Heisenberg translation record
-(tau, k) with its parity rule, corner entry and composition law, the rotation
-block FiniteUnitary, and HeisenbergParam.  _stabilizer_flat is the one
-formula for the entries of an element fixing infinity: HeisenbergParam's
-matrix() and the rebuild check of stabilizer_ints, the int-level reader
-that langlands_extract wraps, both use it.
+holds the group element type, the generator constructors translation_matrix,
+rotation_matrix and inversion, the boundary action (g(infinity) in Z[w] over
+the integer |g41|^2), the matrix JSON format, and the stabilizer of infinity:
+the one Heisenberg translation record (tau, k) with its parity rule, corner
+entry and composition law, the rotation block FiniteUnitary, and
+HeisenbergParam.  _stabilizer_flat is the one formula for the entries of an
+element fixing infinity: HeisenbergParam's matrix() and the rebuild check of
+stabilizer_ints (the int-level reader langlands_extract wraps) both use it.
 
 A GroupMatrix keeps its entries as one tuple of 32 ints, the (a, b)
 pairs of the entries a + b*w column by column: entry (i, j) (0-indexed)
@@ -219,11 +219,12 @@ def image_of_infinity(g: GroupMatrix) -> tuple:
                  for a, b in ((a1, b1), (a2, b2), (a3, b3))) + (x * x - x * y + y * y,)
 
 
-def heisenberg_corner(m: int, k: int) -> tuple[int, int]:
-    """The corner entry e = (-m + i k sqrt(3))/2 of the translation (tau, k)
-    with m = |tau1|^2 + |tau2|^2, as the int pair (a, b) of e = a + bw.
-    Using i*sqrt(3) = 1 + 2w, e is ((k - m)/2) + k w, an Eisenstein integer
-    exactly when k = m (mod 2)."""
+def heisenberg_corner(t1a, t1b, t2a, t2b, k) -> tuple[int, int]:
+    """The corner e = (-m + i k sqrt(3))/2 of the translation (tau, k), for
+    tau = (t1a + t1b w, t2a + t2b w) and m = |tau1|^2 + |tau2|^2, which it
+    computes, as the int pair (a, b) of e = a + bw: with i sqrt(3) = 1 + 2w,
+    e = ((k - m)/2) + k w, in Z[w] exactly when k = m (mod 2)."""
+    m = t1a * (t1a - t1b) + t1b * t1b + t2a * (t2a - t2b) + t2b * t2b
     return (k - m) // 2, k
 
 
@@ -262,7 +263,7 @@ class HeisenbergTranslation:
 
     def matrix(self) -> GroupMatrix:
         """Upper triangular, with e = a + bw at (1, 4) for the pair
-        (a, b) = heisenberg_corner(|tau|^2, k)."""
+        (a, b) = heisenberg_corner(t1a, t1b, t2a, t2b, k) of tau's ints."""
         return HeisenbergParam(ONE, self, _NO_ROTATION).matrix()
 
 
@@ -338,7 +339,7 @@ def _stabilizer_flat(la, lb, t1a, t1b, t2a, t2b, k, u) -> tuple:
     lam = la + lb w, tau = (t1a + t1b w, t2a + t2b w) and u the 8 ints of
     FiniteUnitary.flat: column 1 is (lam, 0, 0, 0), columns 2-3 stack
     -lam tau* u over u over zeros, and column 4 is (lam e, tau, lam), with
-    e = a + bw for the pair (a, b) = heisenberg_corner(|tau|^2, k).  The
+    e = a + bw for (a, b) = heisenberg_corner(t1a, t1b, t2a, t2b, k).  The
     one place the entries of an element fixing infinity are written."""
     # For each column (x, y) of u: tau* (x, y) = conj(tau1) x + conj(tau2) y,
     # with conj(a + bw) = (a - b) - bw, then -lam times it, by
@@ -349,7 +350,7 @@ def _stabilizer_flat(la, lb, t1a, t1b, t2a, t2b, k, u) -> tuple:
         pa = c1 * xa + t1b * xb + c2 * ya + t2b * yb
         pb = t1a * xb - t1b * xa + t2a * yb - t2b * ya
         out += (lb * pb - la * pa, -ld * pb - lb * pa, xa, xb, ya, yb, 0, 0)
-    ea, eb = heisenberg_corner(t1a * c1 + t1b * t1b + t2a * c2 + t2b * t2b, k)
+    ea, eb = heisenberg_corner(t1a, t1b, t2a, t2b, k)
     return (*out, la * ea - lb * eb, ld * eb + lb * ea, t1a, t1b, t2a, t2b, la, lb)
 
 

@@ -29,6 +29,7 @@ class _Letter(str):
 
 
 _LETTER = {c: _Letter(c) for c in "NABR"}
+_SHARED: dict = {}  # each item of _TOKENS as its own key, filled below
 
 
 class Word:
@@ -79,9 +80,10 @@ def normalize(word: Word) -> Word:
     the raw neighbor pairs.  The stack never holds two adjacent equal
     generators, so one merge per incoming item is enough.  Exponents of B
     reduce to {-2, ..., 3}, of A and R to {0, 1}; N keeps its exponent.
-    Each kept letter is written as its _Letter.  It normalizes text, Word
-    arithmetic, the rotation table and the decomposer's memoized pieces;
-    join keeps a word built from pieces in normal form in it.
+    Each kept letter is its _Letter, and each kept item of |exponent| <= 32
+    the one tuple _TOKENS holds for it.  It normalizes text, Word arithmetic,
+    the rotation table and the decomposer's memoized pieces; join keeps a
+    word built from pieces in normal form in it.
     """
     stack: list[tuple[str, int]] = []
     for gen, exp in word.items:
@@ -92,7 +94,7 @@ def normalize(word: Word) -> Word:
         elif gen != "N":
             exp %= 2
         if exp:
-            stack.append((_LETTER.get(gen, gen), exp))
+            stack.append(_SHARED.get((gen, exp)) or (_LETTER.get(gen, gen), exp))
     return Word(stack)
 
 
@@ -187,9 +189,7 @@ def evaluate(word: Word, unit: EisensteinInt = ONE) -> GroupMatrix:
                 s1b = p2 * t1b + q2 * (t1a - t1b)
                 s2a = p3 * t2a - q3 * t2b
                 s2b = p3 * t2b + q3 * (t2a - t2b)
-                ea, eb = heisenberg_corner(
-                    s1a * s1a - s1a * s1b + s1b * s1b
-                    + s2a * s2a - s2a * s2b + s2b * s2b, k)
+                ea, eb = heisenberg_corner(s1a, s1b, s2a, s2b, k)
                 ed, s1c, s2c = ea - eb, s1a - s1b, s2a - s2b
                 a1, b1, a2, b2, a3, b3, a4, b4 = c1
                 x1, y1, x2, y2, x3, y3, x4, y4 = c2
@@ -258,6 +258,7 @@ _TOKENS = {str(_spelled(gen, exp)): (gen, exp)
            for c in "NABR" for e in range(-32, 33)
            for gen, exp in normalize(Word(((c, e),))).items}
 _TEXT = {item: token for token, item in _TOKENS.items()}
+_SHARED.update((item, item) for item in _TOKENS.values())
 
 
 def parse(text: str) -> Word:

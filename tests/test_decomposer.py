@@ -15,7 +15,9 @@ from picard31.errors import DomainError, InternalError, ParityError
 from picard31.finite_unitary import u_decompose
 from picard31.hermitian import (GroupMatrix, identity, inversion,
                                 translation_matrix, unit_correction)
-from picard31.decomposer import (_FORMS, _LEAN_BITS, ReductionStep, _choose,
+from picard31 import words
+from picard31.decomposer import (_A, _FORMS, _LEAN_BITS, _R, ReductionStep,
+                                 _choose, _commutators, _coordinate_forms,
                                  _form, _round, _translation_items, decompose,
                                  decompose_traced, decompose_translation,
                                  langlands_extract, random_element,
@@ -409,6 +411,18 @@ def test_decompose_letters_read_value():
     for g in members:
         items = decompose(g).word.items
         assert [(gen.value, e) for gen, e in items] == list(items)
+
+
+def test_memoized_pieces_share_the_table_items():
+    # The forms, the commutators, A and R come from normalize, so each of
+    # their items of |exponent| <= 32 is the token table's own tuple.
+    pieces = [form[3] for a in range(-6, 7) for b in range(-6, 7)
+              for form in _coordinate_forms(a, b)]
+    pieces += [_commutators(t)[1] for t in range(-50, 51)] + [_A, _R]
+    for items in pieces:
+        for item in items:
+            if abs(item[1]) <= 32:
+                assert item is words._TOKENS[serialize(Word((item,)))], items
 
 
 def test_reduction_step_contracts():

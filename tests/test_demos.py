@@ -1,5 +1,6 @@
 """Each demo script runs to completion against the package in src/, and
-their standard output is pinned by one digest.
+their standard output is pinned by one digest.  Each python block of
+README.md runs to completion too.
 
 DEMOS_SHA256 covers the four scripts' stdout, concatenated in sorted file
 order.  Refactors must leave it unchanged.  A change that alters the demos'
@@ -9,6 +10,7 @@ GOLDEN_SHA256 in tests/test_golden.py.
 
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,6 +39,15 @@ def demo_runs():
 def test_demo_runs(demo, demo_runs):
     proc = demo_runs[demo]
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+
+
+def test_readme_python_blocks_run():
+    readme = ROOT / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme.read_text(),
+                        re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), {})
 
 
 def test_demo_output_pinned(demo_runs):

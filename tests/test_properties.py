@@ -1,9 +1,9 @@
-"""Hypothesis properties: the Z[w] ring laws, the stabilizer-of-infinity
-formula on large entries, word evaluation and the reduction round against
-the generic matrix product, the round on column 1 alone against the
-whole round, decompose_traced's steps against the chain of reduction_step
-calls, the form check's first defect, the word normalizer,
-and the matrix JSON boundary."""
+"""Hypothesis properties: the Z[w] ring laws, the translation corner and
+the stabilizer-of-infinity formula on large entries, word evaluation and
+the reduction round against the generic matrix product, the round on
+column 1 alone against the whole round, decompose_traced's steps against
+the chain of reduction_step calls, the form check's first defect, the
+word normalizer, and the matrix JSON boundary."""
 
 import json
 import math
@@ -18,7 +18,7 @@ from picard31.errors import NotMemberError
 from picard31.finite_unitary import U1, U2, enumerate_group
 from picard31.hermitian import (GroupMatrix, HeisenbergParam,
                                 HeisenbergTranslation, check_membership,
-                                inversion,
+                                heisenberg_corner, inversion,
                                 langlands_extract, matrix_from_json_text,
                                 matrix_to_json_text, rotation_matrix,
                                 translation_matrix, unit_correction)
@@ -51,6 +51,14 @@ def test_eisenstein_ring_laws(x, y, z, d, e):
     assert (x * y).norm() == x.norm() * y.norm()
     # Exponents of mu = -w add mod 6, which evaluate's B branch relies on.
     assert MU_POWERS[d % 6] * MU_POWERS[e % 6] == MU_POWERS[(d + e) % 6]
+
+
+@settings(max_examples=300, **_SETTINGS)
+@given(_ZW, _ZW, _sizes(_BIG))
+def test_heisenberg_corner_from_tau(tau1, tau2, k):
+    # Judged by EisensteinInt.norm, which spells |tau_j|^2 its own way.
+    assert heisenberg_corner(tau1.a, tau1.b, tau2.a, tau2.b, k) == (
+        (k - tau1.norm() - tau2.norm()) // 2, k)
 
 
 @st.composite

@@ -504,6 +504,20 @@ def test_token_table_agrees_with_normalize_and_serialize():
     assert words._TEXT == {item: token for token, item in words._TOKENS.items()}
 
 
+def test_normalize_writes_the_table_items():
+    # Every item normalize keeps with |exponent| <= 32 is the one tuple
+    # the token table holds for it, so pieces built by normalize share it.
+    rng = random.Random(8087)
+    for _ in range(2000):
+        raw = Word([(rng.choice(GENS), rng.randint(-40, 40))
+                    for _ in range(rng.randint(0, 12))])
+        for item in normalize(raw).items:
+            if abs(item[1]) <= 32:
+                assert item is words._TOKENS[serialize(Word((item,)))], raw
+            else:
+                assert item[0] == "N"
+
+
 @pytest.mark.parametrize("text", [
     "R R", "B^3 B^3", "N A^2 N", "B B^-1 N", "N^0 N", "B^6 A",
     "N B^6 N^-1", "A^2", "", " \t\n"])

@@ -130,6 +130,9 @@ MUTANTS = [
     ("stabilizer_ints: the rebuild check dropped", HERMITIAN,
      "    if _stabilizer_flat(la, lb, t1a, t1b, t2a, t2b, k, u.flat) != v:",
      "    if False:"),
+    ("heisenberg_corner: |tau2|^2 left out", HERMITIAN,
+     " + t2a * (t2a - t2b) + t2b * t2b",
+     ""),
     ("_stabilizer_flat: tau2's b-part dropped from tau* u", HERMITIAN,
      "c2 * ya + t2b * yb",
      "c2 * ya"),
@@ -163,6 +166,9 @@ MUTANTS = [
     ("normalize: B reduced to {0, ..., 5}", WORDS,
      "exp = (exp + 2) % 6 - 2\n",
      "exp = exp % 6\n"),
+    ("normalize: kept items not shared", WORDS,
+     "stack.append(_SHARED.get((gen, exp)) or (_LETTER.get(gen, gen), exp))",
+     "stack.append((_LETTER.get(gen, gen), exp))"),
     ("normalize: the merge dropped", WORDS,
      "        if stack and stack[-1][0] == gen:\n"
      "            exp += stack.pop()[1]\n",
@@ -261,8 +267,8 @@ MUTANTS = [
      "(1, 1, -1, 1))",
      "(1, 1, 1, 1))"),
     ("_form: the tail read from the first item", DECOMPOSER,
-     'tail = items[-1][1] if items and items[-1][0] == "N" else 0',
-     'tail = items[0][1] if items and items[0][0] == "N" else 0'),
+     'tail = word.items[-1][1] if word.items and word.items[-1][0] == "N" else 0',
+     'tail = word.items[0][1] if word.items and word.items[0][0] == "N" else 0'),
     ("_coordinate_forms: forms told apart by offset alone", DECOMPOSER,
      "key = form[1:3]",
      "key = form[1]"),
@@ -282,8 +288,7 @@ MUTANTS = [
     ("_commutators: items built without normalize, letters plain strings",
      DECOMPOSER,
      '    items = normalize(Word((("N", a), ("B", 1), ("N", b), ("B", -1),\n'
-     '                            ("N", -a), ("B", 1), ("N", -b), ("B", -1)))).items\n'
-     '    items = tuple(_SHARED.get(item, item) for item in items)\n',
+     '                            ("N", -a), ("B", 1), ("N", -b), ("B", -1)))).items\n',
      '    items = (("N", a), ("B", 1), ("N", b), ("B", -1),\n'
      '             ("N", -a), ("B", 1), ("N", -b), ("B", -1))\n'),
 ]
