@@ -141,10 +141,10 @@ def _cmd_fuzz(args) -> int:
             dump.update(g.to_json())
             if isinstance(exc, InternalError) and exc.steps is not None:
                 dump["steps"] = [step.to_json() for step in exc.steps]
-            with open(_DUMP_PATH, "w", encoding="utf-8") as fh:
-                fh.write(canonical_dumps(dump) + "\n")
             print(f"iteration {i} (seed {seed + i}) failed: {exc}",
                   file=sys.stderr)
+            with open(_DUMP_PATH, "w", encoding="utf-8") as fh:
+                fh.write(canonical_dumps(dump) + "\n")
             print(f"counterexample written to {_DUMP_PATH}", file=sys.stderr)
             return 1
         max_steps = max(max_steps, len(trace.steps))

@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
 
-from .eisenstein import UNITS, EisensteinInt, lattice_corners
+from .eisenstein import UNITS, EisensteinInt, lattice_corners, norm
 # The traced benchmark run wraps round_nearest and langlands_extract by
 # this module's name.
 from .eisenstein import round_nearest  # noqa: F401
@@ -112,7 +112,7 @@ def _choose(flat: tuple, n: int) -> tuple:
     # Per coordinate, each admissible corner u = -tau in plain ints with its
     # parts of s, zb and |tau|^2: N(g_j1 - u g41), the w-coefficient of
     # -p conj(tau) = conj(u) g_j1 conj(g41), and N(u).
-    parts = [[(d, ua, ub, z, ua * ua - ua * ub + ub * ub)
+    parts = [[(d, ua, ub, z, norm(ua, ub))
               for d, ua, ub, z in lattice_corners(a, b, x, y, n) if 3 * d <= top]
              for a, b in ((a2, b2), (a3, b3))]
     c1b = b1 * x - a1 * y
@@ -179,8 +179,7 @@ def _round(flat: tuple, n: int) -> tuple:
                 -(a3 + t2a * a4 - t2b * b4), -(b3 + t2a * b4 + t2b * d),
                 a1 - c1 * a2 - t1b * b2 - c2 * a3 - t2b * b3 + ea * a4 - k * b4,
                 b1 - t1a * b2 + t1b * a2 - t2a * b3 + t2b * a3 + ea * b4 + k * d)
-    x, y = out[6:8]
-    n_after = x * x - x * y + y * y
+    n_after = norm(out[6], out[7])
     if 36 * n_after > 31 * n:
         raise InternalError(f"reduction failed to contract: {n} -> {n_after}")
     if 4 * n * n_after != nn:
@@ -390,7 +389,7 @@ def _decompose(g: GroupMatrix) -> tuple:
     """
     rounds = []
     flat = g.flat
-    n = flat[6] * (flat[6] - flat[7]) + flat[7] * flat[7]  # |g41|^2
+    n = norm(flat[6], flat[7])  # |g41|^2
     lean = n.bit_length() > _LEAN_BITS
     if lean:
         flat = flat[:8]
@@ -400,7 +399,7 @@ def _decompose(g: GroupMatrix) -> tuple:
             rounds.append(record)
             n = record[6]
         la, lb, a2, b2, a3, b3 = flat[0:6]  # (lam, 0, 0, 0) at n = 0
-        if a2 or b2 or a3 or b3 or la * la - la * lb + lb * lb != 1:
+        if a2 or b2 or a3 or b3 or norm(la, lb) != 1:
             raise InternalError(f"column 1 at n = 0 is {flat[0:8]}, not "
                                 f"(lam, 0, 0, 0) with lam a unit")
         # Round i contributes the items of N_(-lam tau_i, -k_i), then R.

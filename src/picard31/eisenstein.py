@@ -53,7 +53,7 @@ class EisensteinInt:
         return EisensteinInt(self.a - self.b, -self.b)
 
     def norm(self) -> int:
-        return self.a * self.a - self.a * self.b + self.b * self.b
+        return norm(self.a, self.b)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -90,6 +90,12 @@ class EisensteinInt:
         if self.a == 0:
             return f"{self.b}w"
         return f"{self.a}{self.b:+}w"
+
+
+def norm(a: int, b: int) -> int:
+    """N(a + b*w) = |a + b*w|^2 = a^2 - ab + b^2, as one product and one
+    square: the one spelling of the norm of a pair of ints."""
+    return a * (a - b) + b * b
 
 
 def power(base, e: int, one):
@@ -153,7 +159,7 @@ def lattice_corners(a: int, b: int, c: int, e: int, n: int) -> list[tuple]:
     # w00 = a + bw - (p0 + q0 w)(c + ew) times conj(c + ew) is x + yw, so n
     # times the distance at (p0 + i, q0 + j) is N(x - i n, y - j n).
     wa, wb = a - p0 * c + q0 * e, b - p0 * e - q0 * ce
-    base = wa * wa - wa * wb + wb * wb
+    base = norm(wa, wb)
     # r = p qn - q pn, the w-coefficient of conj(p + qw)(pn + qn w).
     r = p0 * y - q0 * x
     if x >= y:

@@ -32,10 +32,9 @@ import json
 import operator
 from dataclasses import dataclass
 
-from .eisenstein import MU_POWERS, ONE, ZERO, EisensteinInt, power
+from .eisenstein import MU_POWERS, ONE, ZERO, EisensteinInt, norm, power
 from .errors import DomainError, NotMemberError, ParityError, ShapeError
-from .jsonutil import (canonical_dumps, decode_coeffs, decode_int, encode_int,
-                       encode_pair)
+from .jsonutil import canonical_dumps, decode_coeffs, decode_int, encode_pair
 
 
 def _grid(entries, size: int) -> tuple:
@@ -193,9 +192,7 @@ class GroupMatrix:
         return f"GroupMatrix([{body}])"
 
     def to_json(self) -> dict:
-        v = [encode_int(x) for x in self.flat]
-        return {"matrix": [[v[c:c + 2] for c in range(i, i + 32, 8)]
-                           for i in (0, 2, 4, 6)]}
+        return {"matrix": [[encode_pair(e) for e in row] for row in self.rows]}
 
 
 def identity() -> GroupMatrix:
@@ -216,7 +213,7 @@ def image_of_infinity(g: GroupMatrix) -> tuple:
         raise DomainError("matrix fixes infinity; its image has no affine coordinates")
     # (a + bw) conj(x + yw) = (a(x - y) + by) + (bx - ay)w
     return tuple(EisensteinInt(a * (x - y) + b * y, b * x - a * y)
-                 for a, b in ((a1, b1), (a2, b2), (a3, b3))) + (x * x - x * y + y * y,)
+                 for a, b in ((a1, b1), (a2, b2), (a3, b3))) + (norm(x, y),)
 
 
 def heisenberg_corner(t1a, t1b, t2a, t2b, k) -> tuple[int, int]:
@@ -224,8 +221,7 @@ def heisenberg_corner(t1a, t1b, t2a, t2b, k) -> tuple[int, int]:
     tau = (t1a + t1b w, t2a + t2b w) and m = |tau1|^2 + |tau2|^2, which it
     computes, as the int pair (a, b) of e = a + bw: with i sqrt(3) = 1 + 2w,
     e = ((k - m)/2) + k w, in Z[w] exactly when k = m (mod 2)."""
-    m = t1a * (t1a - t1b) + t1b * t1b + t2a * (t2a - t2b) + t2b * t2b
-    return (k - m) // 2, k
+    return (k - norm(t1a, t1b) - norm(t2a, t2b)) // 2, k
 
 
 @dataclass(frozen=True)
@@ -374,7 +370,7 @@ def stabilizer_ints(v: tuple) -> tuple:
     _stabilizer_flat must equal v.  Any failure raises ShapeError.
     """
     la, lb = v[0], v[1]
-    if la * la - la * lb + lb * lb != 1:
+    if norm(la, lb) != 1:
         raise ShapeError(f"corner entry {EisensteinInt(la, lb)} is not a unit")
     u = _BLOCKS.get(v[10:14] + v[18:22])
     if u is None:
@@ -382,7 +378,7 @@ def stabilizer_ints(v: tuple) -> tuple:
                   (EisensteinInt(v[12], v[13]), EisensteinInt(v[20], v[21])))
         raise ShapeError(f"middle block {u_rows} is not in U(2; Z[w])")
     t1a, t1b, t2a, t2b = v[26:30]
-    m = t1a * t1a - t1a * t1b + t1b * t1b + t2a * t2a - t2a * t2b + t2b * t2b
+    m = norm(t1a, t1b) + norm(t2a, t2b)
     # corner = conj(lam) g14 = ((k - m)/2, k), with conj(a + bw) =
     # (a - b) - bw and (p + qw)(c + dw) = (pc - qd) + (pd + qc - qd)w; this
     # implies the parity rule.

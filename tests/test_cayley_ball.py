@@ -17,7 +17,8 @@ upper bounds.  A change that shortens words tightens them; none loosens
 them.  (With translations written as N^a and B^-2 N^b B^2 only, the
 totals were 6, 82, 706, 4,457 and 23,940 and the maxima 1, 12, 23, 28 and
 59.)  Every element at distance 2 gets a shortest word.  At distance 6,
-outside the test, the 7,565 elements average 9.14 letters, at most 36.
+outside the test, the 7,565 elements average 9.14 letters, at most 36
+(15.42 and 60 with N^a and B^-2 N^b B^2 only).
 
 The search keeps one word per element, and every edge g s that lands on
 an element h already seen gives a relator w(g) s w(h)^-1.  Cyclically

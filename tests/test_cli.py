@@ -1,4 +1,5 @@
-"""End-to-end command line behavior and exit codes."""
+"""End-to-end command line behavior and exit codes, including fuzz's
+counterexample dump and a dump that cannot be written."""
 
 import io
 import json
@@ -261,10 +262,11 @@ def test_fuzz(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
-def test_fuzz_failure_writes_counterexample(tmp_path, capsys, monkeypatch):
-    from picard31.decomposer import decompose_traced, random_element
+def fail_third_decomposition(monkeypatch):
+    """Make fuzz's third decomposition raise InternalError("injected
+    failure"); returns the list of the matrices fuzz decomposes."""
+    from picard31.decomposer import decompose_traced
     from picard31.errors import InternalError
-    from picard31.words import serialize
 
     calls = []
 
@@ -275,6 +277,14 @@ def test_fuzz_failure_writes_counterexample(tmp_path, capsys, monkeypatch):
         return decompose_traced(g)
 
     monkeypatch.setattr("picard31.cli.decompose_traced", failing_on_third)
+    return calls
+
+
+def test_fuzz_failure_writes_counterexample(tmp_path, capsys, monkeypatch):
+    from picard31.decomposer import random_element
+    from picard31.words import serialize
+
+    calls = fail_third_decomposition(monkeypatch)
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, ["fuzz", "--seed", "30", "--iterations", "5",
                                   "--json"])
@@ -287,6 +297,23 @@ def test_fuzz_failure_writes_counterexample(tmp_path, capsys, monkeypatch):
                     "error": "injected failure",
                     **evaluate(word).to_json()}
     assert matrix_from_json_text(json.dumps(dump)) == calls[2]
+
+
+def test_fuzz_failure_survives_an_unwritable_dump(tmp_path, capsys, monkeypatch):
+    # A dump path that cannot be opened is an I/O error (exit 2), but the
+    # failing iteration, its seed and its message are on stderr before it.
+    fail_third_decomposition(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "picard31-counterexample.json").mkdir()
+    code, out, err = run(capsys, ["fuzz", "--seed", "30", "--iterations", "5",
+                                  "--json"])
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert lines[0] == "iteration 2 (seed 32) failed: injected failure"
+    assert lines[1].startswith("error: ") and len(lines) == 2
+    assert "Traceback" not in err
+    assert "counterexample written" not in err
 
 
 def test_fuzz_failure_dumps_partial_trace(tmp_path, capsys, monkeypatch):

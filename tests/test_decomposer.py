@@ -1,4 +1,13 @@
-"""The reduction algorithm: translation choice, contraction, assembly."""
+"""The reduction algorithm: translation choice, contraction, assembly.
+
+The round's choice is checked against a brute force in Fractions over a
+5x5 window per coordinate and every admissible k, and never leaves a
+larger norm than the nearest-point rule; skewed choices show its ratio
+and contraction checks live, and seeded states pin the ties of its
+dominance skip.  decompose's two paths, either side of _LEAN_BITS, agree
+and fail alike.  Translation words are exact, never longer than the
+yardstick along 1 and w alone, and of O(sqrt|k|) letters; every word
+decompose returns is in normal form."""
 
 import hashlib
 import itertools

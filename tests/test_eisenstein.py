@@ -1,4 +1,10 @@
-"""Ring arithmetic, embeddings, and hexagonal rounding."""
+"""Ring arithmetic, embeddings, and hexagonal rounding.
+
+Rounding is checked against a brute force, and the corner lemma that
+makes the round's search exhaustive on entries up to 2^70, with exact
+ties, over integer and Z[w] denominators and on the diagonal where both
+unit triangles hold the point: the nearest lattice point and every one
+within sqrt(2/3) are among lattice_corners' three."""
 
 import random
 from fractions import Fraction

@@ -1,5 +1,7 @@
-"""Group matrices, generator constructors, Heisenberg data, and the
-stabilizer factorization."""
+"""Group matrices, generator constructors, Heisenberg data, the
+stabilizer factorization, the boundary action and the matrix JSON,
+whose reader decodes row by row: the first bad entry in reading order is
+the one reported, a bad value or a bad shape alike."""
 
 import collections
 import itertools

@@ -1,9 +1,10 @@
-"""Hypothesis properties: the Z[w] ring laws, the translation corner and
-the stabilizer-of-infinity formula on large entries, word evaluation and
-the reduction round against the generic matrix product, the round on
-column 1 alone against the whole round, decompose_traced's steps against
-the chain of reduction_step calls, the form check's first defect, the
-word normalizer, and the matrix JSON boundary."""
+"""Hypothesis properties: the Z[w] ring laws, norm against the ring's
+product, the translation corner and the stabilizer-of-infinity formula on
+large entries, word evaluation and the reduction round against the
+generic matrix product, the round on column 1 alone against the whole
+round, decompose_traced's steps against the chain of reduction_step
+calls, the form check's first defect, the word normalizer, and the
+matrix JSON boundary."""
 
 import json
 import math
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from picard31.decomposer import (_round, decompose_traced, random_element,
                                  reduction_step, verify)
-from picard31.eisenstein import MU_POWERS, ONE, UNITS, ZERO, EisensteinInt
+from picard31.eisenstein import MU_POWERS, ONE, UNITS, ZERO, EisensteinInt, norm
 from picard31.errors import NotMemberError
 from picard31.finite_unitary import U1, U2, enumerate_group
 from picard31.hermitian import (GroupMatrix, HeisenbergParam,
@@ -53,12 +54,25 @@ def test_eisenstein_ring_laws(x, y, z, d, e):
     assert MU_POWERS[d % 6] * MU_POWERS[e % 6] == MU_POWERS[(d + e) % 6]
 
 
+def _ring_norm(z):
+    """|z|^2 as z conj(z), by the ring's product, not by norm's formula."""
+    return (z * z.conj()).a
+
+
+@settings(max_examples=300, **_SETTINGS)
+@given(_sizes(_BIG - 1), _sizes(_BIG - 1))
+def test_norm_is_z_times_its_conjugate(a, b):
+    z = EisensteinInt(a, b)
+    assert norm(a, b) == _ring_norm(z)
+    assert (z * z.conj()).b == 0
+
+
 @settings(max_examples=300, **_SETTINGS)
 @given(_ZW, _ZW, _sizes(_BIG))
 def test_heisenberg_corner_from_tau(tau1, tau2, k):
-    # Judged by EisensteinInt.norm, which spells |tau_j|^2 its own way.
+    # Judged by the ring's product, which spells |tau_j|^2 its own way.
     assert heisenberg_corner(tau1.a, tau1.b, tau2.a, tau2.b, k) == (
-        (k - tau1.norm() - tau2.norm()) // 2, k)
+        (k - _ring_norm(tau1) - _ring_norm(tau2)) // 2, k)
 
 
 @st.composite

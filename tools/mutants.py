@@ -103,12 +103,15 @@ MUTANTS = [
      "head = evaluate(Word(items))"),
     ("_decompose: the lean path's check of column 1 at n = 0 dropped",
      DECOMPOSER,
-     "if a2 or b2 or a3 or b3 or la * la - la * lb + lb * lb != 1:",
+     "if a2 or b2 or a3 or b3 or norm(la, lb) != 1:",
      "if False:"),
     ("_steps: n_before/n_after swapped in the records decompose_traced rebuilds",
      DECOMPOSER,
      "EisensteinInt(c, d)), k, n, n_after)",
      "EisensteinInt(c, d)), k, n_after, n)"),
+    ("norm: the cross term added", EISENSTEIN,
+     "a * (a - b)",
+     "a * (a + b)"),
     # The first is equivalent for an integer denominator (e = 0), so only
     # the rounds and the Z[w]-denominator corner test can kill it.
     ("lattice_corners: q0 e dropped from w00's first coefficient", EISENSTEIN,
@@ -131,7 +134,10 @@ MUTANTS = [
      "    if _stabilizer_flat(la, lb, t1a, t1b, t2a, t2b, k, u.flat) != v:",
      "    if False:"),
     ("heisenberg_corner: |tau2|^2 left out", HERMITIAN,
-     " + t2a * (t2a - t2b) + t2b * t2b",
+     " - norm(t2a, t2b)) // 2",
+     ") // 2"),
+    ("stabilizer_ints: |tau2|^2 left out of the corner check", HERMITIAN,
+     " + norm(t2a, t2b)",
      ""),
     ("_stabilizer_flat: tau2's b-part dropped from tau* u", HERMITIAN,
      "c2 * ya + t2b * yb",
