@@ -114,7 +114,7 @@ def _cmd_random(args) -> int:
     word = random_element(seed, args.max_len)
     g = evaluate(word)
     if args.json:
-        obj = {"seed": seed, "word": serialize(word)}
+        obj = {"seed": encode_int(seed), "word": serialize(word)}
         obj.update(g.to_json())
         print(canonical_dumps(obj))
         return 0
@@ -136,8 +136,8 @@ def _cmd_fuzz(args) -> int:
         try:
             result, trace = decompose_traced(g)
         except Picard31Error as exc:
-            dump = {"seed": seed, "iteration": i, "word": serialize(word),
-                    "error": str(exc)}
+            dump = {"seed": encode_int(seed), "iteration": i,
+                    "word": serialize(word), "error": str(exc)}
             dump.update(g.to_json())
             if isinstance(exc, InternalError) and exc.steps is not None:
                 dump["steps"] = [step.to_json() for step in exc.steps]
@@ -159,7 +159,7 @@ def _cmd_fuzz(args) -> int:
             hist[min(_HIST_BINS - 1, b)] += 1
     edges = [31 / 36 * b / _HIST_BINS for b in range(_HIST_BINS + 1)]
     stats = {
-        "seed": seed,
+        "seed": encode_int(seed),
         "iterations": args.iterations,
         "max_steps": max_steps,
         "total_steps": total_steps,

@@ -51,7 +51,7 @@ class ReductionStep(NamedTuple):
 
     def to_json(self) -> dict:
         return {"tau": [encode_pair(t) for t in self.tau],
-                "k": self.k,
+                "k": encode_int(self.k),
                 "n_before": encode_int(self.n_before),
                 "n_after": encode_int(self.n_after)}
 
@@ -70,7 +70,7 @@ class ReductionTrace(NamedTuple):
             "stabilizer": {
                 "unit": encode_pair(stab.lam),
                 "tau": [encode_pair(t) for t in stab.translation.tau],
-                "k": stab.translation.k,
+                "k": encode_int(stab.translation.k),
                 "u_word": serialize(u_decompose(stab.u)),
             },
         }

@@ -43,9 +43,7 @@ class EisensteinInt:
 
     def __pow__(self, e: int) -> EisensteinInt:
         if e < 0:
-            if not self.is_unit():
-                raise ZeroDivisionError("negative power of a non-unit")
-            return self.conj() ** (-e)
+            return self.unit_inverse() ** (-e)
         return power(self, e, ONE)
 
     def conj(self) -> EisensteinInt:

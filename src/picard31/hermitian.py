@@ -18,9 +18,9 @@ is flat[8j + 2i] + flat[8j + 2i + 1] w, and column j is flat[8j:8j + 8].
 The kernels read whole columns: the form check, the boundary action,
 the reduction round, and evaluate, which applies each run of stabilizer
 letters to all four columns in one pass.  Rows appear only at the edges,
-which transpose: the rows constructor, rows (four rows of EisensteinInt,
-built on request), the row-major JSON codec and the left factor of a
-product.
+which transpose: the rows constructor and the JSON reader, both through
+_COLUMN_ORDER, rows (four rows of EisensteinInt, built on request), the
+JSON writer and the left factor of a product.
 The form check scans only the upper triangle j <= k of M* J M: that
 matrix is Hermitian and J is real symmetric, so a defect at (k, j) below
 the diagonal mirrors one at (j, k), which a row-by-row scan meets first.
@@ -51,13 +51,17 @@ def _grid(entries, size: int) -> tuple:
     return rows
 
 
+# Reading order (row i, column j, part c at 8i + 2j + c) to the column layout.
+_COLUMN_ORDER = operator.itemgetter(*[8 * i + 2 * j + c for j in range(4)
+                                      for i in range(4) for c in (0, 1)])
+
+
 def _flatten(entries) -> tuple:
     """Four rows of four EisensteinInt, or a GroupMatrix, as the 32-int
     layout; NotMemberError on any other shape or entry type."""
     if isinstance(entries, GroupMatrix):
         return entries.flat
-    rows = _grid(entries, 4)
-    return tuple(x for j in range(4) for r in rows for x in (r[j].a, r[j].b))
+    return _COLUMN_ORDER([x for r in _grid(entries, 4) for e in r for x in (e.a, e.b)])
 
 
 def _form_defect(flat: tuple) -> tuple | None:
@@ -374,8 +378,7 @@ def stabilizer_ints(v: tuple) -> tuple:
         raise ShapeError(f"corner entry {EisensteinInt(la, lb)} is not a unit")
     u = _BLOCKS.get(v[10:14] + v[18:22])
     if u is None:
-        u_rows = ((EisensteinInt(v[10], v[11]), EisensteinInt(v[18], v[19])),
-                  (EisensteinInt(v[12], v[13]), EisensteinInt(v[20], v[21])))
+        u_rows = tuple(row[1:3] for row in GroupMatrix.from_flat(v).rows[1:3])
         raise ShapeError(f"middle block {u_rows} is not in U(2; Z[w])")
     t1a, t1b, t2a, t2b = v[26:30]
     m = norm(t1a, t1b) + norm(t2a, t2b)
@@ -439,11 +442,6 @@ def unit_correction(lam: EisensteinInt) -> GroupMatrix:
 def matrix_to_json_text(g: GroupMatrix) -> str:
     """Canonical one-line JSON rendering; entries above 53-bit magnitude become strings."""
     return canonical_dumps(g.to_json())
-
-
-# Reading order (row i, column j, part c at 8i + 2j + c) to the column layout.
-_COLUMN_ORDER = operator.itemgetter(*[8 * i + 2 * j + c for j in range(4)
-                                      for i in range(4) for c in (0, 1)])
 
 
 def matrix_from_json_text(text: str) -> GroupMatrix:

@@ -1,5 +1,6 @@
 """End-to-end command line behavior and exit codes, including fuzz's
-counterexample dump and a dump that cannot be written."""
+counterexample dump, a dump that cannot be written, and no JSON int of
+magnitude 2^53 or more in any output."""
 
 import io
 import json
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from helpers import fail_third_call
 from picard31.cli import main
 from picard31.eisenstein import ONE, ZERO, EisensteinInt
 from picard31.hermitian import (inversion, matrix_from_json_text,
@@ -262,29 +264,12 @@ def test_fuzz(tmp_path, capsys, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
-def fail_third_decomposition(monkeypatch):
-    """Make fuzz's third decomposition raise InternalError("injected
-    failure"); returns the list of the matrices fuzz decomposes."""
-    from picard31.decomposer import decompose_traced
-    from picard31.errors import InternalError
-
-    calls = []
-
-    def failing_on_third(g):
-        calls.append(g)
-        if len(calls) == 3:
-            raise InternalError("injected failure")
-        return decompose_traced(g)
-
-    monkeypatch.setattr("picard31.cli.decompose_traced", failing_on_third)
-    return calls
-
-
 def test_fuzz_failure_writes_counterexample(tmp_path, capsys, monkeypatch):
     from picard31.decomposer import random_element
     from picard31.words import serialize
 
-    calls = fail_third_decomposition(monkeypatch)
+    calls = fail_third_call(monkeypatch, "picard31.cli.decompose_traced",
+                            "injected failure")
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, ["fuzz", "--seed", "30", "--iterations", "5",
                                   "--json"])
@@ -302,7 +287,8 @@ def test_fuzz_failure_writes_counterexample(tmp_path, capsys, monkeypatch):
 def test_fuzz_failure_survives_an_unwritable_dump(tmp_path, capsys, monkeypatch):
     # A dump path that cannot be opened is an I/O error (exit 2), but the
     # failing iteration, its seed and its message are on stderr before it.
-    fail_third_decomposition(monkeypatch)
+    fail_third_call(monkeypatch, "picard31.cli.decompose_traced",
+                    "injected failure")
     monkeypatch.chdir(tmp_path)
     (tmp_path / "picard31-counterexample.json").mkdir()
     code, out, err = run(capsys, ["fuzz", "--seed", "30", "--iterations", "5",
@@ -319,21 +305,13 @@ def test_fuzz_failure_survives_an_unwritable_dump(tmp_path, capsys, monkeypatch)
 def test_fuzz_failure_dumps_partial_trace(tmp_path, capsys, monkeypatch):
     # A round that fails leaves the rounds before it in the dump, as the
     # --trace JSON writes them.
-    from picard31.decomposer import _round, decompose_traced, random_element
-    from picard31.errors import InternalError
-
-    calls = []
-
-    def failing_on_third(flat, n):
-        calls.append(flat)
-        if len(calls) == 3:
-            raise InternalError("injected round failure")
-        return _round(flat, n)
+    from picard31.decomposer import decompose_traced, random_element
 
     g = evaluate(random_element(45, 40))
     steps = decompose_traced(g)[1].steps
     assert len(steps) >= 3
-    monkeypatch.setattr("picard31.decomposer._round", failing_on_third)
+    fail_third_call(monkeypatch, "picard31.decomposer._round",
+                    "injected round failure")
     monkeypatch.chdir(tmp_path)
     code, out, err = run(capsys, ["fuzz", "--seed", "45", "--iterations", "1",
                                   "--json"])
@@ -343,6 +321,48 @@ def test_fuzz_failure_dumps_partial_trace(tmp_path, capsys, monkeypatch):
     assert dump["error"] == "injected round failure"
     assert dump["steps"] == [step.to_json() for step in steps[:2]]
     assert matrix_from_json_text(json.dumps(dump)) == g
+
+
+def json_ints(obj):
+    """Every int in a json.loads result, at any depth."""
+    if type(obj) is int:
+        yield obj
+    elif isinstance(obj, (list, dict)):
+        for item in obj.values() if isinstance(obj, dict) else obj:
+            yield from json_ints(item)
+
+
+def test_json_writes_no_int_past_2_53(tmp_path, capsys, monkeypatch):
+    # Every JSON writer, k and seed included, writes an int of magnitude
+    # 2^53 or more as a decimal string: the trace of a translation with
+    # k = 2^80 + 1, random and fuzz at a seed of 2^60, and fuzz's dump of
+    # a failure that keeps that trace's steps.
+    from picard31.decomposer import decompose_traced
+    from picard31.errors import InternalError
+
+    k, seed = 2 ** 80 + 1, str(2 ** 60)
+    g = translation_matrix((EisensteinInt(3, 1), ZERO), k) * inversion()
+    steps = decompose_traced(g)[1].steps
+    outputs = [run(capsys, argv, stdin=matrix_to_json_text(g))[1] for argv in (
+        ["decompose", "--trace", "--json"],
+        ["random", "--seed", seed, "--json"],
+        ["fuzz", "--seed", seed, "--iterations", "1", "--json"])]
+
+    def failing(h):
+        exc = InternalError("injected failure")
+        exc.steps = steps
+        raise exc
+
+    monkeypatch.setattr("picard31.cli.decompose_traced", failing)
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, ["fuzz", "--seed", seed, "--iterations", "1"])[0] == 1
+    outputs.append((tmp_path / "picard31-counterexample.json").read_text())
+    objs = [json.loads(line) for text in outputs for line in text.splitlines()]
+    assert len(objs) == 5
+    assert all(abs(v) < 2 ** 53 for obj in objs for v in json_ints(obj))
+    assert [obj.get("seed") for obj in objs] == [None, None, seed, seed, seed]
+    assert objs[1]["steps"][0]["k"] == str(-k)
+    assert objs[4]["steps"] == objs[1]["steps"]
 
 
 def test_fuzz_text(tmp_path, capsys, monkeypatch):

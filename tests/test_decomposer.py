@@ -18,6 +18,7 @@ from fractions import Fraction
 import pytest
 
 from fraction_pairs import add, as_num_den, conj, div, mul, norm, qw, sub
+from helpers import fail_third_call
 from picard31.eisenstein import (OMEGA, ONE, UNITS, ZERO, EisensteinInt,
                                  round_nearest)
 from picard31.errors import DomainError, InternalError, ParityError
@@ -265,15 +266,8 @@ def test_round_failure_keeps_earlier_steps(monkeypatch):
     g = evaluate(random_element(45, 40))
     steps = decompose_traced(g)[1].steps
     assert len(steps) >= 3
-    calls = []
-
-    def failing_on_third(flat, n):
-        calls.append(flat)
-        if len(calls) == 3:
-            raise InternalError("injected round failure")
-        return _round(flat, n)
-
-    monkeypatch.setattr("picard31.decomposer._round", failing_on_third)
+    fail_third_call(monkeypatch, "picard31.decomposer._round",
+                    "injected round failure")
     with pytest.raises(InternalError, match="injected round failure") as exc:
         decompose(g)
     assert exc.value.steps == steps[:2]
@@ -308,15 +302,8 @@ def test_round_failure_keeps_earlier_steps_above_the_gate(monkeypatch):
     # leaves the two rounds before it, as on the full path.
     g = above_the_gate()
     steps = decompose_traced(g)[1].steps
-    calls = []
-
-    def failing_on_third(flat, n):
-        calls.append(flat)
-        if len(calls) == 3:
-            raise InternalError("injected round failure")
-        return _round(flat, n)
-
-    monkeypatch.setattr("picard31.decomposer._round", failing_on_third)
+    calls = fail_third_call(monkeypatch, "picard31.decomposer._round",
+                            "injected round failure")
     with pytest.raises(InternalError, match="injected round failure") as exc:
         decompose(g)
     assert exc.value.steps == steps[:2]

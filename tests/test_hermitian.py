@@ -7,14 +7,14 @@ import collections
 import itertools
 import json
 import random
-from fractions import Fraction
 
 import pytest
 
+from helpers import GENERATORS
 from picard31.eisenstein import OMEGA, ONE, UNITS, ZERO, EisensteinInt
 from picard31.errors import (DomainError, NotMemberError, ParityError,
                              ShapeError)
-from picard31.finite_unitary import U1, U2, enumerate_group
+from picard31.finite_unitary import U2, enumerate_group
 from picard31.hermitian import (GroupMatrix, HeisenbergParam,
                                 HeisenbergTranslation, _is_unitary,
                                 check_membership, identity, image_of_infinity,
@@ -24,10 +24,7 @@ from picard31.hermitian import (GroupMatrix, HeisenbergParam,
 from picard31.decomposer import langlands_extract
 from picard31.jsonutil import encode_pair
 
-N1 = translation_matrix((ONE, ZERO), 1)
-A = rotation_matrix(U1)
-B = rotation_matrix(U2)
-R = inversion()
+N1, A, B, R = (GENERATORS[gen] for gen in "NABR")
 # The form matrix itself, built through the form-checking constructor.
 J = GroupMatrix([[EisensteinInt(v) for v in row]
                  for row in ((0, 0, 0, 1), (0, 1, 0, 0), (0, 0, 1, 0),
@@ -243,6 +240,17 @@ def test_langlands_rejects_non_stabilizer():
         rows[i][j] = spoil(rows[i][j])
         with pytest.raises(ShapeError):
             langlands_extract(non_member(rows))
+
+
+def test_corner_check_rejects_wrong_parity():
+    # tau = (1, 0) and k = 0 break the parity rule, and g14 = -1 is the
+    # floor of (k - |tau|^2)/2.  The rebuild by _stabilizer_flat floors
+    # alike and matches, so the corner check alone can reject it.
+    rows = [[EisensteinInt(x) for x in row]
+            for row in ((1, -1, 0, -1), (0, 1, 0, 1), (0, 0, 1, 0), (0, 0, 0, 1))]
+    with pytest.raises(ShapeError, match=r"^corner entry -1 inconsistent "
+                                         r"with \|tau\|\^2 = 1$"):
+        langlands_extract(non_member(rows))
 
 
 def oracle_flat(param):

@@ -12,11 +12,12 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import generic_product
 from picard31.decomposer import (_round, decompose_traced, random_element,
                                  reduction_step, verify)
-from picard31.eisenstein import MU_POWERS, ONE, UNITS, ZERO, EisensteinInt, norm
+from picard31.eisenstein import MU_POWERS, UNITS, ZERO, EisensteinInt, norm
 from picard31.errors import NotMemberError
-from picard31.finite_unitary import U1, U2, enumerate_group
+from picard31.finite_unitary import enumerate_group
 from picard31.hermitian import (GroupMatrix, HeisenbergParam,
                                 HeisenbergTranslation, check_membership,
                                 heisenberg_corner, inversion,
@@ -125,27 +126,12 @@ _RAW_WORDS = st.lists(
     max_size=60).map(Word)
 
 
-# The generator matrices from their own constructors, multiplied through
-# GroupMatrix.__mul__/__pow__: no code shared with evaluate's columns.
-_GENERATOR_MATRICES = {"N": translation_matrix((ONE, ZERO), 1),
-                       "A": rotation_matrix(U1),
-                       "B": rotation_matrix(U2),
-                       "R": inversion()}
-
-
-def _generic_product(word, lam):
-    expected = unit_correction(lam)
-    for gen, e in word:
-        expected = expected * _GENERATOR_MATRICES[gen] ** e
-    return expected
-
-
 @settings(max_examples=200, **_SETTINGS)
 @given(st.lists(st.tuples(st.sampled_from(tuple("NABR")), _EXPONENT),
                 max_size=40).map(Word),
        st.sampled_from(UNITS))
 def test_evaluate_matches_generic_product(word, lam):
-    assert evaluate(word, lam) == _generic_product(word, lam)
+    assert evaluate(word, lam) == generic_product(word, lam)
 
 
 _STABILIZER_ITEM = st.tuples(
@@ -169,7 +155,7 @@ def r_sparse_words(draw):
 @settings(max_examples=200, **_SETTINGS)
 @given(r_sparse_words(), st.sampled_from(UNITS))
 def test_evaluate_matches_generic_product_on_long_runs(word, lam):
-    assert evaluate(word, lam) == _generic_product(word, lam)
+    assert evaluate(word, lam) == generic_product(word, lam)
 
 
 @settings(max_examples=200, **_SETTINGS)

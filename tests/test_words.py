@@ -9,8 +9,6 @@ token table to normalize and serialize, and count that parse of a
 serialized certificate calls neither normalize nor the whole-text scan."""
 
 import collections
-import functools
-import operator
 import random
 import re
 import sys
@@ -18,13 +16,12 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import generic_product
 from picard31 import words
 from picard31.decomposer import decompose, random_element
-from picard31.eisenstein import ONE, UNITS, ZERO, EisensteinInt
+from picard31.eisenstein import UNITS, ZERO, EisensteinInt
 from picard31.errors import WordParseError
-from picard31.finite_unitary import U1, U2
-from picard31.hermitian import (identity, inversion, rotation_matrix,
-                                translation_matrix, unit_correction)
+from picard31.hermitian import identity, unit_correction
 from picard31.words import (DecompositionResult, Word, evaluate, join,
                             normalize, parse, serialize)
 
@@ -35,23 +32,6 @@ EXPS = (-3, -2, -1, 1, 2, 3)
 def random_word(rng, max_len=20):
     return Word(tuple((rng.choice(GENS), rng.choice(EXPS))
                       for _ in range(rng.randint(0, max_len))))
-
-
-# The generator matrices, built from hermitian's constructors rather than
-# from evaluate's column operations.
-GENERATOR_MATRICES = {
-    "N": translation_matrix((ONE, ZERO), 1),
-    "A": rotation_matrix(U1),
-    "B": rotation_matrix(U2),
-    "R": inversion(),
-}
-
-
-def generic_evaluate(word):
-    """Reference product of generator matrix powers."""
-    return functools.reduce(operator.mul,
-                            (GENERATOR_MATRICES[g] ** e for g, e in word),
-                            identity())
 
 
 def power(gen, e):
@@ -85,7 +65,7 @@ def test_evaluate_matches_generic_product():
     rng = random.Random(1)
     for _ in range(300):
         w = random_word(rng)
-        assert evaluate(w) == generic_evaluate(w)
+        assert evaluate(w) == generic_product(w)
 
 
 def test_evaluate_empty():
@@ -119,7 +99,7 @@ def raw_word(text):
 def test_evaluate_run_edges(text):
     w = raw_word(text)
     for lam in UNITS:
-        assert evaluate(w, lam) == unit_correction(lam) * generic_evaluate(w)
+        assert evaluate(w, lam) == generic_product(w, lam)
 
 
 def test_evaluate_from_unit():
@@ -141,7 +121,7 @@ def test_evaluate_unit_argument():
     # on anything else: unhashable, tuple-shaped or non-unit alike.
     w = raw_word("N^2 B R A N^-1")
     for unit in UNITS:
-        assert evaluate(w, unit) == unit_correction(unit) * generic_evaluate(w)
+        assert evaluate(w, unit) == generic_product(w, unit)
     for unit in (1, -1, True):
         assert evaluate(w, unit) == evaluate(w, EisensteinInt(int(unit)))
     for bad in (1.0, 2, 0, None, "x", [1, 0], (1, 0), EisensteinInt(2, 0), ZERO):
@@ -234,7 +214,7 @@ def test_letters_compared_by_value():
         # Merged: both sides could fail to merge alike, so check the form.
         merged = normalize(copy).items
         assert all(g != h for (g, _), (h, _) in zip(merged, merged[1:]))
-        assert evaluate(copy) == generic_evaluate(w)
+        assert evaluate(copy) == generic_product(w)
         assert serialize(copy) == serialize(w)
         assert serialize(normalize(copy)) == serialize(normalize(w))
 

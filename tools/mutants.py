@@ -133,6 +133,11 @@ MUTANTS = [
     ("stabilizer_ints: the rebuild check dropped", HERMITIAN,
      "    if _stabilizer_flat(la, lb, t1a, t1b, t2a, t2b, k, u.flat) != v:",
      "    if False:"),
+    # The rebuild floors (k - |tau|^2)/2 as heisenberg_corner does, so only
+    # this check sees a k of the wrong parity.
+    ("stabilizer_ints: corner check dropped", HERMITIAN,
+     "    if k - 2 * ca != m:",
+     "    if False:"),
     ("heisenberg_corner: |tau2|^2 left out", HERMITIAN,
      " - norm(t2a, t2b)) // 2",
      ") // 2"),
@@ -305,8 +310,9 @@ IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",
 
 def run_suite(tree: Path, timeout=None) -> tuple[bool, str, float]:
     """Run pytest -x -q in tree, stopped after timeout seconds; return
-    (passed, the first FAILED or ERROR line, else the last line, seconds).
-    A run that is stopped has not passed."""
+    (passed, the first FAILED or ERROR line, else the last line of stdout,
+    or of stderr when stdout is empty, seconds).  A run that is stopped
+    has not passed."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     start = time.perf_counter()
     try:
@@ -317,7 +323,8 @@ def run_suite(tree: Path, timeout=None) -> tuple[bool, str, float]:
             timeout=timeout)
     except subprocess.TimeoutExpired:
         return False, "timed out", time.perf_counter() - start
-    lines = proc.stdout.strip().splitlines() or [proc.stderr.strip()]
+    lines = (proc.stdout.strip().splitlines()
+             or proc.stderr.strip().splitlines()[-1:] or ["no output"])
     failed = [x for x in lines if x.startswith(("FAILED", "ERROR"))]
     shown = failed[0] if failed else lines[-1]
     return proc.returncode == 0, shown, time.perf_counter() - start
