@@ -9,10 +9,14 @@ of at least 31/36, and the norm is a nonnegative integer, so after finitely
 many rounds the element fixes infinity, where hermitian.stabilizer_ints
 splits it into a unit correction, a translation, and a rotation.  Unwinding
 the rounds yields a word over the four generators; the unit correction is
-reported separately.  A round builds only a 7-int tuple, no record.  The
-rounds read only g's first column; from a large starting norm they carry
-that column alone, and the element fixing infinity is read from the
-evaluation of the rounds' word that the self-verify multiplies out anyway.
+reported separately.  A rotation commutes with R and, carried past a
+translation, twists it, so each round's trailing rotation letters move to
+the end of the word, where they and the stabilizer's rotation make one
+word of the rotation table.  A round builds only a 7-int tuple, no
+record.  The rounds read only g's first column; from a large starting
+norm they carry that column alone, and the element fixing infinity is
+read from the evaluation of the rounds' word that the self-verify
+multiplies out anyway.
 
 Every unit correction is a generator word too (tests pin words for w and
 -1, which generate the units), but folding it into the word would add 15
@@ -26,14 +30,15 @@ from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
 
-from .eisenstein import UNITS, EisensteinInt, lattice_corners, norm
+from .eisenstein import MU_PAIRS, UNITS, EisensteinInt, lattice_corners, norm
 # The traced benchmark run wraps round_nearest and langlands_extract by
 # this module's name.
 from .eisenstein import round_nearest  # noqa: F401
 from .errors import InternalError, ShapeError
 from .finite_unitary import enumerate_group, u_decompose
-from .hermitian import (GroupMatrix, HeisenbergParam, HeisenbergTranslation,
-                        heisenberg_corner, image_of_infinity, stabilizer_ints)
+from .hermitian import (ROTATIONS, GroupMatrix, HeisenbergParam,
+                        HeisenbergTranslation, heisenberg_corner,
+                        image_of_infinity, stabilizer_ints)
 from .hermitian import langlands_extract  # noqa: F401
 from .jsonutil import encode_int, encode_pair
 from .words import (DecompositionResult, Word, evaluate, join, normalize,
@@ -253,21 +258,17 @@ def decompose_translation(tau, k: int) -> Word:
     caches.
     """
     tr = HeisenbergTranslation(*tau, k)
-    return Word(_translation_items([], 1, 0, tr.tau1.a, tr.tau1.b, tr.tau2.a,
+    return Word(_translation_items([], tr.tau1.a, tr.tau1.b, tr.tau2.a,
                                    tr.tau2.b, k))
 
 
-def _translation_items(items, la, lb, t1a, t1b, t2a, t2b, k) -> list:
+def _translation_items(items, a1, b1, a2, b2, k) -> list:
     """items, a list in normal form, joined with those of
-    decompose_translation((lam tau1, lam tau2), k) for the unit
-    lam = la + lb w, from the ints of tau and k alone; returns items.  The
-    forms, the A wrapper and the commutators are each in normal form, so
-    words.join merges only where they meet items and where the commutators
-    meet a last N^x of a lone first coordinate, and items stays in normal
-    form."""
-    # lam tau_j by (p + qw)(c + dw) = (pc - qd) + (pd + qc - qd)w.
-    a1, b1 = la * t1a - lb * t1b, la * t1b + lb * t1a - lb * t1b
-    a2, b2 = la * t2a - lb * t2b, la * t2b + lb * t2a - lb * t2b
+    decompose_translation((a1 + b1 w, a2 + b2 w), k), from the ints alone;
+    returns items.  The forms, the A wrapper and the commutators are each
+    in normal form, so words.join merges only where they meet items and
+    where the commutators meet a last N^x of a lone first coordinate, and
+    items stays in normal form."""
     # Each coordinate's forms come in order of letters, so a pair costing
     # no less than the best total ends its loop: commutators cost more than
     # the N^x N^c merge saves.  A zero second coordinate has the one empty
@@ -351,6 +352,57 @@ def _commutators(t: int) -> tuple:
     return rest[0] + 2 * (abs(a) + abs(b)) + 4, items + rest[1]
 
 
+# A rotation u of U(2; Z[w]) held as evaluate holds its pending rotation,
+# the state (d1, d2, anti): mu^d1 in u's first column and mu^d2 in its
+# second, on the diagonal or, if anti, off it.  ROTATIONS lists
+# diag(mu^i, mu^j) and ((0, mu^i), (mu^j, 0)); _ROTATION keys its
+# elements by state, and _STATE gives each one's state.
+_ROTATION = {((i, j, False) if u.is_diagonal() else (j, i, True)): u
+             for i, j, u in ROTATIONS}
+_STATE = {u: state for state, u in _ROTATION.items()}
+_UNIT_EXPONENT = {pair: d for d, pair in enumerate(MU_PAIRS)}  # mu^d -> d
+
+
+def _twist(t1a, t1b, t2a, t2b, d1, d2, anti) -> tuple:
+    """The ints of u tau, for tau = (t1a + t1b w, t2a + t2b w) and u the
+    rotation of state (d1, d2, anti), exponents read mod 6:
+    (mu^d1 tau1, mu^d2 tau2), or (mu^d2 tau2, mu^d1 tau1) if anti."""
+    if anti:
+        t1a, t1b, t2a, t2b = t2a, t2b, t1a, t1b
+        d1, d2 = d2, d1
+    (p, q), (r, s) = MU_PAIRS[d1 % 6], MU_PAIRS[d2 % 6]
+    # (p + qw)(c + dw) = (pc - qd) + (pd + qc - qd)w
+    return (p * t1a - q * t1b, p * t1b + q * (t1a - t1b),
+            r * t2a - s * t2b, r * t2b + s * (t2a - t2b))
+
+
+def _times(u: tuple, v: tuple) -> tuple:
+    """The state of u v, for rotations u and v given by their states:
+    column j of u v is u applied to column j of v."""
+    d1, d2, anti = u
+    e1, e2, flip = v
+    if flip:
+        d1, d2 = d2, d1
+    return (d1 + e1) % 6, (d2 + e2) % 6, anti != flip
+
+
+def _strip(items: list, d1, d2, anti) -> tuple:
+    """Pop the trailing A and B items of items, up to an N or an R, into
+    the rotation u of state (d1, d2, anti): returns the state of their
+    product times u.  Each popped item multiplies on the left: B^e scales
+    row 1, which holds column 1's entry, or column 2's if anti, and A
+    swaps the rows."""
+    while items and items[-1][0] in "AB":
+        gen, e = items.pop()
+        if gen == "A":
+            anti = not anti
+        elif anti:
+            d2 += e
+        else:
+            d1 += e
+    return d1 % 6, d2 % 6, anti
+
+
 # Starting norms |g41|^2 of more bits than this take _decompose's lean
 # path.  Below it, carrying columns 2-4 through the few rounds costs less
 # than the two products that replace them.
@@ -360,28 +412,39 @@ _LEAN_BITS = 100
 def _decompose(g: GroupMatrix) -> tuple:
     """decompose's work: (result, rounds, stabilizer), with each round as
     _round's 7-int record and the stabilizer's fields as stabilizer_ints
-    returns them.
+    returns them for g_n.
 
     If the rounds give g_n = R N_n ... R N_1 g, then
     g = prod_i [N_(-tau_i, -k_i) R] * g_n, and g_n splits as
     unit * translation * rotation.  Pulling the unit to the front twists
-    each round's tau by it, and everything right of the unit is a word in
-    the generators: the prefix, each round's twisted translation then R,
-    and the tail, the stabilizer's translation and rotation.  Each piece
-    is in normal form, and words.join merges at every junction, so the
-    word is assembled in normal form.
+    each round's translation to T(sigma_i, -k_i), sigma_i = -lam tau_i,
+    and everything right of the unit is a word in the generators: the
+    prefix, each round's translation word W(sigma_i) then R, and the tail,
+    the stabilizer's translation and rotation.  A rotation u commutes
+    with R and carries a translation across as u T(sigma, k) =
+    T(u sigma, k) u.  So each round's trailing A and B items are popped
+    into a carried rotation u, held as _strip's state, which moves right:
+    the next round writes W(u sigma) for W(sigma), the twist by -lam being
+    the scalar case of the same one.  The tail's translation is twisted by
+    u too, its own trailing items are popped (never past the prefix, which
+    ends in R), and u times the stabilizer's rotation becomes one
+    u_decompose word.  Each piece is in normal form, and words.join merges
+    at every junction, so the word is assembled in normal form, each R in
+    it first or after an N.
 
     The rounds read only g's column 1.  When n = |g41|^2 has at most
-    _LEAN_BITS bits, they carry all of g, the stabilizer is read from g_n,
-    and the result is verified against g by verify.  Above it, the lean
-    path: the rounds carry column 1 alone, which is (lam, 0, 0, 0) at
-    n = 0, and head = evaluate(prefix, lam) is the one product of the
-    rounds formed.  The stabilizer is read from head^-1 g, which is
-    g_n without its unit, and head * evaluate(tail) == g is the
-    self-verify.  That is evaluate(word, lam) == g taken at one split:
-    a round after the first never has a trivial translation (its R would
-    undo the one before and bring n back), so the prefix ends in R, and
-    the tail never starts with R, so join appends it whole.
+    _LEAN_BITS bits, they carry all of g, the stabilizer is read from g_n
+    and twisted by u, and the result is verified against g by verify.
+    Above it, the lean path: the rounds carry column 1 alone, which is
+    (lam, 0, 0, 0) at n = 0, and head = evaluate(prefix, lam) is the one
+    product of the rounds formed.  The stabilizer is read from head^-1 g,
+    which is u g_n without its unit, so it comes twisted, as
+    T(u tau, k) Rot(u u_s); g_n's own fields are untwisted from it by
+    u^-1.  head * evaluate(tail) == g is the self-verify.  That is
+    evaluate(word, lam) == g taken at one split: a round after the first
+    never has a trivial translation (its R would undo the one before and
+    bring n back), so the prefix ends in R, and the tail never starts
+    with R, so join appends it whole.
 
     A failure of the rounds, of column 1 at n = 0, of the stabilizer read
     or of the self-verify raises InternalError, with steps set to the
@@ -399,25 +462,39 @@ def _decompose(g: GroupMatrix) -> tuple:
             rounds.append(record)
             n = record[6]
         la, lb, a2, b2, a3, b3 = flat[0:6]  # (lam, 0, 0, 0) at n = 0
-        if a2 or b2 or a3 or b3 or norm(la, lb) != 1:
+        d = _UNIT_EXPONENT.get((la, lb))
+        if a2 or b2 or a3 or b3 or d is None:
             raise InternalError(f"column 1 at n = 0 is {flat[0:8]}, not "
                                 f"(lam, 0, 0, 0) with lam a unit")
-        # Round i contributes the items of N_(-lam tau_i, -k_i), then R.
-        items = []
+        # Round i contributes W(u sigma_i), -lam = mu^(d + 3), then R.
+        items, u, d = [], (0, 0, False), d + 3
         for r1a, r1b, r2a, r2b, rk, _, _ in rounds:
-            _translation_items(items, -la, -lb, r1a, r1b, r2a, r2b, -rk)
-            join(items, _R)
+            d1, d2, anti = u
+            _translation_items(items, *_twist(r1a, r1b, r2a, r2b, d1 + d,
+                                              d2 + d, anti), -rk)
+            u = _strip(items, *u)
+            items += _R  # after an N, or first
         unit, split = EisensteinInt(la, lb), len(items)
         if lean:
             head = evaluate(Word(items), unit)
             flat = (head.inverse() * g).flat
         try:
-            _, _, t1a, t1b, t2a, t2b, k, u = stabilizer_ints(flat)
+            _, _, t1a, t1b, t2a, t2b, k, rot = stabilizer_ints(flat)
         except ShapeError as exc:
             raise InternalError(f"the reduced element is not a stabilizer: "
                                 f"{exc}") from None
-        _translation_items(items, 1, 0, t1a, t1b, t2a, t2b, k)
-        join(items, u_decompose(u).items)
+        state = _STATE[rot]
+        if lean:  # g_n's own fields, untwisted by u^-1
+            d1, d2, anti = u
+            v = (-d2, -d1, True) if anti else (-d1, -d2, False)
+            stabilizer = (*_twist(t1a, t1b, t2a, t2b, *v), k,
+                          _ROTATION[_times(v, state)])
+        else:
+            stabilizer = (t1a, t1b, t2a, t2b, k, rot)
+            t1a, t1b, t2a, t2b = _twist(t1a, t1b, t2a, t2b, *u)
+            state = _times(u, state)
+        _translation_items(items, t1a, t1b, t2a, t2b, k)
+        join(items, u_decompose(_ROTATION[_strip(items, *state)]).items)
         result = DecompositionResult(unit=unit, word=Word(items))
         if not (head * evaluate(Word(items[split:])) == g if lean
                 else verify(g, result)):
@@ -425,7 +502,7 @@ def _decompose(g: GroupMatrix) -> tuple:
     except InternalError as exc:
         exc.steps = _steps(rounds)
         raise
-    return result, rounds, (la, lb, t1a, t1b, t2a, t2b, k, u)
+    return result, rounds, (la, lb, *stabilizer)
 
 
 def _steps(rounds: list) -> tuple[ReductionStep, ...]:

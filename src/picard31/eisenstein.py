@@ -126,6 +126,8 @@ UNITS = (
 
 #: (-w)^d for d in 0..5: the units as powers of mu = -w, a generator of them.
 MU_POWERS = tuple((-OMEGA) ** d for d in range(6))
+#: The same powers as int pairs (a, b), for the kernels on plain ints.
+MU_PAIRS = tuple((mu.a, mu.b) for mu in MU_POWERS)
 
 
 def lattice_corners(a: int, b: int, c: int, e: int, n: int) -> list[tuple]:

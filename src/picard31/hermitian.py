@@ -287,6 +287,9 @@ class FiniteUnitary:
         (a, b), (c, d) = rows
         object.__setattr__(self, "flat", (a.a, a.b, c.a, c.b, b.a, b.b, d.a, d.b))
 
+    def __hash__(self):
+        return hash(self.flat)  # rows hash entry by entry, in Python
+
     def is_diagonal(self) -> bool:
         return self.rows[0][1].is_zero() and self.rows[1][0].is_zero()
 

@@ -15,7 +15,7 @@ import re
 import sys
 from typing import NamedTuple
 
-from .eisenstein import MU_POWERS, ONE, EisensteinInt
+from .eisenstein import MU_PAIRS, MU_POWERS, ONE, EisensteinInt
 from .errors import WordParseError
 from .hermitian import GroupMatrix, heisenberg_corner
 from .jsonutil import decode_pair, encode_pair
@@ -123,9 +123,6 @@ def join(stack: list, tail) -> list:
     return stack
 
 
-_MU = tuple((mu.a, mu.b) for mu in MU_POWERS)  # no EisensteinInt read per letter
-
-
 def evaluate(word: Word, unit: EisensteinInt = ONE) -> GroupMatrix:
     """unit_correction(unit) times the product of the word's generator powers
     (ValueError on a non-unit).
@@ -162,7 +159,7 @@ def evaluate(word: Word, unit: EisensteinInt = ONE) -> GroupMatrix:
         if gen == "N":
             # u (e, 0) = e mu^d1 in coordinate 2 if anti, else 1; k gains e
             # and the w-coefficient of conj(u (e, 0)) times that tau_j.
-            p, q = _MU[d1]
+            p, q = MU_PAIRS[d1]
             va, vb = e * p, e * q
             if anti:
                 k += e + va * t2b - vb * t2a
@@ -184,7 +181,7 @@ def evaluate(word: Word, unit: EisensteinInt = ONE) -> GroupMatrix:
                 # conj(sigma1) c1 and conj(sigma2) c1, with
                 # (p + qw)(c + dw) = (pc - qd) + (pd + qc - qd)w and
                 # conj(sigma_j) = s_jc - s_jb w.
-                (p2, q2), (p3, q3) = _MU[f2], _MU[f3]
+                (p2, q2), (p3, q3) = MU_PAIRS[f2], MU_PAIRS[f3]
                 s1a = p2 * t1a - q2 * t1b
                 s1b = p2 * t1b + q2 * (t1a - t1b)
                 s2a = p3 * t2a - q3 * t2b
@@ -223,7 +220,7 @@ def evaluate(word: Word, unit: EisensteinInt = ONE) -> GroupMatrix:
             anti = False
     flat = ()
     for (a1, b1, a2, b2, a3, b3, a4, b4), f in ((c1, 0), (c2, f2), (c3, f3), (c4, 0)):
-        (p, q), (r, s) = _MU[(d0 + f) % 6], _MU[f]
+        (p, q), (r, s) = MU_PAIRS[(d0 + f) % 6], MU_PAIRS[f]
         flat += (p * a1 - q * b1, (p - q) * b1 + q * a1,
                  r * a2 - s * b2, (r - s) * b2 + s * a2,
                  r * a3 - s * b3, (r - s) * b3 + s * a3,

@@ -10,13 +10,12 @@ import random
 import time
 from contextlib import contextmanager
 
-from picard31.eisenstein import (OMEGA, ONE, UNITS, ZERO, EisensteinInt,
+from picard31.eisenstein import (OMEGA, ONE, ZERO, EisensteinInt,
                                  round_nearest)
 from picard31.finite_unitary import U1, U2, enumerate_group, word_table
 from picard31.hermitian import (HeisenbergTranslation, check_membership,
                                 identity, image_of_infinity, inversion,
-                                rotation_matrix, translation_matrix,
-                                unit_correction)
+                                rotation_matrix, translation_matrix)
 from picard31.decomposer import (decompose_translation, random_element,
                                  reduction_step, step_bound,
                                  translation_data, verify)

@@ -11,13 +11,13 @@ unit correction is not counted; the results with a unit other than 1
 number 0, 0, 2, 20 and 137 at distances 1 to 5.
 
 Measured at the time of writing, per distance 1 to 5: mean output letters
-1.00, 2.00, 3.42, 5.10 and 7.03 (totals 6, 54, 407, 2,525 and 13,822),
-maxima 1, 2, 13, 16 and 33.  The test pins the totals and the maxima as
+1.00, 2.00, 3.32, 4.81 and 6.47 (totals 6, 54, 395, 2,383 and 12,732),
+maxima 1, 2, 13, 15 and 31.  The test pins the totals and the maxima as
 upper bounds.  A change that shortens words tightens them; none loosens
 them.  (With translations written as N^a and B^-2 N^b B^2 only, the
 totals were 6, 82, 706, 4,457 and 23,940 and the maxima 1, 12, 23, 28 and
 59.)  Every element at distance 2 gets a shortest word.  At distance 6,
-outside the test, the 7,565 elements average 9.14 letters, at most 36
+outside the test, the 7,565 elements average 8.29 letters, at most 32
 (15.42 and 60 with N^a and B^-2 N^b B^2 only).
 
 The search keeps one word per element, and every edge g s that lands on
@@ -40,8 +40,8 @@ from picard31.words import Word, evaluate, normalize, parse
 
 GENERATORS = ("N", "N^-1", "A", "B", "B^-1", "R")
 SPHERE_SIZES = (6, 27, 119, 495, 1967)
-MAX_TOTAL_LETTERS = (6, 54, 407, 2525, 13822)
-MAX_LETTERS = (1, 2, 13, 16, 33)
+MAX_TOTAL_LETTERS = (6, 54, 395, 2383, 12732)
+MAX_LETTERS = (1, 2, 13, 15, 31)
 RELATORS_BY_LETTERS = {4: 2, 7: 1, 8: 3, 9: 5, 10: 29}
 
 

@@ -7,7 +7,8 @@ and contraction checks live, and seeded states pin the ties of its
 dominance skip.  decompose's two paths, either side of _LEAN_BITS, agree
 and fail alike.  Translation words are exact, never longer than the
 yardstick along 1 and w alone, and of O(sqrt|k|) letters; every word
-decompose returns is in normal form."""
+decompose returns is in normal form, each R in it first or after an N,
+and the states of the rotation it carries act as their matrices."""
 
 import hashlib
 import itertools
@@ -19,16 +20,18 @@ import pytest
 
 from fraction_pairs import add, as_num_den, conj, div, mul, norm, qw, sub
 from helpers import fail_third_call
-from picard31.eisenstein import (OMEGA, ONE, UNITS, ZERO, EisensteinInt,
-                                 round_nearest)
+from picard31.eisenstein import (MU_POWERS, OMEGA, ONE, UNITS, ZERO,
+                                 EisensteinInt, round_nearest)
 from picard31.errors import DomainError, InternalError, ParityError
 from picard31.finite_unitary import u_decompose
 from picard31.hermitian import (GroupMatrix, identity, inversion,
-                                translation_matrix, unit_correction)
+                                rotation_matrix, translation_matrix,
+                                unit_correction)
 from picard31 import words
-from picard31.decomposer import (_A, _FORMS, _LEAN_BITS, _R, ReductionStep,
-                                 _choose, _commutators, _coordinate_forms,
-                                 _form, _round, _translation_items, decompose,
+from picard31.decomposer import (_A, _FORMS, _LEAN_BITS, _R, _ROTATION,
+                                 _STATE, ReductionStep, _choose, _commutators,
+                                 _coordinate_forms, _form, _round, _strip,
+                                 _times, _translation_items, _twist, decompose,
                                  decompose_traced, decompose_translation,
                                  langlands_extract, random_element,
                                  random_stabilizer, reduction_step,
@@ -397,6 +400,45 @@ def test_decompose_words_are_in_normal_form():
         assert normalize(word) == word
 
 
+def test_rotation_states_act_as_their_matrices():
+    # The carried rotation's state, against the matrices of all 72
+    # rotations: _STATE inverts _ROTATION, _twist conjugates a translation
+    # as Rot(u) T(tau, k) Rot(u)^-1 = T(u tau, k), _times multiplies, and
+    # _strip pops a trailing run of A and B items onto u from the left.
+    assert len(_ROTATION) == 72
+    assert all(_STATE[u] == state for state, u in _ROTATION.items())
+    rot = {state: rotation_matrix(u) for state, u in _ROTATION.items()}
+    t = translation_matrix((EisensteinInt(2, -1), EisensteinInt(-3, 1)), 4)
+    rng = random.Random(5)
+    for state, m in rot.items():
+        a1, b1, a2, b2 = _twist(2, -1, -3, 1, *state)
+        assert m * t * m.inverse() == translation_matrix(
+            (EisensteinInt(a1, b1), EisensteinInt(a2, b2)), 4)
+        assert all(rot[_times(state, other)] == m * rot[other]
+                   for other in rot)
+        run = normalize(Word([(rng.choice("AB"), rng.choice((1, 2, -1)))
+                              for _ in range(rng.randint(0, 6))])).items
+        items = [("R", 1), ("N", 2), *run]
+        popped = _strip(items, *state)
+        assert items == [("R", 1), ("N", 2)]
+        assert rot[popped] == evaluate(Word(run)) * m
+
+
+def test_every_r_is_first_or_after_n():
+    # Each round's trailing A and B items are carried past its R into the
+    # next round's translation, so an R follows an N or starts the word.
+    members = [evaluate(random_element(seed, 40)) for seed in range(2000)]
+    long_words = [evaluate(exact_word(seed, 1500)) for seed in range(50)]
+    assert all(g.rows[3][0].norm().bit_length() > _LEAN_BITS
+               for g in long_words)
+    members += long_words + [random_stabilizer(seed) for seed in range(200)]
+    members += [unit_correction(lam) for lam in UNITS] + [inversion()]
+    for g in members:
+        items = decompose(g).word.items
+        assert all(i == 0 or items[i - 1][0] == "N"
+                   for i, item in enumerate(items) if item == ("R", 1)), items
+
+
 def test_decompose_letters_read_value():
     # The benchmark's letter counter reads (g.value, e) for the items of
     # the words verify evaluates, so every letter of the pieces the word
@@ -540,17 +582,19 @@ def test_decompose_translation_exact():
 
 def test_round_items_match_decompose_translation():
     # decompose writes each round's prefix N_(-lam tau, -k) straight
-    # from ints, passing the coefficients of -lam; it must give the items of
-    # decompose_translation on the twisted data, and its translation.
+    # from ints, twisting tau by -lam = mu^d as the scalar rotation
+    # (d, d, False); it must give the items of decompose_translation on
+    # the twisted data, and its translation.
     box = range(-2, 3)
     for lam in UNITS:
+        d = MU_POWERS.index(-lam)
         for t1a, t1b, t2a, t2b in itertools.product(box, repeat=4):
             t1, t2 = EisensteinInt(t1a, t1b), EisensteinInt(t2a, t2b)
             m = t1.norm() + t2.norm()
             for k in range(-3 + (m + 1) % 2, 4, 2):
                 tau = (-(lam * t1), -(lam * t2))
-                items = _translation_items([], -lam.a, -lam.b, t1a, t1b,
-                                           t2a, t2b, -k)
+                items = _translation_items(
+                    [], *_twist(t1a, t1b, t2a, t2b, d, d, False), -k)
                 assert items == list(decompose_translation(tau, -k).items)
                 assert evaluate(Word(items)) == translation_matrix(tau, -k)
 
@@ -592,12 +636,10 @@ def _yardstick_commutators(t):
     return [(t, 1)]
 
 
-def _yardstick_items(la, lb, t1a, t1b, t2a, t2b, k):
+def _yardstick_items(a1, b1, a2, b2, k):
     """The items of the synthesis before the hexagonal forms, a yardstick
     for word length: each coordinate a + bw as N^a and B^-2 N^b B^2, in
     the order of least vertical remainder, then factored commutators."""
-    a1, b1 = la * t1a - lb * t1b, la * t1b + lb * t1a - lb * t1b
-    a2, b2 = la * t2a - lb * t2b, la * t2b + lb * t2a - lb * t2b
     two_t, p1, p2 = k - a1 - b1 - a2 - b2, a1 * b1, a2 * b2
     i = 0
     if p1 or p2:
@@ -639,10 +681,10 @@ def test_translation_words_never_longer_than_yardstick():
             tau = (lam * t1, lam * t2)
             m = t1.norm() + t2.norm()
             for k in (c + (c + m) % 2 for c in centers):
-                items = _translation_items([], lam.a, lam.b, t1a, t1b, t2a,
-                                           t2b, k)
+                ints = (tau[0].a, tau[0].b, tau[1].a, tau[1].b)
+                items = _translation_items([], *ints, k)
                 assert evaluate(Word(items)) == translation_matrix(tau, k)
-                old = _yardstick_items(lam.a, lam.b, t1a, t1b, t2a, t2b, k)
+                old = _yardstick_items(*ints, k)
                 new_letters = Word(items).letters()
                 old_letters = normalize(Word(old)).letters()
                 assert new_letters <= old_letters

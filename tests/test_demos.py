@@ -20,8 +20,8 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
-DEMOS_SHA256 = ("0dd3e5dfc6090030401ee7c2b86c24ab"
-                "e40872c790abe6636b309cc98127e202")
+DEMOS_SHA256 = ("2072630454f9026977d27b4f1e6b83db"
+                "1ab3c226255c37f8f571cde84918d66f")
 
 
 @pytest.fixture(scope="module")
