@@ -35,10 +35,9 @@ from .eisenstein import MU_PAIRS, UNITS, EisensteinInt, lattice_corners, norm
 # this module's name.
 from .eisenstein import round_nearest  # noqa: F401
 from .errors import InternalError, ShapeError
-from .finite_unitary import enumerate_group, u_decompose
-from .hermitian import (ROTATIONS, GroupMatrix, HeisenbergParam,
-                        HeisenbergTranslation, heisenberg_corner,
-                        image_of_infinity, stabilizer_ints)
+from .finite_unitary import ROTATION_WORDS, enumerate_group, u_decompose
+from .hermitian import (GroupMatrix, HeisenbergParam, HeisenbergTranslation,
+                        heisenberg_corner, image_of_infinity, stabilizer_ints)
 from .hermitian import langlands_extract  # noqa: F401
 from .jsonutil import encode_int, encode_pair
 from .words import (DecompositionResult, Word, evaluate, join, normalize,
@@ -352,20 +351,12 @@ def _commutators(t: int) -> tuple:
     return rest[0] + 2 * (abs(a) + abs(b)) + 4, items + rest[1]
 
 
-# A rotation u of U(2; Z[w]) held as evaluate holds its pending rotation,
-# the state (d1, d2, anti): mu^d1 in u's first column and mu^d2 in its
-# second, on the diagonal or, if anti, off it.  ROTATIONS lists
-# diag(mu^i, mu^j) and ((0, mu^i), (mu^j, 0)); _ROTATION keys its
-# elements by state, and _STATE gives each one's state.
-_ROTATION = {((i, j, False) if u.is_diagonal() else (j, i, True)): u
-             for i, j, u in ROTATIONS}
-_STATE = {u: state for state, u in _ROTATION.items()}
 _UNIT_EXPONENT = {pair: d for d, pair in enumerate(MU_PAIRS)}  # mu^d -> d
 
 
 def _twist(t1a, t1b, t2a, t2b, d1, d2, anti) -> tuple:
     """The ints of u tau, for tau = (t1a + t1b w, t2a + t2b w) and u the
-    rotation of state (d1, d2, anti), exponents read mod 6:
+    rotation of state (d1, d2, anti) of hermitian.STATE_OF, exponents mod 6:
     (mu^d1 tau1, mu^d2 tau2), or (mu^d2 tau2, mu^d1 tau1) if anti."""
     if anti:
         t1a, t1b, t2a, t2b = t2a, t2b, t1a, t1b
@@ -412,7 +403,7 @@ _LEAN_BITS = 100
 def _decompose(g: GroupMatrix) -> tuple:
     """decompose's work: (result, rounds, stabilizer), with each round as
     _round's 7-int record and the stabilizer's fields as stabilizer_ints
-    returns them for g_n.
+    returns them for g_n, its rotation a state.
 
     If the rounds give g_n = R N_n ... R N_1 g, then
     g = prod_i [N_(-tau_i, -k_i) R] * g_n, and g_n splits as
@@ -427,10 +418,10 @@ def _decompose(g: GroupMatrix) -> tuple:
     the next round writes W(u sigma) for W(sigma), the twist by -lam being
     the scalar case of the same one.  The tail's translation is twisted by
     u too, its own trailing items are popped (never past the prefix, which
-    ends in R), and u times the stabilizer's rotation becomes one
-    u_decompose word.  Each piece is in normal form, and words.join merges
-    at every junction, so the word is assembled in normal form, each R in
-    it first or after an N.
+    ends in R), and u times the stabilizer's rotation, by _times on their
+    states, keys one word of ROTATION_WORDS.  Each piece is in normal
+    form, and words.join merges at every junction, so the word is
+    assembled in normal form, each R in it first or after an N.
 
     The rounds read only g's column 1.  When n = |g41|^2 has at most
     _LEAN_BITS bits, they carry all of g, the stabilizer is read from g_n
@@ -479,22 +470,20 @@ def _decompose(g: GroupMatrix) -> tuple:
             head = evaluate(Word(items), unit)
             flat = (head.inverse() * g).flat
         try:
-            _, _, t1a, t1b, t2a, t2b, k, rot = stabilizer_ints(flat)
+            _, _, t1a, t1b, t2a, t2b, k, state = stabilizer_ints(flat)
         except ShapeError as exc:
             raise InternalError(f"the reduced element is not a stabilizer: "
                                 f"{exc}") from None
-        state = _STATE[rot]
         if lean:  # g_n's own fields, untwisted by u^-1
             d1, d2, anti = u
             v = (-d2, -d1, True) if anti else (-d1, -d2, False)
-            stabilizer = (*_twist(t1a, t1b, t2a, t2b, *v), k,
-                          _ROTATION[_times(v, state)])
+            stabilizer = (*_twist(t1a, t1b, t2a, t2b, *v), k, _times(v, state))
         else:
-            stabilizer = (t1a, t1b, t2a, t2b, k, rot)
+            stabilizer = (t1a, t1b, t2a, t2b, k, state)
             t1a, t1b, t2a, t2b = _twist(t1a, t1b, t2a, t2b, *u)
             state = _times(u, state)
         _translation_items(items, t1a, t1b, t2a, t2b, k)
-        join(items, u_decompose(_ROTATION[_strip(items, *state)]).items)
+        join(items, ROTATION_WORDS[_strip(items, *state)].items)
         result = DecompositionResult(unit=unit, word=Word(items))
         if not (head * evaluate(Word(items[split:])) == g if lean
                 else verify(g, result)):

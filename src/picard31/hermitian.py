@@ -7,10 +7,10 @@ holds the group element type, the generator constructors translation_matrix,
 rotation_matrix and inversion, the boundary action (g(infinity) in Z[w] over
 the integer |g41|^2), the matrix JSON format, and the stabilizer of infinity:
 the one Heisenberg translation record (tau, k) with its parity rule, corner
-entry and composition law, the rotation block FiniteUnitary, and
-HeisenbergParam.  _stabilizer_flat is the one formula for the entries of an
-element fixing infinity: HeisenbergParam's matrix() and the rebuild check of
-stabilizer_ints (the int-level reader langlands_extract wraps) both use it.
+entry and composition law, the 72 rotation states and their public form
+FiniteUnitary, and HeisenbergParam.  _stabilizer_flat is the one formula for
+the entries of an element fixing infinity: HeisenbergParam's matrix() and
+the rebuild check of stabilizer_ints (langlands_extract's int reader) use it.
 
 A GroupMatrix keeps its entries as one tuple of 32 ints, the (a, b)
 pairs of the entries a + b*w column by column: entry (i, j) (0-indexed)
@@ -32,7 +32,7 @@ import json
 import operator
 from dataclasses import dataclass
 
-from .eisenstein import MU_POWERS, ONE, ZERO, EisensteinInt, norm, power
+from .eisenstein import MU_PAIRS, ONE, ZERO, EisensteinInt, norm, power
 from .errors import DomainError, NotMemberError, ParityError, ShapeError
 from .jsonutil import canonical_dumps, decode_coeffs, decode_int, encode_pair
 
@@ -267,28 +267,42 @@ class HeisenbergTranslation:
         return HeisenbergParam(ONE, self, _NO_ROTATION).matrix()
 
 
+# The 72 rotations as states (d1, d2, anti): mu^d1 in column 1 and mu^d2 in
+# column 2, mu = -w, off the diagonal if anti.  BLOCK_OF gives a state's 8
+# ints in FiniteUnitary.flat's order, and STATE_OF a block's state.
+BLOCK_OF = {(d1, d2, anti): ((0, 0, p, q, r, s, 0, 0) if anti
+                             else (p, q, 0, 0, 0, 0, r, s))
+            for d1, (p, q) in enumerate(MU_PAIRS)
+            for d2, (r, s) in enumerate(MU_PAIRS) for anti in (False, True)}
+STATE_OF = {block: state for state, block in BLOCK_OF.items()}
+
+
 @dataclass(frozen=True)
 class FiniteUnitary:
     """2x2 Eisenstein matrix with U* U = I: the group U(2; Z[w]).
 
     Every member is diagonal diag(a, b) or antidiagonal ((0, b), (a, 0))
-    with both entries sixth roots of unity, giving 2 * 6 * 6 = 72 elements.
-    flat holds the 8 ints of rows ((a, b), (c, d)) in the order a, c, b, d
-    of the middle block in GroupMatrix's layout.
+    with both entries sixth roots of unity, giving 2 * 6 * 6 = 72 elements,
+    the blocks of STATE_OF.  flat holds the 8 ints of rows ((a, b), (c, d))
+    in the order a, c, b, d of the middle block in GroupMatrix's layout.
     """
 
     rows: tuple
 
     def __post_init__(self):
         rows = _grid(self.rows, 2)
-        if not _is_unitary(rows):
-            raise NotMemberError(f"not in U(2; Z[w]): {rows}")
-        object.__setattr__(self, "rows", rows)
         (a, b), (c, d) = rows
+        object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "flat", (a.a, a.b, c.a, c.b, b.a, b.b, d.a, d.b))
+        if self.flat not in STATE_OF:
+            raise NotMemberError(f"not in U(2; Z[w]): {rows}")
 
-    def __hash__(self):
-        return hash(self.flat)  # rows hash entry by entry, in Python
+    @classmethod
+    def from_state(cls, state) -> FiniteUnitary:
+        """The member whose flat is BLOCK_OF[state]."""
+        v = BLOCK_OF[state]
+        a, c, b, d = (EisensteinInt(v[i], v[i + 1]) for i in (0, 2, 4, 6))
+        return cls(((a, b), (c, d)))
 
     def is_diagonal(self) -> bool:
         return self.rows[0][1].is_zero() and self.rows[1][0].is_zero()
@@ -300,12 +314,6 @@ class FiniteUnitary:
     def to_json(self) -> list:
         """Rows of [a, b] pairs, as u2-table --json writes them (write-only)."""
         return [[encode_pair(e) for e in row] for row in self.rows]
-
-
-def _is_unitary(rows) -> bool:
-    (a, b), (c, d) = rows
-    return (not (b or c) and a.is_unit() and d.is_unit()
-            or not (a or d) and b.is_unit() and c.is_unit())
 
 
 @dataclass(frozen=True)
@@ -324,10 +332,11 @@ class HeisenbergParam:
 
     @classmethod
     def from_ints(cls, la, lb, t1a, t1b, t2a, t2b, k, u) -> HeisenbergParam:
-        """The record of the fields stabilizer_ints returns."""
+        """The record of the fields stabilizer_ints returns, u a state."""
         return cls(EisensteinInt(la, lb),
                    HeisenbergTranslation(EisensteinInt(t1a, t1b),
-                                         EisensteinInt(t2a, t2b), k), u)
+                                         EisensteinInt(t2a, t2b), k),
+                   FiniteUnitary.from_state(u))
 
     def matrix(self) -> GroupMatrix:
         """The matrix of the fields, by _stabilizer_flat."""
@@ -359,27 +368,22 @@ def _stabilizer_flat(la, lb, t1a, t1b, t2a, t2b, k, u) -> tuple:
 
 _NO_TRANSLATION = HeisenbergTranslation(ZERO, ZERO, 0)
 _NO_ROTATION = FiniteUnitary(((ONE, ZERO), (ZERO, ONE)))
-# The 72 rotations, through the checked constructor, as (i, j, u) with u =
-# diag(mu^i, mu^j) or ((0, mu^i), (mu^j, 0)), mu = -w; _BLOCKS keys them by flat.
-ROTATIONS = tuple((i, j, FiniteUnitary(rows)) for i, x in enumerate(MU_POWERS)
-                  for j, y in enumerate(MU_POWERS)
-                  for rows in (((x, ZERO), (ZERO, y)), ((ZERO, x), (y, ZERO))))
-_BLOCKS = {u.flat: u for _, _, u in ROTATIONS}
 
 
 def stabilizer_ints(v: tuple) -> tuple:
     """The fields of langlands_extract as ints, from the matrix's 32 ints v:
     (la, lb, t1a, t1b, t2a, t2b, k, u) for lam = la + lb w,
-    tau = (t1a + t1b w, t2a + t2b w), k and the rotation u, a FiniteUnitary.
+    tau = (t1a + t1b w, t2a + t2b w), k and u the rotation's state.
 
-    Reading them checks that lam is a unit, u one of the 72 rotation blocks
-    and the corner consistent with |tau|^2; then the matrix rebuilt by
-    _stabilizer_flat must equal v.  Any failure raises ShapeError.
+    Reading them checks that lam is a unit, the middle block in STATE_OF
+    and the corner consistent with |tau|^2; then the matrix rebuilt from
+    these ints by _stabilizer_flat must equal v; any failure raises ShapeError.
     """
     la, lb = v[0], v[1]
     if norm(la, lb) != 1:
         raise ShapeError(f"corner entry {EisensteinInt(la, lb)} is not a unit")
-    u = _BLOCKS.get(v[10:14] + v[18:22])
+    block = v[10:14] + v[18:22]
+    u = STATE_OF.get(block)
     if u is None:
         u_rows = tuple(row[1:3] for row in GroupMatrix.from_flat(v).rows[1:3])
         raise ShapeError(f"middle block {u_rows} is not in U(2; Z[w])")
@@ -392,7 +396,7 @@ def stabilizer_ints(v: tuple) -> tuple:
     if k - 2 * ca != m:
         raise ShapeError(f"corner entry {EisensteinInt(ca, k)} "
                          f"inconsistent with |tau|^2 = {m}")
-    if _stabilizer_flat(la, lb, t1a, t1b, t2a, t2b, k, u.flat) != v:
+    if _stabilizer_flat(la, lb, t1a, t1b, t2a, t2b, k, block) != v:
         raise ShapeError("matrix is not unit * translation * rotation")
     return la, lb, t1a, t1b, t2a, t2b, k, u
 

@@ -2,6 +2,7 @@
 counterexample dump, a dump that cannot be written, and no JSON int of
 magnitude 2^53 or more in any output."""
 
+import hashlib
 import io
 import json
 import os
@@ -386,6 +387,14 @@ def test_u2_table(capsys):
     assert len(lines) == 73
 
 
+# The stdout of `u2-table --json`: the order of enumerate_group and the
+# word chosen for each element.  Refactors must leave it unchanged; a
+# change that alters it on purpose re-pins U2_TABLE_JSON_SHA256 and says
+# so in CHANGES.md.
+U2_TABLE_JSON_SHA256 = ("2eb155f71740ff176f031c1707cb6bd3"
+                        "6bd2a2ff33646ae705b27e98d648cd6a")
+
+
 def test_u2_table_json(capsys):
     from picard31.finite_unitary import FiniteUnitary
     from picard31.hermitian import rotation_matrix
@@ -403,3 +412,4 @@ def test_u2_table_json(capsys):
         seen.add(u)
         assert evaluate(parse(obj["word"])) == rotation_matrix(u)
     assert len(seen) == 72
+    assert hashlib.sha256(out.encode()).hexdigest() == U2_TABLE_JSON_SHA256

@@ -23,15 +23,15 @@ from helpers import fail_third_call
 from picard31.eisenstein import (MU_POWERS, OMEGA, ONE, UNITS, ZERO,
                                  EisensteinInt, round_nearest)
 from picard31.errors import DomainError, InternalError, ParityError
-from picard31.finite_unitary import u_decompose
-from picard31.hermitian import (GroupMatrix, identity, inversion,
-                                rotation_matrix, translation_matrix,
-                                unit_correction)
+from picard31.finite_unitary import ROTATION_WORDS, u_decompose
+from picard31.hermitian import (BLOCK_OF, STATE_OF, FiniteUnitary, GroupMatrix,
+                                identity, inversion, rotation_matrix,
+                                translation_matrix, unit_correction)
 from picard31 import words
-from picard31.decomposer import (_A, _FORMS, _LEAN_BITS, _R, _ROTATION,
-                                 _STATE, ReductionStep, _choose, _commutators,
-                                 _coordinate_forms, _form, _round, _strip,
-                                 _times, _translation_items, _twist, decompose,
+from picard31.decomposer import (_A, _FORMS, _LEAN_BITS, _R, ReductionStep,
+                                 _choose, _commutators, _coordinate_forms,
+                                 _form, _round, _strip, _times,
+                                 _translation_items, _twist, decompose,
                                  decompose_traced, decompose_translation,
                                  langlands_extract, random_element,
                                  random_stabilizer, reduction_step,
@@ -284,8 +284,9 @@ def test_self_verification_is_live(monkeypatch):
     trace = decompose_traced(g)[1]
     steps = trace.steps
     assert steps and u_decompose(trace.stabilizer.u).items
-    monkeypatch.setattr("picard31.decomposer.u_decompose",
-                        lambda u: Word(u_decompose(u).items[:-1]))
+    monkeypatch.setattr("picard31.decomposer.ROTATION_WORDS",
+                        {state: Word(word.items[:-1])
+                         for state, word in ROTATION_WORDS.items()})
     with pytest.raises(InternalError,
                        match="failed self-verification") as exc:
         decompose_traced(g)
@@ -318,8 +319,9 @@ def test_self_verification_is_live_above_the_gate(monkeypatch):
     # rotation word one item short spoils the tail, and it must notice.
     g = above_the_gate()
     steps = decompose_traced(g)[1].steps
-    monkeypatch.setattr("picard31.decomposer.u_decompose",
-                        lambda u: Word(u_decompose(u).items[:-1]))
+    monkeypatch.setattr("picard31.decomposer.ROTATION_WORDS",
+                        {state: Word(word.items[:-1])
+                         for state, word in ROTATION_WORDS.items()})
     with pytest.raises(InternalError,
                        match="failed self-verification") as exc:
         decompose_traced(g)
@@ -401,13 +403,22 @@ def test_decompose_words_are_in_normal_form():
 
 
 def test_rotation_states_act_as_their_matrices():
-    # The carried rotation's state, against the matrices of all 72
-    # rotations: _STATE inverts _ROTATION, _twist conjugates a translation
-    # as Rot(u) T(tau, k) Rot(u)^-1 = T(u tau, k), _times multiplies, and
-    # _strip pops a trailing run of A and B items onto u from the left.
-    assert len(_ROTATION) == 72
-    assert all(_STATE[u] == state for state, u in _ROTATION.items())
-    rot = {state: rotation_matrix(u) for state, u in _ROTATION.items()}
+    # The rotation states, against the matrices of all 72 rotations:
+    # STATE_OF inverts BLOCK_OF, a state's FiniteUnitary holds mu^d1 in
+    # column 1 and mu^d2 in column 2, off the diagonal if anti, _twist
+    # conjugates a translation as Rot(u) T(tau, k) Rot(u)^-1 = T(u tau, k),
+    # _times multiplies, and _strip pops a trailing run of A and B items
+    # onto u from the left.
+    assert len(BLOCK_OF) == len(STATE_OF) == 72
+    assert all(STATE_OF[block] == state for state, block in BLOCK_OF.items())
+    rot = {}
+    for state in BLOCK_OF:
+        d1, d2, anti = state
+        x, y = MU_POWERS[d1], MU_POWERS[d2]
+        u = FiniteUnitary.from_state(state)
+        assert u.rows == (((ZERO, y), (x, ZERO)) if anti
+                          else ((x, ZERO), (ZERO, y)))
+        rot[state] = rotation_matrix(u)
     t = translation_matrix((EisensteinInt(2, -1), EisensteinInt(-3, 1)), 4)
     rng = random.Random(5)
     for state, m in rot.items():
@@ -433,10 +444,14 @@ def test_every_r_is_first_or_after_n():
                for g in long_words)
     members += long_words + [random_stabilizer(seed) for seed in range(200)]
     members += [unit_correction(lam) for lam in UNITS] + [inversion()]
-    for g in members:
-        items = decompose(g).word.items
+    found = [decompose(g).word for g in members]
+    for word in found:
+        items = word.items
         assert all(i == 0 or items[i - 1][0] == "N"
                    for i, item in enumerate(items) if item == ("R", 1)), items
+    # An upper bound on the 2,000 short words' letters, set at their total
+    # when it was written; it may only tighten.
+    assert sum(word.letters() for word in found[:2000]) <= 41119
 
 
 def test_decompose_letters_read_value():

@@ -32,8 +32,12 @@ def test_decompose_and_fuzz_output_pinned(corpus7, capsys, tmp_path,
                                           monkeypatch):
     digest = hashlib.sha256()
     _feed(digest, corpus7.results)
-    _feed(digest, (decompose_traced(evaluate(random_element(10000 + s, 300)))
-                   for s in range(100)))
+    long_words = [decompose_traced(evaluate(random_element(10000 + s, 300)))
+                  for s in range(100)]
+    _feed(digest, long_words)
+    # An upper bound on these 100 words' letters, set at their total when
+    # it was written; it may only tighten.
+    assert sum(result.word.letters() for result, _ in long_words) <= 12053
     _feed(digest, (decompose_traced(random_stabilizer(s)) for s in range(100)))
     monkeypatch.chdir(tmp_path)
     assert main(["fuzz", "--seed", "5", "--iterations", "300", "--json"]) == 0

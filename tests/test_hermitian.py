@@ -16,11 +16,11 @@ from picard31.errors import (DomainError, NotMemberError, ParityError,
                              ShapeError)
 from picard31.finite_unitary import U2, enumerate_group
 from picard31.hermitian import (GroupMatrix, HeisenbergParam,
-                                HeisenbergTranslation, _is_unitary,
-                                check_membership, identity, image_of_infinity,
-                                inversion, matrix_from_json_text,
-                                matrix_to_json_text, rotation_matrix,
-                                translation_matrix, unit_correction)
+                                HeisenbergTranslation, check_membership,
+                                identity, image_of_infinity, inversion,
+                                matrix_from_json_text, matrix_to_json_text,
+                                rotation_matrix, translation_matrix,
+                                unit_correction)
 from picard31.decomposer import langlands_extract
 from picard31.jsonutil import encode_pair
 
@@ -294,10 +294,19 @@ def test_heisenberg_param_matrix_matches_oracle():
     assert min(parities[0], parities[1]) > 300, parities
 
 
+def is_unitary(rows):
+    """U* U = I for the 2x2 rows, entry by entry in EisensteinInt
+    arithmetic: (U* U)[i][j] = sum_k conj(U[k][i]) U[k][j]."""
+    cols = tuple(zip(*rows))
+    return all(sum((x.conj() * y for x, y in zip(ci, cj)), ZERO)
+               == (ONE if i == j else ZERO)
+               for i, ci in enumerate(cols) for j, cj in enumerate(cols))
+
+
 def test_block_lookup_matches_is_unitary():
     # langlands_extract finds the middle block in a table of the 72
     # rotations.  Over every block with entries in {0, the six units, 2,
-    # 1 + 2w}, it must accept exactly the blocks _is_unitary accepts and
+    # 1 + 2w}, it must accept exactly the blocks is_unitary accepts and
     # reject the others with the middle-block message.
     values = (ZERO, *UNITS, EisensteinInt(2), EisensteinInt(1, 2))
     accepted = 0
@@ -305,7 +314,7 @@ def test_block_lookup_matches_is_unitary():
         rows = ((a, b), (c, d))
         p = non_member(((ONE, ZERO, ZERO, ZERO), (ZERO, a, b, ZERO),
                         (ZERO, c, d, ZERO), (ZERO, ZERO, ZERO, ONE)))
-        if _is_unitary(rows):
+        if is_unitary(rows):
             accepted += 1
             assert langlands_extract(p).u.rows == rows
         else:

@@ -36,6 +36,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DECOMPOSER = "src/picard31/decomposer.py"
 EISENSTEIN = "src/picard31/eisenstein.py"
+FINITE_UNITARY = "src/picard31/finite_unitary.py"
 HERMITIAN = "src/picard31/hermitian.py"
 WORDS = "src/picard31/words.py"
 
@@ -150,7 +151,7 @@ MUTANTS = [
      "den, 0, den * den)",
      "den, 0, den)"),
     ("stabilizer_ints: the rebuild check dropped", HERMITIAN,
-     "    if _stabilizer_flat(la, lb, t1a, t1b, t2a, t2b, k, u.flat) != v:",
+     "    if _stabilizer_flat(la, lb, t1a, t1b, t2a, t2b, k, block) != v:",
      "    if False:"),
     # The rebuild floors (k - |tau|^2)/2 as heisenberg_corner does, so only
     # this check sees a k of the wrong parity.
@@ -255,6 +256,19 @@ MUTANTS = [
     ("FiniteUnitary.flat: b and c swapped", HERMITIAN,
      "(a.a, a.b, c.a, c.b, b.a, b.b, d.a, d.b)",
      "(a.a, a.b, b.a, b.b, c.a, c.b, d.a, d.b)"),
+    ("FiniteUnitary: the membership check dropped", HERMITIAN,
+     "        if self.flat not in STATE_OF:\n",
+     "        if False:\n"),
+    # The table keeps its 72 blocks, so every FiniteUnitary is still
+    # accepted; only the anti states' meaning changes.
+    ("BLOCK_OF: an anti state's mu^d1 and mu^d2 swapped between its columns",
+     HERMITIAN,
+     "(0, 0, p, q, r, s, 0, 0) if anti",
+     "(0, 0, r, s, p, q, 0, 0) if anti"),
+    ("ROTATION_WORDS: a diagonal word's two B exponents swapped",
+     FINITE_UNITARY,
+     '(("A", 1), ("B", d2), ("A", 1), ("B", d1))',
+     '(("A", 1), ("B", d1), ("A", 1), ("B", d2))'),
     ("matrix_from_json_text: the form check dropped", HERMITIAN,
      "    _require_member(flat)\n    return GroupMatrix.from_flat(flat)",
      "    return GroupMatrix.from_flat(flat)"),
